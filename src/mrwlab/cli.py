@@ -80,6 +80,8 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -260,7 +262,9 @@ def _run_simulate(args, params, threads, emitter) -> None:
     emitter.results["mean"] = float(finals.mean())
     if args.replicas > 1:
         emitter.results["variance"] = float(finals.var(ddof=1))
-    emitter.diagnostics["exact_mean"] = float(exact_mean_recursion(params, args.n)[-1]) if args.n <= 10**7 else math.nan
+    # The exact mean is built from the weight sequence, which is undefined at alpha = -1.
+    exact = args.n <= 10**7 and params.alpha != -1.0
+    emitter.diagnostics["exact_mean"] = float(exact_mean_recursion(params, args.n)[-1]) if exact else math.nan
 
 
 def _run_exact(args, params, threads, emitter) -> None:

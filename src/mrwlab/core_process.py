@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -47,15 +48,11 @@ __all__ = [
 REPLICA_BLOCK = 16384
 
 # Upper bound on steps generated per chunk, per replica. Chunk size does not
-# affect the stream: a numpy Generator returns the same values whether drawn
-# in one call or many. The actual chunk shrinks for wide replica blocks to
-# keep the uniform buffer near 128 MB.
+# affect the stream, since each chunk is read from its own offset; chunks are
+# a multiple of 8 draws (one Philox counter step) and shrink for wide replica
+# blocks to keep the uniform buffer near 128 MB.
 STEP_CHUNK = 16384
 _CHUNK_BUDGET = 32 * 1024 * 1024
-
-
-def _chunk_steps(block_width: int) -> int:
-    return max(1024, min(STEP_CHUNK, _CHUNK_BUDGET // max(block_width, 1)))
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,11 @@ class RegimeError(ValueError):
 
 
 def classify_regime(params: ModelParams) -> Regime:
-    """Classify by exact comparison of alpha = p - q against 1/2."""
-    a = params.alpha
+    """Classify by comparing alpha with 1/2 exactly, alpha being taken as
+    Fraction(repr(p)) - Fraction(repr(q)): q = 0.2, p = 0.7 is critical
+    although the float p - q is 0.49999999999999994.
+    """
+    a = Fraction(repr(float(params.p))) - Fraction(repr(float(params.q)))
     if a < 0.5:
         return Regime.DIFFUSIVE
     if a == 0.5:
@@ -116,7 +116,9 @@ class RngStreamSpec:
 
     Distinct replica indices give statistically independent streams, and the
     stream is a pure function of the two fields, so any (master seed,
-    replica) pair can be reproduced in isolation on any machine.
+    replica) pair can be reproduced in isolation on any machine. The batch
+    engines read these same streams without a Generator per replica: each
+    replica block re-keys one Philox to every replica's key and offset.
     """
 
     master_seed: int
@@ -273,30 +275,52 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
 # ---------------------------------------------------------------------------
 
 
-def _replica_generators(specs: Sequence[RngStreamSpec]) -> list[np.random.Generator]:
-    return [spec.generator() for spec in specs]
+def _fill_uniforms(gen: np.random.Generator, specs: Sequence[RngStreamSpec], k: int, U: np.ndarray) -> None:
+    """Fill row i of U with float32 draws k, k+1, ... of the stream of specs[i].
+
+    gen's Philox is re-keyed per row. A draw takes one uint32, a counter step
+    yields eight and comes before its block, so after k draws the counter is
+    k // 8 with the buffer spent; k % 8 more draws are then thrown away.
+    """
+    state = {"bit_generator": "Philox", "state": {"counter": [k // 8, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    bitgen = gen.bit_generator
+    for row, spec in zip(U, specs):
+        key[:] = spec.master_seed, spec.replica_index
+        bitgen.state = state
+        if k % 8:
+            gen.random(k % 8, dtype=np.float32)
+        gen.random(out=row, dtype=np.float32)
 
 
-def _first_step(gens, s: float) -> np.ndarray:
-    u = np.array([g.random(dtype=np.float32) for g in gens], dtype=np.float64)
-    return (u < s).astype(np.float64)
+def _walk_block(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
+    """Yield (m, S, U) per chunk of one replica block's walk to step n.
+
+    S holds S_m per replica, from m = 1 on; the caller advances it in place
+    through U, whose column j decides step m+1+j, before U is refilled.
+    """
+    gen = specs[0].generator()
+    step = max(8, min(STEP_CHUNK, _CHUNK_BUDGET // len(specs)) // 8 * 8)
+    buf = np.empty((len(specs), min(step, n)), dtype=np.float32)
+    for k in range(0, n, step):
+        U = buf[:, : min(step, n - k)]
+        _fill_uniforms(gen, specs, k, U)
+        if k == 0:
+            S = (U[:, 0].astype(np.float64) < params.s).astype(np.float64)
+            k, U = 1, U[:, 1:]
+        yield k, S, U
 
 
 def _advance_block(
-    S: np.ndarray,
-    m_start: int,
-    U: np.ndarray,
-    q: float,
-    alpha: float,
-    out: np.ndarray | None = None,
+    S: np.ndarray, m_start: int, U: np.ndarray, q: float, alpha: float, out: np.ndarray | None = None
 ) -> None:
     """Advance all replicas through steps m_start+1 .. m_start+U.shape[1].
 
     S holds S_{m_start} per replica and is updated in place. When out is
     given, column j receives S after step m_start+1+j.
     """
-    n_steps = U.shape[1]
-    for j in range(n_steps):
+    for j in range(U.shape[1]):
         m = m_start + j
         prob = q + (alpha / m) * S
         S += U[:, j] < prob
@@ -312,8 +336,9 @@ def walk_positions_batch(
 ) -> np.ndarray:
     """Full position trajectories for many replicas.
 
-    Returns an int32 array of shape (len(specs), n+1) with S_0..S_n per row.
-    Memory is replicas * (n+1) * 4 bytes; for horizons beyond ~10^7 use
+    Returns an int32 array of shape (len(specs), n+1) with S_0..S_n per row;
+    row i reads the stream of specs[i] (see RngStreamSpec). Memory is
+    replicas * (n+1) * 4 bytes; for horizons beyond ~10^7 use
     walk_checkpoints_batch or walk_position_chunks instead.
     """
     if n < 1:
@@ -322,18 +347,9 @@ def walk_positions_batch(
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
-        gens = _replica_generators(specs[lo:hi])
-        S = _first_step(gens, params.s)
-        pos[lo:hi, 1] = S
-        step = _chunk_steps(hi - lo)
-        m = 1
-        while m < n:
-            c = min(step, n - m)
-            U = np.empty((hi - lo, c), dtype=np.float32)
-            for i, g in enumerate(gens):
-                U[i] = g.random(c, dtype=np.float32)
-            _advance_block(S, m, U, params.q, params.alpha, pos[lo:hi, m + 1 : m + 1 + c])
-            m += c
+        for m, S, U in _walk_block(params, specs[lo:hi], n):
+            pos[lo:hi, m] = S
+            _advance_block(S, m, U, params.q, params.alpha, pos[lo:hi, m + 1 : m + 1 + U.shape[1]])
 
     _run_replica_blocks(R, run_block, threads)
     return pos
@@ -349,7 +365,8 @@ def walk_checkpoints_batch(
 
     checkpoints must be strictly increasing positive step indices. Returns a
     float64 array of shape (len(specs), len(checkpoints)) whose column t
-    holds S at checkpoints[t]. Supports horizons up to 10^8 per replica.
+    holds S at checkpoints[t]; row i reads the stream of specs[i] (see
+    RngStreamSpec). Supports horizons up to 10^8 per replica.
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -359,31 +376,16 @@ def walk_checkpoints_batch(
     out = np.empty((R, len(cps)), dtype=np.float64)
 
     def run_block(lo: int, hi: int) -> None:
-        gens = _replica_generators(specs[lo:hi])
-        S = _first_step(gens, params.s)
         next_cp = 0
-        while next_cp < len(cps) and cps[next_cp] == 1:
-            out[lo:hi, next_cp] = S
-            next_cp += 1
-        step = _chunk_steps(hi - lo)
-        m = 1
-        while m < n:
-            c = min(step, n - m)
-            U = np.empty((hi - lo, c), dtype=np.float32)
-            for i, g in enumerate(gens):
-                U[i] = g.random(c, dtype=np.float32)
+        for m, S, U in _walk_block(params, specs[lo:hi], n):
             # Split the chunk at checkpoint boundaries so S can be recorded.
             done = 0
-            while done < c:
-                stop = c
-                if next_cp < len(cps):
-                    stop = min(stop, cps[next_cp] - m)
-                _advance_block(S, m + done, U[:, done:stop], params.q, params.alpha)
-                done = stop
-                if next_cp < len(cps) and m + done == cps[next_cp]:
-                    out[lo:hi, next_cp] = S
-                    next_cp += 1
-            m += c
+            while next_cp < len(cps) and cps[next_cp] <= m + U.shape[1]:
+                _advance_block(S, m + done, U[:, done : cps[next_cp] - m], params.q, params.alpha)
+                done = cps[next_cp] - m
+                out[lo:hi, next_cp] = S
+                next_cp += 1
+            _advance_block(S, m + done, U[:, done:], params.q, params.alpha)
 
     _run_replica_blocks(R, run_block, threads)
     return out
@@ -407,14 +409,12 @@ def walk_position_chunks(
     u0 = np.float64(gen.random(dtype=np.float32))
     S = np.array([1.0 if u0 < params.s else 0.0])
     yield 1, S.copy()
-    m = 1
-    while m < n:
+    for m in range(1, n, chunk):
         c = min(chunk, n - m)
         U = gen.random(c, dtype=np.float32)[None, :]
         out = np.empty((1, c), dtype=np.float64)
         _advance_block(S, m, U, params.q, params.alpha, out)
         yield m + 1, out[0]
-        m += c
 
 
 def _run_replica_blocks(R: int, run_block, threads: int) -> None:

@@ -48,8 +48,14 @@ _STREAM_CHUNK = 1_000_000
 
 def _alpha_of(params_or_alpha) -> float:
     if isinstance(params_or_alpha, ModelParams):
-        return params_or_alpha.alpha
-    return float(params_or_alpha)
+        alpha = params_or_alpha.alpha
+    else:
+        alpha = float(params_or_alpha)
+    if alpha == -1.0:
+        raise ValueError(
+            "the weight sequence a_n is undefined at alpha = -1 (q = 1, p = 0): a_2 = 1/(1 + alpha)"
+        )
+    return alpha
 
 
 @dataclass

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mrwlab import cli
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
 
@@ -136,6 +137,27 @@ def test_superdiffusive_rejects_bad_horizon_list(capsys):
     rc = main(["superdiffusive", "--n", "1000,100", "--q", "0.1", "--p", "0.9"])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sequences_rejects_alpha_minus_one(capsys):
+    rc = main(["sequences", "--n", "100", "--q", "1", "--p", "0"])
+    assert rc == EXIT_CONFIG
+    assert "alpha = -1" in capsys.readouterr().err
+
+
+def test_simulate_at_alpha_minus_one_reports_nan_exact_mean(tmp_path):
+    rc, out = run_to_file(tmp_path, "sim.csv", ["simulate", "--n", "100", "--replicas", "3", "--q", "1", "--p", "0"])
+    assert rc == EXIT_OK
+    assert "# diagnostic exact_mean=nan" in out.read_text().splitlines()
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("MRWLAB_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli._default_threads() == 2
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._default_threads() == 64
 
 
 def test_exact_rejects_oversized_n(capsys):

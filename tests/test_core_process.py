@@ -48,6 +48,8 @@ def test_alpha_is_exactly_p_minus_q():
         (0.25, 0.75, Regime.CRITICAL),
         (0.5, 0.5, Regime.DIFFUSIVE),
         (0.1, 0.9, Regime.SUPERDIFFUSIVE),
+        # 0.7 - 0.2 is 0.49999999999999994 in floats; alpha is read from the decimals.
+        (0.2, 0.7, Regime.CRITICAL),
     ],
 )
 def test_regime_classification(q, p, expected):
@@ -259,6 +261,69 @@ def test_batch_law_matches_exact_dp():
     emp = np.bincount(finals, minlength=n + 1) / len(finals)
     exact = exact_distribution(params, n).probs
     assert total_variation(emp, exact) < 0.01
+
+
+def _reference_positions(params, n, specs):
+    """S_0..S_n per replica, from one RngStreamSpec.generator() per replica
+    drawing one float32 uniform per step, and the step recurrence."""
+    U = np.array([spec.generator().random(n, dtype=np.float32) for spec in specs], dtype=np.float64)
+    pos = np.zeros((len(specs), n + 1))
+    S = (U[:, 0] < params.s).astype(np.float64)
+    pos[:, 1] = S
+    for m in range(1, n):
+        S = S + (U[:, m] < params.q + (params.alpha / m) * S)
+        pos[:, m + 1] = S
+    return pos
+
+
+_unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.01, 0.99),
+    q=_unit.filter(lambda q: q > 0.0),
+    p=_unit,
+    seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=6),
+    n=st.integers(1, 130),
+    step_chunk=st.sampled_from([8, 16, 24, 40]),
+    budget=st.sampled_from([16, 64, 2**25]),
+    block=st.integers(1, 4),
+    threads=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_batch_engines_match_per_replica_generators(
+    s, q, p, seed, replicas, n, step_chunk, budget, block, threads, data
+):
+    specs = [RngStreamSpec(seed, i) for i in replicas]
+    if data.draw(st.booleans()):
+        # s just above a drawn uniform: a float32 comparison would round s down onto it.
+        s = float(specs[0].generator().random(dtype=np.float32)) + 2.0**-30
+    params = ModelParams(s=s, q=q, p=p)
+    cps = sorted(data.draw(st.sets(st.integers(1, n), max_size=6)) | {n})
+    ref = _reference_positions(params, n, specs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "STEP_CHUNK", step_chunk)
+        mp.setattr(cp, "_CHUNK_BUDGET", budget)
+        mp.setattr(cp, "REPLICA_BLOCK", block)
+        pos = walk_positions_batch(params, n, specs, threads=threads)
+        rec = walk_checkpoints_batch(params, cps, specs, threads=threads)
+    assert np.array_equal(pos, ref)
+    assert np.array_equal(rec, ref[:, cps])
+
+
+def test_fill_places_each_stream_at_its_offset():
+    # One generator is re-used across offsets, so state left by an odd
+    # offset must not leak into the next fill.
+    gen = RngStreamSpec(1).generator()
+    specs = [RngStreamSpec(0, 0), RngStreamSpec(2**64 - 1, 2**63), RngStreamSpec(12345, 6789)]
+    for k in [9, 0, 1, 7, 8, 1023, 1024, 2047, 4097, 16, 3]:
+        U = np.empty((len(specs), 21), dtype=np.float32)
+        cp._fill_uniforms(gen, specs, k, U)
+        for row, spec in zip(U, specs):
+            expected = spec.generator().random(k + 21, dtype=np.float32)[k:]
+            assert np.array_equal(row.view(np.uint32), expected.view(np.uint32)), (k, spec)
 
 
 def test_checkpoint_validation():
