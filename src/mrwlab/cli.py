@@ -45,10 +45,11 @@ from .limit_harness import (
     qsl_functional_batch,
     qsl_target,
     superdiffusive_limit,
+    theoretical_variance_at_one,
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from .martingale_sequences import limit_constants, sequence_checkpoints, sigma_squared
+from .martingale_sequences import _log_grid, limit_constants, sequence_checkpoints, sigma_squared
 
 SCHEMA_VERSION = 1
 
@@ -353,15 +354,6 @@ def _run_fclt(args, params, threads, emitter) -> None:
     emitter.results["target_variance_t1"] = var_target
 
 
-def theoretical_variance_at_one(params: ModelParams) -> float:
-    regime = classify_regime(params)
-    if regime is Regime.DIFFUSIVE:
-        return sigma_squared(params) / (1.0 - 2.0 * params.alpha)
-    if regime is Regime.CRITICAL:
-        return 4.0 * params.q * (1.0 - params.p)
-    raise RegimeError("no limit variance at alpha > 1/2")
-
-
 def _run_urn_compare(args, params, threads, emitter) -> None:
     tv = urn_walk_equivalence_check(params, args.n)
     walk = exact_distribution(params, args.n)
@@ -396,10 +388,7 @@ def _run_sequences(args, params, threads, emitter) -> None:
         raise ValueError("horizon must be at least 2")
     if args.n > 10**8:
         raise ValueError("horizon must be at most 10^8")
-    grid = np.unique(
-        np.round(np.logspace(0.0, math.log10(args.n), num=args.points)).astype(np.int64)
-    )
-    grid = grid[grid >= 2]
+    grid = _log_grid(args.n, args.points)
     seqs = sequence_checkpoints(params, [int(g) for g in grid])
     n = seqs["n"].astype(np.float64)
     alpha = params.alpha

@@ -19,6 +19,7 @@ distributed exactly as S_n.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -338,12 +339,20 @@ def walk_positions_batch(
 
     Returns an int32 array of shape (len(specs), n+1) with S_0..S_n per row;
     row i reads the stream of specs[i] (see RngStreamSpec). Memory is
-    replicas * (n+1) * 4 bytes; for horizons beyond ~10^7 use
-    walk_checkpoints_batch or walk_position_chunks instead.
+    replicas * (n+1) * 4 bytes, and a request beyond the machine's physical
+    memory is refused with a ValueError before anything is allocated; use
+    walk_checkpoints_batch when only selected steps are needed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     R = len(specs)
+    need = R * (n + 1) * 4
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"{R} replicas x {n + 1} positions need {need} bytes, more than the "
+            f"{have} bytes of physical memory; use walk_checkpoints_batch"
+        )
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
@@ -392,29 +401,23 @@ def walk_checkpoints_batch(
 
 
 def walk_position_chunks(
-    params: ModelParams,
-    n: int,
-    rng: RngStreamSpec,
-    chunk: int = STEP_CHUNK,
+    params: ModelParams, n: int, rng: RngStreamSpec
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream one replica's positions in chunks of at most `chunk` steps.
+    """Stream one replica's positions S_1..S_n in chunks.
 
-    Yields (k_start, values) where values[j] = S_{k_start + j}. The first
-    chunk starts at k_start = 1. Consumes the stream identically to the
-    batched engines, so prefixes agree with walk_positions_batch.
+    Yields (k_start, values) where values[j] = S_{k_start + j}; the first
+    chunk is (1, [S_1]). This is the batch engine run on the one replica
+    [rng], so the values equal walk_positions_batch(params, n, [rng])[0, 1:].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = rng.generator()
-    u0 = np.float64(gen.random(dtype=np.float32))
-    S = np.array([1.0 if u0 < params.s else 0.0])
-    yield 1, S.copy()
-    for m in range(1, n, chunk):
-        c = min(chunk, n - m)
-        U = gen.random(c, dtype=np.float32)[None, :]
-        out = np.empty((1, c), dtype=np.float64)
-        _advance_block(S, m, U, params.q, params.alpha, out)
-        yield m + 1, out[0]
+    for m, S, U in _walk_block(params, [rng], n):
+        if m == 1:
+            yield 1, S.copy()
+        if U.shape[1]:
+            out = np.empty((1, U.shape[1]), dtype=np.float64)
+            _advance_block(S, m, U, params.q, params.alpha, out)
+            yield m + 1, out[0]
 
 
 def _run_replica_blocks(R: int, run_block, threads: int) -> None:

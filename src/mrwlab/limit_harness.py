@@ -23,7 +23,7 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "qsl_functional",
     "qsl_functional_batch",
     "qsl_target",
+    "theoretical_variance_at_one",
     "fclt_skeleton",
     "fclt_skeletons_batch",
     "skeleton_steps",
@@ -173,9 +174,7 @@ def asclt_measure_diffusive(params: ModelParams, n: int, rng: RngStreamSpec) -> 
     _require(params, Regime.DIFFUSIVE, "the diffusive weighted measure")
     if n < 10:
         raise ValueError("n must be at least 10")
-    alpha = params.alpha
-    center = params.q / (1.0 - alpha)
-    target_var = sigma_squared(params) / (1.0 - 2.0 * alpha)
+    center = params.q / (1.0 - params.alpha)
     return _accumulate_weighted(
         params,
         n,
@@ -184,7 +183,7 @@ def asclt_measure_diffusive(params: ModelParams, n: int, rng: RngStreamSpec) -> 
         point_fn=lambda k, S: np.sqrt(k) * (S / k - center),
         weight_fn=lambda k: 1.0 / k,
         normalizer=math.log(n),
-        target_var=target_var,
+        target_var=theoretical_variance_at_one(params),
     )
 
 
@@ -199,7 +198,6 @@ def asclt_measure_critical(params: ModelParams, n: int, rng: RngStreamSpec) -> W
     if n < 3:
         raise ValueError("n must be at least 3")
     center = 2.0 * params.q
-    target_var = 4.0 * params.q * (1.0 - params.p)
     return _accumulate_weighted(
         params,
         n,
@@ -208,7 +206,7 @@ def asclt_measure_critical(params: ModelParams, n: int, rng: RngStreamSpec) -> W
         point_fn=lambda k, S: np.sqrt(k / np.log(k)) * (S / k - center),
         weight_fn=lambda k: 1.0 / (k * np.log(k)),
         normalizer=math.log(math.log(n)),
-        target_var=target_var,
+        target_var=theoretical_variance_at_one(params),
     )
 
 
@@ -234,42 +232,27 @@ def qsl_target(params: ModelParams, r: int, regime: Regime) -> float:
     raise RegimeError("no even-moment limit is implemented for alpha > 1/2")
 
 
+def theoretical_variance_at_one(params: ModelParams) -> float:
+    """Limit variance of the rescaled position at t = 1 (and of the weighted
+    measures): sigma^2/(1-2 alpha) diffusive, 4q(1-p) critical."""
+    regime = classify_regime(params)
+    if regime is Regime.DIFFUSIVE:
+        return sigma_squared(params) / (1.0 - 2.0 * params.alpha)
+    if regime is Regime.CRITICAL:
+        return 4.0 * params.q * (1.0 - params.p)
+    raise RegimeError("no limit variance at alpha > 1/2")
+
+
 def qsl_functional(params: ModelParams, n: int, r: int, rng: RngStreamSpec) -> MomentFunctionalResult:
     """Log-averaged 2r-th power functional of one path.
 
     Diffusive: (1/log n) sum_{k<=n} k^(r-1) (S_k/k - q/(1-alpha))^(2r).
     Critical: (1/log log n) sum_{2<=k<=n} k^(r-1) (log k)^-(r+1) (S_k/k - 2q)^(2r).
+    The value is qsl_functional_batch(params, n, r, [rng])[0].
     """
-    if r < 1:
-        raise ValueError("moment order r must be at least 1")
+    value = float(qsl_functional_batch(params, n, r, [rng])[0])
     regime = classify_regime(params)
-    if regime is Regime.SUPERDIFFUSIVE:
-        raise RegimeError("even-moment functionals require alpha <= 1/2")
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    alpha = params.alpha
-    center = params.q / (1.0 - alpha)
-    total = 0.0
-    for k_start, values in walk_position_chunks(params, n, rng):
-        k = np.arange(k_start, k_start + len(values), dtype=np.float64)
-        if regime is Regime.CRITICAL:
-            keep = k >= 2
-            k = k[keep]
-            if len(k) == 0:
-                continue
-            dev = values[keep] / k - center
-            total += float(np.sum(k ** (r - 1) * np.log(k) ** (-(r + 1)) * dev ** (2 * r)))
-        else:
-            dev = values / k - center
-            total += float(np.sum(k ** (r - 1) * dev ** (2 * r)))
-    scale = math.log(math.log(n)) if regime is Regime.CRITICAL else math.log(n)
-    return MomentFunctionalResult(
-        r=r,
-        value=total / scale,
-        target=qsl_target(params, r, regime),
-        n=n,
-        regime=regime,
-    )
+    return MomentFunctionalResult(r=r, value=value, target=qsl_target(params, r, regime), n=n, regime=regime)
 
 
 def qsl_functional_batch(
@@ -282,8 +265,9 @@ def qsl_functional_batch(
     """The functional of qsl_functional for many replicas, vectorized.
 
     Returns one value per spec, in spec order. Uses the full trajectory
-    matrix, so replicas * n is bounded by memory; the acceptance workloads
-    (hundreds of replicas at n = 10^5) are far below any limit.
+    matrix of walk_positions_batch, so replicas * (n+1) * 4 bytes must fit
+    in physical memory (a ValueError otherwise); the acceptance workloads
+    (hundreds of replicas at n = 10^5) are far below that.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
@@ -339,37 +323,20 @@ def skeleton_steps(n: int, grid: Sequence[float], regime: Regime) -> np.ndarray:
     return steps
 
 
-def _skeleton_values(params, n, grid, steps_at, positions, regime):
-    times = np.asarray(list(grid), dtype=np.float64)
-    center = params.q / (1.0 - params.alpha)
-    m = steps_at.astype(np.float64)
-    if regime is Regime.CRITICAL:
-        scale = np.sqrt(m / math.log(n))
-    else:
-        scale = np.full_like(m, math.sqrt(n))
-    return scale * (positions / m - center), times
-
-
 def fclt_skeleton(
     params: ModelParams,
     n: int,
     grid: Sequence[float] | None,
     rng: RngStreamSpec,
 ) -> PathSkeleton:
-    """One replica's rescaled values at the grid times.
+    """One replica's rescaled values at the grid times: row 0 of
+    fclt_skeletons_batch(params, n, grid, [rng]).
 
     Diffusive: sqrt(n)(S_{floor(nt)}/floor(nt) - q/(1-alpha)). Critical:
     sqrt(n^t/log n)(S_{floor(n^t)}/floor(n^t) - 2q) on the n^t time change.
     """
-    regime = classify_regime(params)
-    if regime is Regime.SUPERDIFFUSIVE:
-        raise RegimeError("path skeletons require alpha <= 1/2")
-    if grid is None:
-        grid = DEFAULT_GRID_CRITICAL if regime is Regime.CRITICAL else DEFAULT_GRID_DIFFUSIVE
-    steps = skeleton_steps(n, grid, regime)
-    pos = walk_checkpoints_batch(params, steps, [rng])[0]
-    values, times = _skeleton_values(params, n, grid, steps, pos, regime)
-    return PathSkeleton(grid=times, steps=steps, values=values, regime=regime)
+    skel = fclt_skeletons_batch(params, n, grid, [rng])
+    return replace(skel, values=skel.values[0])
 
 
 def fclt_skeletons_batch(
@@ -387,7 +354,13 @@ def fclt_skeletons_batch(
         grid = DEFAULT_GRID_CRITICAL if regime is Regime.CRITICAL else DEFAULT_GRID_DIFFUSIVE
     steps = skeleton_steps(n, grid, regime)
     pos = walk_checkpoints_batch(params, steps, specs, threads=threads)
-    values, times = _skeleton_values(params, n, grid, steps, pos, regime)
+    m = steps.astype(np.float64)
+    if regime is Regime.CRITICAL:
+        scale = np.sqrt(m / math.log(n))
+    else:
+        scale = np.full_like(m, math.sqrt(n))
+    values = scale * (pos / m - params.q / (1.0 - params.alpha))
+    times = np.asarray(list(grid), dtype=np.float64)
     return PathSkeleton(grid=times, steps=steps, values=values, regime=regime)
 
 

@@ -170,7 +170,7 @@ class LimitConstants:
 def limit_constants(params: ModelParams) -> LimitConstants:
     alpha = params.alpha
     ell = None
-    if alpha < 0.5:
+    if classify_regime(params) is Regime.DIFFUSIVE:
         ell = math.gamma(alpha + 1.0) ** 2 / (1.0 - 2.0 * alpha)
     return LimitConstants(
         sigma2=sigma_squared(params),

@@ -86,7 +86,7 @@ def build_spectral(params: ModelParams) -> SpectralData:
     if p != 1.0:
         u2 = np.array([-2.0 * q / one_minus, 2.0 * (1.0 - p) / one_minus])
     sigma_i = None
-    if alpha != 0.5:
+    if classify_regime(params) is not Regime.CRITICAL:
         scale = q * (1.0 - p) / ((1.0 - 2.0 * alpha) * one_minus**2)
         sigma_i = scale * np.array([[1.0, -1.0], [-1.0, 1.0]])
     p_proj = np.eye(2) - np.outer(v1, u1)

@@ -254,13 +254,25 @@ def test_criterion_08_asclt():
         factors.append(var / sample.target_variance)
     factors = np.array(factors)
     frac_crit = float(np.mean((factors >= 0.5) & (factors <= 2.0)))
+    # Exact finite-n expectation of the weighted second moment about 2q,
+    # with the measure's own weights 1/(k log k), k = 2..n.
+    n = 10**6
+    mom = moment_recursion(crit_params, n, 2)
+    k = np.arange(2, n + 1, dtype=np.float64)
+    c = 2.0 * crit_params.q
+    sq_dev = (mom[2, 2:] - 2 * c * k * mom[1, 2:] + (c * k) ** 2) / k**2
+    w = 1.0 / (k * np.log(k))
+    exact_m2 = float(np.sum(w * k / np.log(k) * sq_dev) / np.sum(w))
+    limit = 4 * crit_params.q * (1 - crit_params.p)
 
     ok = frac_diff >= 0.90 and median_decreasing and frac_crit >= 0.90
     report(8, ok, f"diffusive: {frac_diff:.0%} of seeds with KS<=0.25 "
                   f"(need 90%), median KS by horizon {[round(m, 3) for m in medians]}; "
                   f"critical: {frac_crit:.0%} of seeds within factor 2 of "
                   f"target variance (need 90%), factor range "
-                  f"[{factors.min():.3f}, {factors.max():.3f}]")
+                  f"[{factors.min():.3f}, {factors.max():.3f}], exact finite-n "
+                  f"weighted second moment {exact_m2:.4f} (factor {exact_m2 / limit:.3f}) "
+                  f"vs limit 4q(1-p) = {limit:.4f}")
     assert ok
 
 

@@ -160,6 +160,13 @@ def test_default_threads_follow_cpu_affinity(monkeypatch):
     assert cli._default_threads() == 64
 
 
+def test_qsl_beyond_memory_is_a_config_error(capsys):
+    # 10^5 replicas x (10^8 + 1) int32 positions is 40 TB; refused before allocating.
+    rc = main(["qsl", "--n", "100000000", "--replicas", "100000"])
+    assert rc == EXIT_CONFIG
+    assert "walk_checkpoints_batch" in capsys.readouterr().err
+
+
 def test_exact_rejects_oversized_n(capsys):
     rc = main(["exact", "--n", "20000"])
     assert rc == EXIT_CONFIG

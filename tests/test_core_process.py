@@ -228,7 +228,7 @@ def test_position_chunks_match_batch_row():
     spec = RngStreamSpec(31, 3)
     pos = walk_positions_batch(params, 400, [spec])[0]
     collected = np.empty(400)
-    for k_start, values in walk_position_chunks(params, 400, spec, chunk=61):
+    for k_start, values in walk_position_chunks(params, 400, spec):
         collected[k_start - 1 : k_start - 1 + len(values)] = values
     assert np.array_equal(collected, pos[1:].astype(np.float64))
 
@@ -311,6 +311,40 @@ def test_batch_engines_match_per_replica_generators(
         rec = walk_checkpoints_batch(params, cps, specs, threads=threads)
     assert np.array_equal(pos, ref)
     assert np.array_equal(rec, ref[:, cps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.01, 0.99),
+    q=_unit.filter(lambda q: q > 0.0),
+    p=_unit,
+    seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    replica=st.one_of(st.just(0), st.just(2**63), st.integers(0, 2**63)),
+    n=st.integers(1, 300),
+    step_chunk=st.sampled_from([8, 16, 40, 16384]),
+    budget=st.sampled_from([1, 24, 2**25]),
+)
+def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget):
+    # Small chunks put chunk boundaries, and the split of the first chunk
+    # after S_1, inside the horizon.
+    spec = RngStreamSpec(seed, replica)
+    params = ModelParams(s=s, q=q, p=p)
+    ref = _reference_positions(params, n, [spec])[0, 1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "STEP_CHUNK", step_chunk)
+        mp.setattr(cp, "_CHUNK_BUDGET", budget)
+        chunks = list(walk_position_chunks(params, n, spec))
+    assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
+    assert [k for k, _ in chunks] == list(np.cumsum([1] + [len(v) for _, v in chunks[:-1]]))
+    assert np.array_equal(np.concatenate([v for _, v in chunks]), ref)
+
+
+def test_positions_beyond_physical_memory_are_refused():
+    # 10^5 replicas x (10^8 + 1) int32 positions is 40 TB: a ValueError, not a MemoryError.
+    params = ModelParams(s=0.5, q=0.5, p=0.5)
+    specs = [RngStreamSpec(1, i) for i in range(10**5)]
+    with pytest.raises(ValueError, match="walk_checkpoints_batch"):
+        walk_positions_batch(params, 10**8, specs)
 
 
 def test_fill_places_each_stream_at_its_offset():

@@ -174,7 +174,7 @@ def test_qsl_single_path_matches_batch():
         batch = qsl_functional_batch(params, n, 2, [RngStreamSpec(9, i) for i in range(3)])
         for i in range(3):
             single = qsl_functional(params, n, 2, RngStreamSpec(9, i))
-            assert abs(single.value - batch[i]) < 1e-12 * max(1.0, abs(batch[i]))
+            assert single.value == batch[i]
 
 
 def test_qsl_targets():
@@ -249,7 +249,7 @@ def test_skeleton_batch_shape_and_default_grids():
     assert skel.values.shape == (6, len(lh.DEFAULT_GRID_CRITICAL))
     assert skel.regime is Regime.CRITICAL
     single = fclt_skeleton(CRITICAL, 1000, None, specs[2])
-    assert np.allclose(skel.values[2], single.values, atol=1e-12)
+    assert np.array_equal(skel.values[2], single.values)
 
 
 def test_degenerate_zero_noise_skeleton_collapses():

@@ -133,6 +133,8 @@ def test_limit_constants_fields():
     assert abs(diff.mean_ratio_limit - 1 / 0.75) < 1e-15
     crit = limit_constants(ModelParams(s=0.5, q=0.25, p=0.75))
     assert crit.ell is None
+    # 0.7 - 0.2 is 0.49999999999999994 in floats, but the point is critical.
+    assert limit_constants(ModelParams(s=0.5, q=0.2, p=0.7)).ell is None
     assert abs(crit.critical_v_limit - math.pi / 4) < 1e-15
 
 

@@ -83,6 +83,8 @@ def test_degenerate_alpha_half():
     spectral.validate()
     assert spectral.sigma_i is None
     assert spectral.u2 is not None
+    # 0.7 - 0.2 is 0.49999999999999994 in floats, but the point is critical.
+    assert build_spectral(ModelParams(s=0.5, q=0.2, p=0.7)).sigma_i is None
 
 
 def test_diffusive_kernel_values():
