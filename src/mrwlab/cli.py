@@ -49,7 +49,7 @@ from .limit_harness import (
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from .martingale_sequences import _log_grid, limit_constants, sequence_checkpoints, sigma_squared
+from .martingale_sequences import _log_grid, sequence_asymptotics, sigma_squared
 
 SCHEMA_VERSION = 1
 
@@ -388,28 +388,18 @@ def _run_sequences(args, params, threads, emitter) -> None:
         raise ValueError("horizon must be at least 2")
     if args.n > 10**8:
         raise ValueError("horizon must be at most 10^8")
-    grid = _log_grid(args.n, args.points)
-    seqs = sequence_checkpoints(params, [int(g) for g in grid])
-    n = seqs["n"].astype(np.float64)
-    alpha = params.alpha
-    regime = classify_regime(params)
-    consts = limit_constants(params)
-    mean_ratio_dev = np.abs(seqs["A"] / (n * seqs["a"]) - consts.mean_ratio_limit) * n ** (1.0 - alpha)
-    columns = ["n", "a_n", "A_n", "v_n", "f_n", "mean_ratio_dev"]
-    data = [seqs["n"], seqs["a"], seqs["A"], seqs["v"], seqs["f"], mean_ratio_dev]
-    if regime is Regime.CRITICAL:
-        columns.append("v_over_logn")
-        data.append(seqs["v"] / np.log(n))
-        emitter.results["v_over_logn_final"] = float(data[-1][-1])
-        emitter.results["v_over_logn_target"] = consts.critical_v_limit
-    elif regime is Regime.DIFFUSIVE:
-        columns += ["v_over_power", "n_times_f"]
-        data.append(seqs["v"] / n ** (1.0 - 2.0 * alpha))
-        data.append(n * seqs["f"])
-        emitter.results["v_over_power_final"] = float(data[-2][-1])
-        emitter.results["v_over_power_target"] = float(consts.ell)
+    if args.points < 2:
+        raise ValueError("--points must be at least 2")
+    diag = sequence_asymptotics(params, args.n, _log_grid(args.n, args.points))
+    table = {
+        "n": diag.grid, "a_n": diag.a, "A_n": diag.A, "v_n": diag.v, "f_n": diag.f,
+        "mean_ratio_dev": diag.mean_ratio_dev, **diag.columns,
+    }
+    for name, target in diag.targets.items():
+        emitter.results[f"{name}_final"] = float(diag.columns[name][-1])
+        emitter.results[f"{name}_target"] = target
     emitter.results["sigma2"] = sigma_squared(params)
-    emitter.table(columns, zip(*data))
+    emitter.table(list(table), zip(*table.values()))
 
 
 _RUNNERS = {
@@ -432,6 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         threads = args.threads if args.threads else _default_threads()
         if threads < 1:
             raise ValueError("--threads must be positive")
+        if getattr(args, "replicas", 1) < 1:
+            raise ValueError("--replicas must be at least 1")
         config = _config_dict(args, params)
         emitter = _Emitter(config)
         _RUNNERS[args.command](args, params, threads, emitter)

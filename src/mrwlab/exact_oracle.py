@@ -254,5 +254,5 @@ def exact_covariance_S(params: ModelParams, m: int, big_m: int) -> float:
         raise ValueError("need 1 <= m <= M")
     mom = moment_recursion(params, m, 2)
     var_m = mom[2, m] - mom[1, m] ** 2
-    cache = build_sequences(params, big_m)
-    return float(cache.a[m] / cache.a[big_m] * var_m)
+    a = sequence_checkpoints(params, sorted({m, big_m}))["a"]
+    return float(a[0] / a[-1] * var_m)

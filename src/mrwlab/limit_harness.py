@@ -279,16 +279,20 @@ def qsl_functional_batch(
     pos = walk_positions_batch(params, n, specs, threads=threads)
     center = params.q / (1.0 - params.alpha)
     values = np.zeros(len(specs), dtype=np.float64)
+    # Column chunks of 2^16 steps, reduced 64 rows at a time, so that each
+    # float64 temporary stays within 32 MB whatever the replica count.
     chunk = 1 << 16
+    rows = 64
     start = 2 if regime is Regime.CRITICAL else 1
     for lo in range(start, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         k = np.arange(lo, hi, dtype=np.float64)
-        dev = pos[:, lo:hi] / k - center
+        weight = k ** (r - 1)
         if regime is Regime.CRITICAL:
-            values += (k ** (r - 1) * np.log(k) ** (-(r + 1)) * dev ** (2 * r)).sum(axis=1)
-        else:
-            values += (k ** (r - 1) * dev ** (2 * r)).sum(axis=1)
+            weight = weight * np.log(k) ** (-(r + 1))
+        for top in range(0, len(specs), rows):
+            dev = pos[top : top + rows, lo:hi] / k - center
+            values[top : top + rows] += (weight * dev ** (2 * r)).sum(axis=1)
     scale = math.log(math.log(n)) if regime is Regime.CRITICAL else math.log(n)
     return values / scale
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, RegimeError, WalkPath, classify_regime
+from .core_process import ModelParams, Regime, WalkPath, classify_regime
 
 __all__ = [
     "SequenceCache",
@@ -80,6 +80,33 @@ class SequenceCache:
         return (k + self.alpha) / k
 
 
+def _sequence_chunks(alpha: float, horizon: int):
+    """Yield (start, chunk) up to horizon; chunk rows are a, A, v at steps start, start+1, ...
+
+    Each chunk is computed in carry-in form: element 0 of every cumprod and
+    cumsum input is the value carried from the step before the chunk, so the
+    chunk continues the sequence exactly where one pass over the whole
+    horizon would, and the values do not depend on _STREAM_CHUNK. Step 1 is
+    reached from (a, A, v) = (1, 0, 0) at step 0 through the ratio 1 that the
+    m > 0 mask leaves in place.
+    """
+    carry = np.array([1.0, 0.0, 0.0])
+    for start in range(1, horizon + 1, _STREAM_CHUNK):
+        stop = min(start + _STREAM_CHUNK, horizon + 1)
+        m = np.arange(start - 1, stop - 1, dtype=np.float64)  # a_{m+1} = a_m * m / (m + alpha)
+        seq = np.empty((3, stop - start + 1), dtype=np.float64)
+        a, A, v = seq
+        seq[:, 0] = carry
+        a[1] = 1.0
+        np.divide(m, m + alpha, out=a[1:], where=m > 0)
+        np.cumprod(a, out=a)
+        A[1:] = a[1:]
+        np.square(a[1:], out=v[1:])
+        np.cumsum(seq[1:], axis=1, out=seq[1:])
+        carry = seq[:, -1].copy()
+        yield start, seq[:, 1:]
+
+
 def build_sequences(params_or_alpha, N: int) -> SequenceCache:
     """Materialize the sequences up to horizon N by the stable recurrence."""
     if N < 1:
@@ -90,18 +117,11 @@ def build_sequences(params_or_alpha, N: int) -> SequenceCache:
             "use sequence_checkpoints for larger horizons"
         )
     alpha = _alpha_of(params_or_alpha)
-    k = np.arange(1.0, N, dtype=np.float64)  # 1 .. N-1
-    a = np.empty(N + 1, dtype=np.float64)
-    a[0] = np.nan
-    a[1] = 1.0
-    if N > 1:
-        np.cumprod(k / (k + alpha), out=a[2:])
-    A = np.empty_like(a)
-    A[0] = 0.0
-    np.cumsum(a[1:], out=A[1:])
-    v = np.empty_like(a)
-    v[0] = 0.0
-    np.cumsum(a[1:] ** 2, out=v[1:])
+    seq = np.empty((3, N + 1), dtype=np.float64)
+    seq[:, 0] = np.nan, 0.0, 0.0
+    for start, chunk in _sequence_chunks(alpha, N):
+        seq[:, start : start + chunk.shape[1]] = chunk
+    a, A, v = seq
     f = np.empty_like(a)
     f[0] = np.nan
     f[1:] = a[1:] ** 2 / v[1:]
@@ -114,37 +134,19 @@ def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
     """Stream the recurrence to large horizons, recording selected steps.
 
     Returns {"n", "a", "A", "v", "f"} arrays over the strictly increasing
-    checkpoint list. Memory is O(chunk), so horizons of 10^8 and beyond are
-    fine.
+    checkpoint list, equal to the build_sequences entries at those steps.
+    Memory is O(chunk), so horizons of 10^8 and beyond are fine.
     """
-    cps = [int(c) for c in checkpoints]
-    if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
+    cps = np.array(checkpoints, dtype=np.int64)
+    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing and >= 1")
     alpha = _alpha_of(params_or_alpha)
-    n_max = cps[-1]
-    out = {name: np.empty(len(cps), dtype=np.float64) for name in ("a", "A", "v", "f")}
-    a_cur, A_cur, v_cur = 1.0, 1.0, 1.0  # values at step 1
-    next_cp = 0
-    if cps[0] == 1:
-        out["a"][0], out["A"][0], out["v"][0], out["f"][0] = 1.0, 1.0, 1.0, 1.0
-        next_cp = 1
-    start = 2
-    while start <= n_max:
-        stop = min(start + _STREAM_CHUNK, n_max + 1)
-        k = np.arange(start, stop, dtype=np.float64)
-        a_chunk = a_cur * np.cumprod((k - 1.0) / (k - 1.0 + alpha))
-        A_chunk = A_cur + np.cumsum(a_chunk)
-        v_chunk = v_cur + np.cumsum(a_chunk**2)
-        while next_cp < len(cps) and cps[next_cp] < stop:
-            i = cps[next_cp] - start
-            out["a"][next_cp] = a_chunk[i]
-            out["A"][next_cp] = A_chunk[i]
-            out["v"][next_cp] = v_chunk[i]
-            out["f"][next_cp] = a_chunk[i] ** 2 / v_chunk[i]
-            next_cp += 1
-        a_cur, A_cur, v_cur = a_chunk[-1], A_chunk[-1], v_chunk[-1]
-        start = stop
-    return {"n": np.array(cps, dtype=np.int64), **out}
+    out = np.empty((3, len(cps)), dtype=np.float64)
+    for start, chunk in _sequence_chunks(alpha, int(cps[-1])):
+        lo, hi = np.searchsorted(cps, [start, start + chunk.shape[1]])
+        out[:, lo:hi] = chunk[:, cps[lo:hi] - start]
+    a, A, v = out
+    return {"n": cps, "a": a, "A": A, "v": v, "f": a**2 / v}
 
 
 def sigma_squared(params: ModelParams) -> float:
@@ -217,16 +219,22 @@ def martingale_track(path: WalkPath, cache: SequenceCache, params: ModelParams) 
 
 @dataclass
 class SequenceDiagnostics:
-    """Rescaled sequence values on a log-spaced step grid.
+    """Sequence values and their rescalings on a step grid.
 
-    mean_ratio_dev = |A_n/(n a_n) - 1/(1-alpha)| * n^(1-alpha) should stay
-    bounded in every regime. The regime-specific columns converge to the
-    paired target: diffusive v_n/n^(1-2 alpha) -> ell and n f_n -> 1-2 alpha;
-    critical v_n/log n -> pi/4 and n log(n) f_n -> 1.
+    a, A, v and f are the sequences at the grid steps. mean_ratio_dev =
+    |A_n/(n a_n) - 1/(1-alpha)| * n^(1-alpha) should stay bounded in every
+    regime. The regime-specific columns converge to the paired target:
+    diffusive v_n/n^(1-2 alpha) -> ell and n f_n -> 1-2 alpha; critical
+    v_n/log n -> pi/4 and n log(n) f_n -> 1. The superdiffusive regime has
+    no such column (v_n itself converges).
     """
 
     regime: Regime
     grid: np.ndarray
+    a: np.ndarray
+    A: np.ndarray
+    v: np.ndarray
+    f: np.ndarray
     mean_ratio_dev: np.ndarray
     columns: dict[str, np.ndarray]
     targets: dict[str, float]
@@ -240,60 +248,51 @@ def _log_grid(horizon: int, points: int) -> np.ndarray:
 
 
 def sequence_asymptotics(
-    cache: SequenceCache,
     params: ModelParams,
+    horizon: int,
     grid: Sequence[int] | None = None,
-    kind: str = "auto",
 ) -> SequenceDiagnostics:
-    """Evaluate the regime's convergence diagnostics on a log-spaced grid.
+    """Evaluate the regime's convergence diagnostics on a step grid.
 
-    kind may force "diffusive" or "critical"; forcing a regime whose alpha
-    condition the parameters violate is an error.
+    The grid defaults to 40 log-spaced steps up to horizon and must lie
+    within [2, horizon]. Values are streamed by sequence_checkpoints, so
+    horizons of 10^8 are fine.
     """
-    regime = classify_regime(params)
-    if kind == "auto":
-        kind = regime.value
-    if kind == "diffusive" and regime is not Regime.DIFFUSIVE:
-        raise RegimeError("diffusive diagnostics require alpha < 1/2")
-    if kind == "critical" and regime is not Regime.CRITICAL:
-        raise RegimeError("critical diagnostics require alpha = 1/2")
-    if kind == "superdiffusive" and regime is not Regime.SUPERDIFFUSIVE:
-        raise RegimeError("superdiffusive diagnostics require alpha > 1/2")
-    alpha = params.alpha
     if grid is None:
-        g = _log_grid(cache.horizon, 40)
+        g = _log_grid(horizon, 40)
     else:
         g = np.asarray(sorted(set(int(x) for x in grid)), dtype=np.int64)
-        if g[0] < 2 or g[-1] > cache.horizon:
-            raise ValueError("grid must lie within [2, horizon]")
+    if g.size == 0:
+        raise ValueError("the diagnostics grid is empty")
+    if g[0] < 2 or g[-1] > horizon:
+        raise ValueError("grid must lie within [2, horizon]")
+    seqs = sequence_checkpoints(params, g)
+    a, A, v, f = seqs["a"], seqs["A"], seqs["v"], seqs["f"]
+    regime = classify_regime(params)
+    alpha = params.alpha
     gf = g.astype(np.float64)
-    a = cache.a[g]
-    A = cache.A[g]
-    v = cache.v[g]
-    f = cache.f[g]
     mean_ratio_dev = np.abs(A / (gf * a) - 1.0 / (1.0 - alpha)) * gf ** (1.0 - alpha)
     consts = limit_constants(params)
     columns: dict[str, np.ndarray] = {}
     targets: dict[str, float] = {}
-    if kind == "diffusive":
+    if regime is Regime.DIFFUSIVE:
         columns["v_over_power"] = v / gf ** (1.0 - 2.0 * alpha)
         targets["v_over_power"] = float(consts.ell)
         columns["n_times_f"] = gf * f
         targets["n_times_f"] = 1.0 - 2.0 * alpha
-    elif kind == "critical":
+    elif regime is Regime.CRITICAL:
         logg = np.log(gf)
-        columns["v_over_log"] = v / logg
-        targets["v_over_log"] = consts.critical_v_limit
+        columns["v_over_logn"] = v / logg
+        targets["v_over_logn"] = consts.critical_v_limit
         columns["nlogn_times_f"] = gf * logg * f
         targets["nlogn_times_f"] = 1.0
-    elif kind == "superdiffusive":
-        # v_n converges; report it plainly alongside the universal ratio.
-        columns["v_n"] = v
-    else:
-        raise ValueError(f"unknown diagnostics kind {kind!r}")
     return SequenceDiagnostics(
         regime=regime,
         grid=g,
+        a=a,
+        A=A,
+        v=v,
+        f=f,
         mean_ratio_dev=mean_ratio_dev,
         columns=columns,
         targets=targets,

@@ -139,6 +139,44 @@ def test_superdiffusive_rejects_bad_horizon_list(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "10", "--replicas", "0"],
+        ["simulate", "--n", "10", "--replicas", "-2"],
+        ["qsl", "--n", "10", "--replicas", "0"],
+        ["fclt", "--n", "10", "--replicas", "0"],
+        ["superdiffusive", "--n", "10,100", "--replicas", "0", "--q", "0.1", "--p", "0.9"],
+    ],
+)
+def test_nonpositive_replicas_exit(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "--replicas must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-3"])
+def test_sequences_rejects_fewer_than_two_points(capsys, points):
+    assert main(["sequences", "--n", "1000", "--points", points]) == EXIT_CONFIG
+    assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pq,extra",
+    [
+        (["--q", "0.25", "--p", "0.5"], ["v_over_power", "n_times_f"]),
+        (["--q", "0.2", "--p", "0.7"], ["v_over_logn", "nlogn_times_f"]),
+        (["--q", "0.1", "--p", "0.9"], []),
+    ],
+)
+def test_sequences_columns_follow_the_library_diagnostics(tmp_path, pq, extra):
+    rc, out = run_to_file(tmp_path, "seq.json", ["sequences", "--n", "5000", "--points", "8", "--out", "json", *pq])
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["table"]["columns"] == ["n", "a_n", "A_n", "v_n", "f_n", "mean_ratio_dev", *extra]
+    expected = {"sigma2"} | {f"{name}_{end}" for name in extra for end in ("final", "target")}
+    assert set(doc["results"]) == expected
+
+
 def test_sequences_rejects_alpha_minus_one(capsys):
     rc = main(["sequences", "--n", "100", "--q", "1", "--p", "0"])
     assert rc == EXIT_CONFIG

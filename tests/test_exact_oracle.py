@@ -121,7 +121,7 @@ def test_mean_checkpoints_match_full_array():
     cps = [1, 7, 100, 4999]
     out = exact_mean_checkpoints(params, cps)
     full = exact_mean_recursion(params, 4999)
-    assert np.allclose(out, full[np.array(cps)], rtol=1e-12)
+    assert np.array_equal(out, full[np.array(cps)])
 
 
 def test_mean_frequency_limit():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,20 @@ def test_qsl_single_path_matches_batch():
         for i in range(3):
             single = qsl_functional(params, n, 2, RngStreamSpec(9, i))
             assert single.value == batch[i]
+
+
+def test_qsl_batch_peak_memory_stays_near_the_position_matrix():
+    # The reducer works in row slices, so its float64 temporaries stay far
+    # below the R x (n+1) int32 position matrix it reads.
+    R, n = 1024, 8192
+    specs = [RngStreamSpec(3, i) for i in range(R)]
+    tracemalloc.start()
+    try:
+        qsl_functional_batch(CRITICAL, n, 2, specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * R * (n + 1) * 4
 
 
 def test_qsl_targets():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrwlab import martingale_sequences
 from mrwlab.martingale_sequences import MAX_MATERIALIZED
 from mrwlab import (
     ModelParams,
     Regime,
-    RegimeError,
     RngStreamSpec,
     build_sequences,
     limit_constants,
@@ -95,10 +95,40 @@ def test_streaming_checkpoints_match_materialized():
         out = sequence_checkpoints(alpha, cps)
         cache = build_sequences(alpha, 5000)
         idx = np.array(cps)
-        assert np.allclose(out["a"], cache.a[idx], rtol=1e-13)
-        assert np.allclose(out["A"], cache.A[idx], rtol=1e-13)
-        assert np.allclose(out["v"], cache.v[idx], rtol=1e-13)
-        assert np.allclose(out["f"], cache.f[idx], rtol=1e-13)
+        assert np.array_equal(out["a"], cache.a[idx])
+        assert np.array_equal(out["A"], cache.A[idx])
+        assert np.array_equal(out["v"], cache.v[idx])
+        assert np.array_equal(out["f"], cache.f[idx])
+
+
+def one_pass_sequences(alpha: float, N: int):
+    # Reference: one cumprod/cumsum over the whole horizon, no chunking.
+    k = np.arange(1.0, N, dtype=np.float64)
+    a = np.concatenate([[1.0], np.cumprod(k / (k + alpha))])
+    v = np.cumsum(a**2)
+    return {"a": a, "A": np.cumsum(a), "v": v, "f": a**2 / v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-0.95, 1.0),
+    cps=st.lists(st.integers(1, 400), min_size=1, max_size=12, unique=True).map(sorted),
+    chunk=st.integers(1, 50),
+)
+def test_checkpoints_equal_materialized_at_any_chunk(alpha, cps, chunk):
+    N = cps[-1]
+    ref = one_pass_sequences(alpha, N)
+    idx = np.array(cps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(martingale_sequences, "_STREAM_CHUNK", chunk)
+        out = sequence_checkpoints(alpha, cps)
+        chunked = build_sequences(alpha, N)
+    cache = build_sequences(alpha, N)
+    for name in ("a", "A", "v", "f"):
+        assert np.array_equal(getattr(cache, name)[1:], ref[name])
+        assert np.array_equal(getattr(chunked, name)[1:], ref[name])
+        assert np.array_equal(out[name], getattr(cache, name)[idx])
+    assert np.array_equal(out["n"], idx)
 
 
 def test_streaming_checkpoints_reach_large_horizons():
@@ -195,22 +225,13 @@ def test_martingale_one_step_conditional_mean():
 # ---------------------------------------------------------------- diagnostics
 
 
-def test_asymptotics_regime_gates():
-    crit = build_sequences(0.5, 1000)
-    with pytest.raises(RegimeError):
-        sequence_asymptotics(crit, ModelParams(s=0.5, q=0.25, p=0.75), kind="diffusive")
-    diff = build_sequences(0.0, 1000)
-    with pytest.raises(RegimeError):
-        sequence_asymptotics(diff, ModelParams(s=0.5, q=0.5, p=0.5), kind="critical")
-    with pytest.raises(RegimeError):
-        sequence_asymptotics(diff, ModelParams(s=0.5, q=0.5, p=0.5), kind="superdiffusive")
-
-
 def test_asymptotics_alpha_zero_is_exact():
     params = ModelParams(s=0.5, q=0.5, p=0.5)
     cache = build_sequences(params, 100_000)
-    diag = sequence_asymptotics(cache, params)
+    diag = sequence_asymptotics(params, 100_000)
     assert diag.regime is Regime.DIFFUSIVE
+    for name in ("a", "A", "v", "f"):
+        assert np.array_equal(getattr(diag, name), getattr(cache, name)[diag.grid])
     assert np.allclose(diag.columns["v_over_power"], 1.0, rtol=1e-12)
     assert np.allclose(diag.columns["n_times_f"], 1.0, rtol=1e-12)
     assert np.allclose(diag.mean_ratio_dev, 0.0, atol=1e-9)
@@ -218,11 +239,27 @@ def test_asymptotics_alpha_zero_is_exact():
 
 def test_asymptotics_critical_trend():
     params = ModelParams(s=0.5, q=0.25, p=0.75)
-    cache = build_sequences(params, 1_000_000)
-    diag = sequence_asymptotics(cache, params)
-    ratio = diag.columns["v_over_log"]
-    target = diag.targets["v_over_log"]
+    diag = sequence_asymptotics(params, 1_000_000)
+    ratio = diag.columns["v_over_logn"]
+    target = diag.targets["v_over_logn"]
     devs = np.abs(ratio / target - 1)
     # deviation shrinks along the grid tail
     assert devs[-1] < devs[len(devs) // 2] < devs[0]
     assert abs(ratio[-1] / target - 1) < 0.15
+
+
+def test_asymptotics_rejects_empty_and_out_of_range_grids():
+    params = ModelParams(s=0.5, q=0.25, p=0.5)
+    with pytest.raises(ValueError, match="empty"):
+        sequence_asymptotics(params, 1000, grid=[])
+    with pytest.raises(ValueError, match="empty"):
+        sequence_asymptotics(params, 1)  # the default log grid has no step >= 2
+    with pytest.raises(ValueError, match="within"):
+        sequence_asymptotics(params, 1000, grid=[2, 1001])
+
+
+def test_asymptotics_superdiffusive_has_only_shared_columns():
+    diag = sequence_asymptotics(ModelParams(s=0.5, q=0.1, p=0.9), 10_000)
+    assert diag.regime is Regime.SUPERDIFFUSIVE
+    assert diag.columns == {} and diag.targets == {}
+    assert np.all(np.isfinite(diag.mean_ratio_dev))
