@@ -42,14 +42,17 @@ from .exact_oracle import (
 from .limit_harness import (
     CovarianceEstimate,
     LimitEstimate,
+    LimitLaw,
     MomentFunctionalResult,
     PathSkeleton,
     WeightedSample,
+    asclt_measure,
     asclt_measure_critical,
     asclt_measure_diffusive,
     covariance_grid,
     fclt_skeleton,
     fclt_skeletons_batch,
+    limit_law,
     qsl_functional,
     qsl_functional_batch,
     qsl_target,

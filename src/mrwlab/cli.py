@@ -23,7 +23,6 @@ import numpy as np
 
 from .core_process import (
     ModelParams,
-    Regime,
     RegimeError,
     RngStreamSpec,
     classify_regime,
@@ -33,23 +32,21 @@ from .core_process import (
 from .exact_oracle import (
     DP_BOUND,
     exact_distribution,
-    exact_mean_recursion,
+    exact_mean_checkpoints,
     exact_urn_distribution,
     urn_walk_equivalence_check,
 )
 from .limit_harness import (
-    asclt_measure_critical,
-    asclt_measure_diffusive,
+    asclt_measure,
     covariance_grid,
     fclt_skeletons_batch,
+    limit_law,
     qsl_functional_batch,
-    qsl_target,
     superdiffusive_limit,
-    theoretical_variance_at_one,
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from .martingale_sequences import _log_grid, sequence_asymptotics, sigma_squared
+from .martingale_sequences import _log_grid, sequence_asymptotics, sequence_checkpoints, sigma_squared
 
 SCHEMA_VERSION = 1
 
@@ -264,8 +261,8 @@ def _run_simulate(args, params, threads, emitter) -> None:
     if args.replicas > 1:
         emitter.results["variance"] = float(finals.var(ddof=1))
     # The exact mean is built from the weight sequence, which is undefined at alpha = -1.
-    exact = args.n <= 10**7 and params.alpha != -1.0
-    emitter.diagnostics["exact_mean"] = float(exact_mean_recursion(params, args.n)[-1]) if exact else math.nan
+    exact = params.alpha != -1.0
+    emitter.diagnostics["exact_mean"] = float(exact_mean_checkpoints(params, [args.n])[0]) if exact else math.nan
 
 
 def _run_exact(args, params, threads, emitter) -> None:
@@ -276,14 +273,7 @@ def _run_exact(args, params, threads, emitter) -> None:
 
 
 def _run_asclt(args, params, threads, emitter) -> None:
-    regime = classify_regime(params)
-    rng = RngStreamSpec(args.seed, args.replica)
-    if regime is Regime.DIFFUSIVE:
-        sample = asclt_measure_diffusive(params, args.n, rng)
-    elif regime is Regime.CRITICAL:
-        sample = asclt_measure_critical(params, args.n, rng)
-    else:
-        raise RegimeError("the weighted-measure experiment requires alpha <= 1/2")
+    sample = asclt_measure(params, args.n, RngStreamSpec(args.seed, args.replica))
     if sample.target_variance > 0:
         emitter.results["ks_distance"] = weighted_ks_to_normal(sample)
     mean, var = weighted_mean_variance(sample)
@@ -299,7 +289,7 @@ def _run_asclt(args, params, threads, emitter) -> None:
             zip(idx, sample.points, sample.weights),
         )
     else:
-        k = np.arange(1 if regime is Regime.DIFFUSIVE else 2, args.n + 1)
+        k = np.arange(limit_law(params).first_step, args.n + 1)
         emitter.table(("k", "point", "weight"), zip(k, sample.points, sample.weights))
 
 
@@ -308,7 +298,7 @@ def _run_qsl(args, params, threads, emitter) -> None:
     specs = [rng.replica(i) for i in range(args.replicas)]
     values = qsl_functional_batch(params, args.n, args.r_order, specs, threads=threads)
     emitter.table(("replica", "value"), ((i, float(v)) for i, v in enumerate(values)))
-    emitter.results["target"] = qsl_target(params, args.r_order, classify_regime(params))
+    emitter.results["target"] = limit_law(params).moment(args.r_order)
     emitter.results["mean"] = float(values.mean())
     if args.replicas > 1:
         emitter.results["standard_error"] = float(values.std(ddof=1) / math.sqrt(args.replicas))
@@ -321,37 +311,21 @@ def _run_fclt(args, params, threads, emitter) -> None:
     rng = RngStreamSpec(args.seed)
     if args.replicas >= 1000:
         est = covariance_grid(params, args.n, grid, args.replicas, rng, threads=threads)
-        rows = []
-        G = len(est.grid)
-        for i in range(G):
-            for j in range(i, G):
-                rows.append(
-                    (
-                        float(est.grid[i]),
-                        float(est.grid[j]),
-                        float(est.empirical[i, j]),
-                        float(est.theoretical[i, j]),
-                        float(est.standard_errors[i, j]),
-                    )
-                )
-        emitter.table(("s", "t", "empirical", "theoretical", "standard_error"), rows)
-        err = np.abs(est.empirical - est.theoretical) / np.abs(est.theoretical)
-        emitter.results["max_relative_error"] = float(err.max())
+        i, j = np.triu_indices(len(est.grid))
+        cells = (est.grid[i], est.grid[j], est.empirical[i, j], est.theoretical[i, j], est.standard_errors[i, j])
+        emitter.table(("s", "t", "empirical", "theoretical", "standard_error"), zip(*cells))
+        err = np.abs(est.empirical - est.theoretical)
+        if np.all(est.theoretical != 0):
+            emitter.results["max_relative_error"] = float((err / np.abs(est.theoretical)).max())
+        else:  # the kernel vanishes (p = 1), so only the absolute error is meaningful
+            emitter.results["max_absolute_error"] = float(err.max())
     else:
         specs = [rng.replica(i) for i in range(args.replicas)]
         skel = fclt_skeletons_batch(params, args.n, grid, specs, threads=threads)
-        rows = []
-        for i in range(len(specs)):
-            for g, t in enumerate(skel.grid):
-                rows.append((i, float(t), float(skel.values[i, g])))
+        rows = ((i, t, v) for i, values in enumerate(skel.values) for t, v in zip(skel.grid, values))
         emitter.table(("replica", "t", "value"), rows)
         emitter.results["replicas"] = args.replicas
-    var_target = (
-        theoretical_variance_at_one(params)
-        if classify_regime(params) is not Regime.SUPERDIFFUSIVE
-        else math.nan
-    )
-    emitter.results["target_variance_t1"] = var_target
+    emitter.results["target_variance_t1"] = limit_law(params).variance
 
 
 def _run_urn_compare(args, params, threads, emitter) -> None:
@@ -375,11 +349,11 @@ def _run_superdiffusive(args, params, threads, emitter) -> None:
     ]
     emitter.table(("n", "mean", "mean_se", "variance", "variance_se", "cauchy_rms"), rows)
     last = estimates[-1]
-    exact_mean = exact_mean_recursion(params, last.n)[-1] if last.n <= 10**7 else math.nan
     alpha = params.alpha
-    center = params.q / (1.0 - alpha)
+    # E[S_n] - n q/(1-alpha) = (s - q/(1-alpha))/a_n exactly, so no difference of near-equal doubles is taken.
+    a_n = sequence_checkpoints(params, [last.n])["a"][0]
     emitter.results["final_mean"] = last.mean
-    emitter.results["exact_final_mean"] = last.n ** (1.0 - alpha) * (exact_mean / last.n - center)
+    emitter.results["exact_final_mean"] = last.n ** -alpha * (params.s - params.q / (1.0 - alpha)) / a_n
     emitter.results["final_variance"] = last.variance
 
 

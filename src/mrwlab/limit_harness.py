@@ -1,13 +1,16 @@
 """Monte Carlo harnesses for the walk's limit behavior at desk scale.
 
-Four families of checks:
+The almost sure CLT and the quadratic strong laws describe one weighted
+measure: mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)), with L = 1
+when diffusive and L = log when critical, normalized by log n respectively
+log log n. limit_law resolves the regime once into a LimitLaw that holds
+that measure's ingredients, its Gaussian limit and the skeletons' grid, scale
+and kernel, and every harness reads it. Four families of checks:
 
 * Log-averaged weighted empirical measures of the rescaled position along a
-  single path, compared to their Gaussian targets by weighted KS distance
-  (diffusive 1/k weights under log n; critical 1/(k log k) under log log n).
-* Even-moment path functionals whose almost sure limits are the Gaussian
-  moments sigma^{2r} (2r)!/(2^r r! (1-2 alpha)^r), respectively
-  (4q(1-p))^r (2r)!/(2^r r!).
+  single path, compared to their Gaussian targets by weighted KS distance.
+* Even-moment path functionals, the measure's 2r-th moments, whose almost
+  sure limits are the Gaussian moments noise^r (2r)!/(2^r r! damping^r).
 * Path skeletons of the rescaled process on a time grid, with empirical
   covariance matrices matched against the theoretical kernels (the critical
   regime lives on the n^t time change).
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -46,11 +49,14 @@ from .urn_spectral import (
 )
 
 __all__ = [
+    "LimitLaw",
     "WeightedSample",
     "MomentFunctionalResult",
     "PathSkeleton",
     "CovarianceEstimate",
     "LimitEstimate",
+    "limit_law",
+    "asclt_measure",
     "asclt_measure_diffusive",
     "asclt_measure_critical",
     "weighted_ks_to_normal",
@@ -58,7 +64,6 @@ __all__ = [
     "qsl_functional",
     "qsl_functional_batch",
     "qsl_target",
-    "theoretical_variance_at_one",
     "fclt_skeleton",
     "fclt_skeletons_batch",
     "skeleton_steps",
@@ -87,6 +92,67 @@ def _require(params: ModelParams, regime: Regime, what: str) -> None:
         raise RegimeError(
             f"{what} requires {cond}; got alpha = {params.alpha} ({actual.value})"
         )
+
+
+@dataclass(frozen=True)
+class LimitLaw:
+    """The Gaussian limit law of one regime with alpha <= 1/2, from limit_law.
+
+    centre is q/(1-alpha). The weighted measure puts mass 1/(k L(k)) at
+    sqrt(k/L(k))(S_k/k - centre) for first_step <= k <= n, and normalizer(n)
+    is its mass scale; L(k) is 1 (diffusive) or log k (critical). Its limit
+    is N(0, variance) with variance = noise/damping: sigma^2/(1-2 alpha)
+    diffusive, 4q(1-p)/1 critical. skeleton_scale(n, m) rescales
+    S_m/m - centre at the skeleton step m (sqrt(n), resp. sqrt(m/log n)),
+    and kernel(params, s, t) is the limit covariance of the skeleton values
+    at grid times s <= t. min_horizon is the smallest n the weighted
+    measure accepts.
+    """
+
+    regime: Regime
+    centre: float
+    noise: float
+    damping: float
+    first_step: int
+    min_horizon: int
+    default_grid: tuple[float, ...]
+    L: Callable[[np.ndarray], np.ndarray | float]
+    normalizer: Callable[[int], float]
+    skeleton_scale: Callable[[int, np.ndarray], np.ndarray]
+    kernel: Callable[[ModelParams, float, float], float]
+
+    @property
+    def variance(self) -> float:
+        return self.noise / self.damping
+
+    def moment(self, r: int) -> float:
+        """The limit's 2r-th moment, noise^r (2r)!/(2^r r! damping^r)."""
+        return self.noise**r * math.factorial(2 * r) / (2**r * math.factorial(r) * self.damping**r)
+
+
+def limit_law(params: ModelParams) -> LimitLaw:
+    """Resolve the regime of params into its LimitLaw; RegimeError when alpha > 1/2."""
+    regime = classify_regime(params)
+    centre = params.q / (1.0 - params.alpha)
+    if regime is Regime.DIFFUSIVE:
+        return LimitLaw(
+            regime, centre, noise=sigma_squared(params), damping=1.0 - 2.0 * params.alpha,
+            first_step=1, min_horizon=10, default_grid=DEFAULT_GRID_DIFFUSIVE,
+            L=lambda k: 1.0, normalizer=math.log,
+            skeleton_scale=lambda n, m: np.full_like(m, math.sqrt(n)),
+            kernel=theoretical_covariance_diffusive,
+        )
+    if regime is Regime.CRITICAL:
+        return LimitLaw(
+            regime, centre, noise=4.0 * params.q * (1.0 - params.p), damping=1.0,
+            first_step=2, min_horizon=3, default_grid=DEFAULT_GRID_CRITICAL,
+            L=np.log, normalizer=lambda n: math.log(math.log(n)),
+            skeleton_scale=lambda n, m: np.sqrt(m / math.log(n)),
+            kernel=theoretical_covariance_critical,
+        )
+    raise RegimeError(
+        f"the Gaussian limit laws require alpha <= 1/2; got alpha = {params.alpha} ({regime.value})"
+    )
 
 
 @dataclass
@@ -135,14 +201,24 @@ def weighted_mean_variance(sample: WeightedSample) -> tuple[float, float]:
     return mean, var
 
 
-def _accumulate_weighted(params, n, rng, start_k, point_fn, weight_fn, normalizer, target_var):
-    """Stream one path; collect raw pairs or a histogram depending on n."""
+def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
+    """One path's weighted measure under the LimitLaw of params (alpha <= 1/2).
+
+    Mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)) for k from the
+    law's first step to n, streamed into raw pairs up to RAW_POINT_LIMIT and
+    into a histogram of the law's variance beyond. Its weak limit along
+    almost every path is N(0, variance).
+    """
+    law = limit_law(params)
+    if n < law.min_horizon:
+        raise ValueError(f"n must be at least {law.min_horizon}")
+    start_k = law.first_step
     raw = n <= RAW_POINT_LIMIT
     if raw:
         points = np.empty(n - start_k + 1, dtype=np.float64)
         weights = np.empty_like(points)
     else:
-        half_span = HISTOGRAM_SPAN_SDS * math.sqrt(target_var)
+        half_span = HISTOGRAM_SPAN_SDS * math.sqrt(law.variance)
         edges = np.linspace(-half_span, half_span, HISTOGRAM_BINS + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         masses = np.zeros(HISTOGRAM_BINS, dtype=np.float64)
@@ -152,8 +228,9 @@ def _accumulate_weighted(params, n, rng, start_k, point_fn, weight_fn, normalize
         if not np.any(keep):
             continue
         k = k[keep]
-        pts = point_fn(k, values[keep])
-        w = weight_fn(k)
+        L = law.L(k)
+        pts = np.sqrt(k / L) * (values[keep] / k - law.centre)
+        w = 1.0 / (k * L)
         if raw:
             lo = int(k[0]) - start_k
             points[lo : lo + len(k)] = pts
@@ -162,52 +239,28 @@ def _accumulate_weighted(params, n, rng, start_k, point_fn, weight_fn, normalize
             idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, HISTOGRAM_BINS - 1)
             np.add.at(masses, idx, w)
     if raw:
-        return WeightedSample(points, weights, normalizer, target_var, n, histogram=False)
-    return WeightedSample(centers, masses, normalizer, target_var, n, histogram=True)
+        return WeightedSample(points, weights, law.normalizer(n), law.variance, n, histogram=False)
+    return WeightedSample(centers, masses, law.normalizer(n), law.variance, n, histogram=True)
 
 
 def asclt_measure_diffusive(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
-    """Weighted measure of sqrt(k)(S_k/k - q/(1-alpha)), weights 1/k, k = 1..n.
+    """Weighted measure of sqrt(k)(S_k/k - q/(1-alpha)), weights 1/k, k = 1..n (n >= 10).
 
     Its weak limit along almost every path is N(0, sigma^2/(1-2 alpha)).
     """
     _require(params, Regime.DIFFUSIVE, "the diffusive weighted measure")
-    if n < 10:
-        raise ValueError("n must be at least 10")
-    center = params.q / (1.0 - params.alpha)
-    return _accumulate_weighted(
-        params,
-        n,
-        rng,
-        start_k=1,
-        point_fn=lambda k, S: np.sqrt(k) * (S / k - center),
-        weight_fn=lambda k: 1.0 / k,
-        normalizer=math.log(n),
-        target_var=theoretical_variance_at_one(params),
-    )
+    return asclt_measure(params, n, rng)
 
 
 def asclt_measure_critical(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
-    """Weighted measure of sqrt(k/log k)(S_k/k - 2q), weights 1/(k log k), k >= 2.
+    """Weighted measure of sqrt(k/log k)(S_k/k - 2q), weights 1/(k log k), k >= 2 (n >= 3).
 
     Its weak limit along almost every path is N(0, 4q(1-p)); the mass scale
     is log log n, so convergence is very slow and only coarse agreement can
     be expected at desk horizons.
     """
     _require(params, Regime.CRITICAL, "the critical weighted measure")
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    center = 2.0 * params.q
-    return _accumulate_weighted(
-        params,
-        n,
-        rng,
-        start_k=2,
-        point_fn=lambda k, S: np.sqrt(k / np.log(k)) * (S / k - center),
-        weight_fn=lambda k: 1.0 / (k * np.log(k)),
-        normalizer=math.log(math.log(n)),
-        target_var=theoretical_variance_at_one(params),
-    )
+    return asclt_measure(params, n, rng)
 
 
 @dataclass
@@ -222,25 +275,12 @@ class MomentFunctionalResult:
 
 
 def qsl_target(params: ModelParams, r: int, regime: Regime) -> float:
-    two_r_fact = math.factorial(2 * r)
-    norm_const = 2**r * math.factorial(r)
-    if regime is Regime.DIFFUSIVE:
-        alpha = params.alpha
-        return sigma_squared(params) ** r * two_r_fact / (norm_const * (1.0 - 2.0 * alpha) ** r)
-    if regime is Regime.CRITICAL:
-        return (4.0 * params.q * (1.0 - params.p)) ** r * two_r_fact / norm_const
-    raise RegimeError("no even-moment limit is implemented for alpha > 1/2")
+    """The almost sure limit of the order-r functional: the LimitLaw's 2r-th moment.
 
-
-def theoretical_variance_at_one(params: ModelParams) -> float:
-    """Limit variance of the rescaled position at t = 1 (and of the weighted
-    measures): sigma^2/(1-2 alpha) diffusive, 4q(1-p) critical."""
-    regime = classify_regime(params)
-    if regime is Regime.DIFFUSIVE:
-        return sigma_squared(params) / (1.0 - 2.0 * params.alpha)
-    if regime is Regime.CRITICAL:
-        return 4.0 * params.q * (1.0 - params.p)
-    raise RegimeError("no limit variance at alpha > 1/2")
+    Raises RegimeError when params is not in the given regime.
+    """
+    _require(params, regime, "the even-moment limit")
+    return limit_law(params).moment(r)
 
 
 def qsl_functional(params: ModelParams, n: int, r: int, rng: RngStreamSpec) -> MomentFunctionalResult:
@@ -251,8 +291,8 @@ def qsl_functional(params: ModelParams, n: int, r: int, rng: RngStreamSpec) -> M
     The value is qsl_functional_batch(params, n, r, [rng])[0].
     """
     value = float(qsl_functional_batch(params, n, r, [rng])[0])
-    regime = classify_regime(params)
-    return MomentFunctionalResult(r=r, value=value, target=qsl_target(params, r, regime), n=n, regime=regime)
+    law = limit_law(params)
+    return MomentFunctionalResult(r=r, value=value, target=law.moment(r), n=n, regime=law.regime)
 
 
 def qsl_functional_batch(
@@ -264,37 +304,33 @@ def qsl_functional_batch(
 ) -> np.ndarray:
     """The functional of qsl_functional for many replicas, vectorized.
 
-    Returns one value per spec, in spec order. Uses the full trajectory
-    matrix of walk_positions_batch, so replicas * (n+1) * 4 bytes must fit
-    in physical memory (a ValueError otherwise); the acceptance workloads
-    (hundreds of replicas at n = 10^5) are far below that.
+    It is the LimitLaw's weighted measure's 2r-th moment: each step k adds
+    k^(r-1) L(k)^-(r+1) (S_k/k - centre)^(2r), and the sum is divided by
+    the law's normalizer. Returns one value per spec, in spec order. Uses
+    the full trajectory matrix of walk_positions_batch, so replicas * (n+1)
+    * 4 bytes must fit in physical memory (a ValueError otherwise); the
+    acceptance workloads (hundreds of replicas at n = 10^5) are far below
+    that.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
-    regime = classify_regime(params)
-    if regime is Regime.SUPERDIFFUSIVE:
-        raise RegimeError("even-moment functionals require alpha <= 1/2")
+    law = limit_law(params)
     if n < 3:
         raise ValueError("n must be at least 3")
     pos = walk_positions_batch(params, n, specs, threads=threads)
-    center = params.q / (1.0 - params.alpha)
     values = np.zeros(len(specs), dtype=np.float64)
     # Column chunks of 2^16 steps, reduced 64 rows at a time, so that each
     # float64 temporary stays within 32 MB whatever the replica count.
     chunk = 1 << 16
     rows = 64
-    start = 2 if regime is Regime.CRITICAL else 1
-    for lo in range(start, n + 1, chunk):
+    for lo in range(law.first_step, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         k = np.arange(lo, hi, dtype=np.float64)
-        weight = k ** (r - 1)
-        if regime is Regime.CRITICAL:
-            weight = weight * np.log(k) ** (-(r + 1))
+        weight = k ** (r - 1) * law.L(k) ** (-(r + 1))
         for top in range(0, len(specs), rows):
-            dev = pos[top : top + rows, lo:hi] / k - center
+            dev = pos[top : top + rows, lo:hi] / k - law.centre
             values[top : top + rows] += (weight * dev ** (2 * r)).sum(axis=1)
-    scale = math.log(math.log(n)) if regime is Regime.CRITICAL else math.log(n)
-    return values / scale
+    return values / law.normalizer(n)
 
 
 @dataclass
@@ -351,21 +387,14 @@ def fclt_skeletons_batch(
     threads: int = 1,
 ) -> PathSkeleton:
     """Skeletons for many replicas; values has shape (replicas, grid)."""
-    regime = classify_regime(params)
-    if regime is Regime.SUPERDIFFUSIVE:
-        raise RegimeError("path skeletons require alpha <= 1/2")
-    if grid is None:
-        grid = DEFAULT_GRID_CRITICAL if regime is Regime.CRITICAL else DEFAULT_GRID_DIFFUSIVE
-    steps = skeleton_steps(n, grid, regime)
+    law = limit_law(params)
+    grid = law.default_grid if grid is None else grid
+    steps = skeleton_steps(n, grid, law.regime)
     pos = walk_checkpoints_batch(params, steps, specs, threads=threads)
     m = steps.astype(np.float64)
-    if regime is Regime.CRITICAL:
-        scale = np.sqrt(m / math.log(n))
-    else:
-        scale = np.full_like(m, math.sqrt(n))
-    values = scale * (pos / m - params.q / (1.0 - params.alpha))
+    values = law.skeleton_scale(n, m) * (pos / m - law.centre)
     times = np.asarray(list(grid), dtype=np.float64)
-    return PathSkeleton(grid=times, steps=steps, values=values, regime=regime)
+    return PathSkeleton(grid=times, steps=steps, values=values, regime=law.regime)
 
 
 @dataclass
@@ -396,24 +425,14 @@ def covariance_grid(
     """
     if replicas < 1000:
         raise ValueError("covariance estimation needs at least 1000 replicas")
-    regime = classify_regime(params)
+    law = limit_law(params)
     specs = [rng.replica(i) for i in range(replicas)]
     skel = fclt_skeletons_batch(params, n, grid, specs, threads=threads)
     values = skel.values
     times = skel.grid
-    G = len(times)
     centered = values - values.mean(axis=0, keepdims=True)
     empirical = centered.T @ centered / (replicas - 1)
-    kernel = (
-        theoretical_covariance_critical
-        if regime is Regime.CRITICAL
-        else theoretical_covariance_diffusive
-    )
-    theoretical = np.empty((G, G))
-    for i in range(G):
-        for j in range(G):
-            lo_t, hi_t = min(times[i], times[j]), max(times[i], times[j])
-            theoretical[i, j] = kernel(params, lo_t, hi_t)
+    theoretical = np.array([[law.kernel(params, min(s, t), max(s, t)) for t in times] for s in times])
     bounds = np.linspace(0, replicas, batches + 1, dtype=np.int64)
     batch_vals = []
     for b in range(batches):
@@ -423,12 +442,8 @@ def covariance_grid(
     batch_vals = np.array(batch_vals)
     standard_errors = batch_vals.std(axis=0, ddof=1) / math.sqrt(batches)
     return CovarianceEstimate(
-        grid=times,
-        empirical=empirical,
-        theoretical=theoretical,
-        standard_errors=standard_errors,
-        n=n,
-        replicas=replicas,
+        grid=times, empirical=empirical, theoretical=theoretical,
+        standard_errors=standard_errors, n=n, replicas=replicas,
     )
 
 

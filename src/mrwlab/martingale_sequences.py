@@ -222,11 +222,12 @@ class SequenceDiagnostics:
     """Sequence values and their rescalings on a step grid.
 
     a, A, v and f are the sequences at the grid steps. mean_ratio_dev =
-    |A_n/(n a_n) - 1/(1-alpha)| * n^(1-alpha) should stay bounded in every
-    regime. The regime-specific columns converge to the paired target:
-    diffusive v_n/n^(1-2 alpha) -> ell and n f_n -> 1-2 alpha; critical
-    v_n/log n -> pi/4 and n log(n) f_n -> 1. The superdiffusive regime has
-    no such column (v_n itself converges).
+    |A_n/(n a_n) - 1/(1-alpha)| * n^(1-alpha), computed as the equal
+    |alpha| n^(-alpha)/((1-alpha) a_n), tends to |alpha|/((1-alpha)
+    Gamma(1+alpha)) in every regime. The regime-specific columns converge
+    to the paired target: diffusive v_n/n^(1-2 alpha) -> ell and n f_n ->
+    1-2 alpha; critical v_n/log n -> pi/4 and n log(n) f_n -> 1. The
+    superdiffusive regime has no such column (v_n itself converges).
     """
 
     regime: Regime
@@ -271,7 +272,8 @@ def sequence_asymptotics(
     regime = classify_regime(params)
     alpha = params.alpha
     gf = g.astype(np.float64)
-    mean_ratio_dev = np.abs(A / (gf * a) - 1.0 / (1.0 - alpha)) * gf ** (1.0 - alpha)
+    # (1 - alpha) A_n - n a_n = -alpha for every n, so the deviation needs no difference of near-equal doubles.
+    mean_ratio_dev = abs(alpha) * gf ** -alpha / ((1.0 - alpha) * a)
     consts = limit_constants(params)
     columns: dict[str, np.ndarray] = {}
     targets: dict[str, float] = {}

@@ -1,8 +1,10 @@
 import json
+import warnings
+from fractions import Fraction
 
 import pytest
 
-from mrwlab import cli
+from mrwlab import ModelParams, cli, exact_mean_recursion, exact_oracle, martingale_sequences
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
 
@@ -209,3 +211,53 @@ def test_exact_rejects_oversized_n(capsys):
     rc = main(["exact", "--n", "20000"])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("q,p", [("0.6", "1.0"), ("0.5", "1.0")], ids=["diffusive", "critical"])
+def test_fclt_covariance_with_a_zero_kernel_reports_absolute_error(tmp_path, q, p):
+    # At p = 1 the limit kernel is identically 0, so a relative error is undefined.
+    argv = ["fclt", "--n", "500", "--replicas", "1000", "--q", q, "--p", p, "--out", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_to_file(tmp_path, "fclt.json", argv)
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    rows = doc["table"]["rows"]
+    assert all(row[3] == 0.0 for row in rows)
+    assert "max_relative_error" not in doc["results"]
+    assert doc["results"]["max_absolute_error"] == max(abs(row[2]) for row in rows)
+
+
+def _exact_statistic_mean(s: float, q: float, p: float, n: int) -> float:
+    """n^(1-alpha)(E[S_n]/n - q/(1-alpha)) from the mean recursion in exact arithmetic."""
+    s_, q_, p_ = Fraction(s), Fraction(q), Fraction(p)
+    alpha = p_ - q_
+    mean = s_
+    for m in range(1, n):
+        mean += q_ + alpha * mean / m
+    return float(mean - n * q_ / (1 - alpha)) * n ** -ModelParams(s, q, p).alpha
+
+
+@pytest.mark.parametrize("s,q,p", [(0.5, 0.1, 0.9), (0.3, 0.1, 0.9), (0.9, 0.15, 0.8), (0.05, 0.05, 0.7)])
+def test_superdiffusive_exact_final_mean_matches_exact_recursion(tmp_path, s, q, p):
+    argv = ["superdiffusive", "--n", "3,100", "--replicas", "2", "--s", str(s), "--q", str(q), "--p", str(p)]
+    rc, out = run_to_file(tmp_path, "super.json", argv + ["--out", "json"])
+    assert rc == EXIT_OK
+    value = json.loads(out.read_text())["results"]["exact_final_mean"]
+    assert abs(value - _exact_statistic_mean(s, q, p, 100)) <= 1e-15
+
+
+def test_simulate_exact_mean_does_not_materialize_the_sequences(tmp_path, monkeypatch):
+    argv = ["simulate", "--n", "5000", "--replicas", "4", "--q", "0.3", "--p", "0.6"]
+    expected = format(float(exact_mean_recursion(ModelParams(0.5, 0.3, 0.6), 5000)[-1]), ".17g")
+    _, before = run_to_file(tmp_path, "before.csv", argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate must stream the weight sequence, not materialize it")
+
+    monkeypatch.setattr(exact_oracle, "build_sequences", refuse)
+    monkeypatch.setattr(martingale_sequences, "build_sequences", refuse)
+    rc, after = run_to_file(tmp_path, "after.csv", argv)
+    assert rc == EXIT_OK
+    assert after.read_bytes() == before.read_bytes()
+    assert f"# diagnostic exact_mean={expected}" in after.read_text().splitlines()

@@ -12,12 +12,14 @@ from mrwlab import (
     RegimeError,
     RngStreamSpec,
     WeightedSample,
+    asclt_measure,
     asclt_measure_critical,
     asclt_measure_diffusive,
     covariance_grid,
     exact_mean_recursion,
     fclt_skeleton,
     fclt_skeletons_batch,
+    limit_law,
     moment_recursion,
     qsl_functional,
     qsl_functional_batch,
@@ -55,6 +57,34 @@ def test_regime_gates():
         superdiffusive_limit(DIFFUSIVE, [100, 200], 10, spec)
     with pytest.raises(RegimeError):
         qsl_target(SUPER, 1, Regime.SUPERDIFFUSIVE)
+    with pytest.raises(RegimeError):
+        asclt_measure(SUPER, 1000, spec)
+    with pytest.raises(RegimeError):
+        covariance_grid(SUPER, 1000, None, 1000, spec)
+
+
+def test_limit_law_resolves_each_regime():
+    law = limit_law(ModelParams(s=0.5, q=0.3, p=0.6))
+    assert law.regime is Regime.DIFFUSIVE and law.first_step == 1
+    assert law.default_grid == lh.DEFAULT_GRID_DIFFUSIVE
+    assert law.centre == 0.3 / 0.7 and law.L(np.arange(1.0, 4.0)) == 1.0
+    assert law.variance == (0.3 * 0.4 / 0.7**2) / (1 - 2 * 0.3)
+    assert law.normalizer(1000) == math.log(1000)
+    crit = limit_law(ModelParams(s=0.5, q=0.2, p=0.7))  # float p - q is just below 1/2
+    assert crit.regime is Regime.CRITICAL and crit.first_step == 2
+    assert crit.default_grid == lh.DEFAULT_GRID_CRITICAL
+    assert crit.centre == 0.4 and crit.variance == crit.noise == 4 * 0.2 * (1 - 0.7)
+    assert crit.normalizer(1000) == math.log(math.log(1000))
+    with pytest.raises(RegimeError):
+        limit_law(SUPER)
+
+
+def test_critical_centre_is_twice_q():
+    # q/(1-alpha) rounds to 2q at every decimal critical pair, so the
+    # critical harnesses can share the diffusive centre formula.
+    for i in range(1, 501):
+        params = ModelParams(s=0.5, q=i / 1000, p=(i + 500) / 1000)
+        assert limit_law(params).centre == 2 * params.q
 
 
 def test_small_horizon_guards():
@@ -198,6 +228,9 @@ def test_qsl_targets():
     assert abs(qsl_target(DIFFUSIVE, 2, Regime.DIFFUSIVE) - (0.25**2 * 3.0)) < 1e-15
     assert abs(qsl_target(CRITICAL, 1, Regime.CRITICAL) - 0.25) < 1e-15
     assert abs(qsl_target(CRITICAL, 2, Regime.CRITICAL) - (0.25**2 * 3.0)) < 1e-15
+    # q = p = 1/2 is diffusive (limit 1/4), so the critical constant would be wrong
+    with pytest.raises(RegimeError):
+        qsl_target(ModelParams(0.5, 0.5, 0.5), 1, Regime.CRITICAL)
 
 
 def exact_qsl_expectation(params: ModelParams, n: int, r: int) -> float:

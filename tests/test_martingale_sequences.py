@@ -263,3 +263,18 @@ def test_asymptotics_superdiffusive_has_only_shared_columns():
     assert diag.regime is Regime.SUPERDIFFUSIVE
     assert diag.columns == {} and diag.targets == {}
     assert np.all(np.isfinite(diag.mean_ratio_dev))
+
+
+@pytest.mark.parametrize(
+    "q,p", [(0.95, 0.05), (0.65, 0.35), (0.5, 0.5), (0.25, 0.5), (0.25, 0.75), (0.1, 0.9)]
+)
+def test_mean_ratio_dev_matches_the_gamma_form(q, p):
+    # |A_n/(n a_n) - 1/(1-alpha)| n^(1-alpha) = |alpha| n^(-alpha) / ((1-alpha) a_n),
+    # with a_n = Gamma(n) Gamma(1+alpha)/Gamma(n+alpha) evaluated through lgamma.
+    n = 10**6
+    params = ModelParams(s=0.5, q=q, p=p)
+    alpha = params.alpha
+    log_ratio = math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1 + alpha) - alpha * math.log(n)
+    expected = abs(alpha) / (1 - alpha) * math.exp(log_ratio)
+    diag = sequence_asymptotics(params, n, grid=[n])
+    assert diag.mean_ratio_dev[0] == pytest.approx(expected, rel=1e-7, abs=0)
