@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .core_process import (
     RegimeError,
     RngStreamSpec,
     classify_regime,
+    default_threads,
     simulate_walk,
     walk_checkpoints_batch,
 )
@@ -69,18 +69,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MRWLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -393,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _params_from(args)
-        threads = args.threads if args.threads else _default_threads()
+        threads = args.threads if args.threads else default_threads()
         if threads < 1:
             raise ValueError("--threads must be positive")
         if getattr(args, "replicas", 1) < 1:

@@ -41,6 +41,7 @@ __all__ = [
     "walk_positions_batch",
     "walk_checkpoints_batch",
     "walk_position_chunks",
+    "default_threads",
 ]
 
 # Replica axes are processed in fixed blocks of this many replicas so that
@@ -54,6 +55,11 @@ REPLICA_BLOCK = 16384
 # blocks to keep the uniform buffer near 128 MB.
 STEP_CHUNK = 16384
 _CHUNK_BUDGET = 32 * 1024 * 1024
+
+# Replicas per staging tile of the uniform fill, and the edge of the square
+# blocks in which a tile is transposed into the step-major chunk buffer; a
+# 256 x 256 float32 block stays in cache on both sides of the copy.
+FILL_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -273,67 +279,105 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
 # orders of magnitude below every statistical tolerance in this package.
 # Positions are accumulated in float64, so counts stay exact far beyond any
 # supported horizon.
+#
+# A chunk of uniforms is stored step-major (steps x replicas), so the step
+# kernel reads one contiguous row per step. Each stream is drawn into a row
+# of a replica-major staging tile, which is transposed into the chunk block
+# by block (FILL_TILE). Only the storage order changes: every replica still
+# reads its own stream, and every output byte is the same as with a
+# replica-major buffer.
 # ---------------------------------------------------------------------------
 
 
-def _fill_uniforms(gen: np.random.Generator, specs: Sequence[RngStreamSpec], k: int, U: np.ndarray) -> None:
-    """Fill row i of U with float32 draws k, k+1, ... of the stream of specs[i].
+def default_threads() -> int:
+    """Worker threads when none are given: MRWLAB_THREADS if it is a valid
+    integer (at least 1), else the CPUs this process may run on."""
+    env = os.environ.get("MRWLAB_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    gen's Philox is re-keyed per row. A draw takes one uint32, a counter step
-    yields eight and comes before its block, so after k draws the counter is
-    k // 8 with the buffer spent; k % 8 more draws are then thrown away.
+
+def _fill_uniforms(
+    gen: np.random.Generator, specs: Sequence[RngStreamSpec], k: int, U: np.ndarray, spare: np.ndarray
+) -> None:
+    """Fill column i of U with float32 draws k, k+1, ... of the stream of specs[i].
+
+    gen's Philox is re-keyed per stream. A draw takes one uint32, a counter
+    step yields eight and comes before its block, so after k draws the
+    counter is k // 8 with the buffer spent; k % 8 more draws are then
+    thrown away. Each stream fills a row of the staging tile, held in the
+    flat float32 array spare (at least min(FILL_TILE, len(specs)) * len(U)
+    long), and the tile is transposed into U block by block.
     """
     state = {"bit_generator": "Philox", "state": {"counter": [k // 8, 0, 0, 0], "key": [0, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
     bitgen = gen.bit_generator
-    for row, spec in zip(U, specs):
-        key[:] = spec.master_seed, spec.replica_index
-        bitgen.state = state
-        if k % 8:
-            gen.random(k % 8, dtype=np.float32)
-        gen.random(out=row, dtype=np.float32)
+    tile = FILL_TILE
+    height = min(tile, len(specs))
+    stage = spare[: height * len(U)].reshape(height, len(U))
+    for lo in range(0, len(specs), tile):
+        rows = stage[: min(tile, len(specs) - lo)]
+        for row, spec in zip(rows, specs[lo : lo + tile]):
+            key[:] = spec.master_seed, spec.replica_index
+            bitgen.state = state
+            if k % 8:
+                gen.random(k % 8, dtype=np.float32)
+            gen.random(out=row, dtype=np.float32)
+        for j in range(0, len(U), tile):
+            U[j : j + tile, lo : lo + len(rows)] = rows[:, j : j + tile].T
 
 
 def _walk_block(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
     """Yield (m, S, U) per chunk of one replica block's walk to step n.
 
     S holds S_m per replica, from m = 1 on; the caller advances it in place
-    through U, whose column j decides step m+1+j, before U is refilled.
+    through U, whose row j decides step m+1+j, before U is refilled.
     """
     gen = specs[0].generator()
     step = max(8, min(STEP_CHUNK, _CHUNK_BUDGET // len(specs)) // 8 * 8)
-    buf = np.empty((len(specs), min(step, n)), dtype=np.float32)
+    # One allocation holds the chunk buffer and, after it, the staging tile,
+    # so the tile is returned with the buffer; a tile allocated on its own
+    # stays in the allocator's heap and raises later peaks by its size.
+    R, rows = len(specs), min(step, n)
+    mem = np.empty(rows * (R + min(FILL_TILE, R)), dtype=np.float32)
+    buf = mem[: rows * R].reshape(rows, R)
     for k in range(0, n, step):
-        U = buf[:, : min(step, n - k)]
-        _fill_uniforms(gen, specs, k, U)
+        U = buf[: min(step, n - k)]
+        _fill_uniforms(gen, specs, k, U, mem[rows * R :])
         if k == 0:
-            S = (U[:, 0].astype(np.float64) < params.s).astype(np.float64)
-            k, U = 1, U[:, 1:]
+            S = (U[0].astype(np.float64) < params.s).astype(np.float64)
+            k, U = 1, U[1:]
         yield k, S, U
 
 
 def _advance_block(
     S: np.ndarray, m_start: int, U: np.ndarray, q: float, alpha: float, out: np.ndarray | None = None
 ) -> None:
-    """Advance all replicas through steps m_start+1 .. m_start+U.shape[1].
+    """Advance all replicas through steps m_start+1 .. m_start+len(U).
 
     S holds S_{m_start} per replica and is updated in place. When out is
-    given, column j receives S after step m_start+1+j.
+    given, row j receives S after step m_start+1+j.
     """
-    for j in range(U.shape[1]):
+    for j in range(len(U)):
         m = m_start + j
         prob = q + (alpha / m) * S
-        S += U[:, j] < prob
+        S += U[j] < prob
         if out is not None:
-            out[:, j] = S
+            out[j] = S
 
 
 def walk_positions_batch(
     params: ModelParams,
     n: int,
     specs: Sequence[RngStreamSpec],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Full position trajectories for many replicas.
 
@@ -341,7 +385,8 @@ def walk_positions_batch(
     row i reads the stream of specs[i] (see RngStreamSpec). Memory is
     replicas * (n+1) * 4 bytes, and a request beyond the machine's physical
     memory is refused with a ValueError before anything is allocated; use
-    walk_checkpoints_batch when only selected steps are needed.
+    walk_checkpoints_batch when only selected steps are needed. threads=None
+    runs on default_threads() workers; results are the same at any count.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -358,7 +403,7 @@ def walk_positions_batch(
     def run_block(lo: int, hi: int) -> None:
         for m, S, U in _walk_block(params, specs[lo:hi], n):
             pos[lo:hi, m] = S
-            _advance_block(S, m, U, params.q, params.alpha, pos[lo:hi, m + 1 : m + 1 + U.shape[1]])
+            _advance_block(S, m, U, params.q, params.alpha, pos[lo:hi, m + 1 : m + 1 + len(U)].T)
 
     _run_replica_blocks(R, run_block, threads)
     return pos
@@ -368,14 +413,15 @@ def walk_checkpoints_batch(
     params: ModelParams,
     checkpoints: Sequence[int],
     specs: Sequence[RngStreamSpec],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Positions at selected steps only, in O(replicas) memory.
 
     checkpoints must be strictly increasing positive step indices. Returns a
     float64 array of shape (len(specs), len(checkpoints)) whose column t
     holds S at checkpoints[t]; row i reads the stream of specs[i] (see
-    RngStreamSpec). Supports horizons up to 10^8 per replica.
+    RngStreamSpec). Supports horizons up to 10^8 per replica. threads=None
+    runs on default_threads() workers; results are the same at any count.
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -389,12 +435,12 @@ def walk_checkpoints_batch(
         for m, S, U in _walk_block(params, specs[lo:hi], n):
             # Split the chunk at checkpoint boundaries so S can be recorded.
             done = 0
-            while next_cp < len(cps) and cps[next_cp] <= m + U.shape[1]:
-                _advance_block(S, m + done, U[:, done : cps[next_cp] - m], params.q, params.alpha)
+            while next_cp < len(cps) and cps[next_cp] <= m + len(U):
+                _advance_block(S, m + done, U[done : cps[next_cp] - m], params.q, params.alpha)
                 done = cps[next_cp] - m
                 out[lo:hi, next_cp] = S
                 next_cp += 1
-            _advance_block(S, m + done, U[:, done:], params.q, params.alpha)
+            _advance_block(S, m + done, U[done:], params.q, params.alpha)
 
     _run_replica_blocks(R, run_block, threads)
     return out
@@ -414,19 +460,22 @@ def walk_position_chunks(
     for m, S, U in _walk_block(params, [rng], n):
         if m == 1:
             yield 1, S.copy()
-        if U.shape[1]:
-            out = np.empty((1, U.shape[1]), dtype=np.float64)
+        if len(U):
+            out = np.empty((len(U), 1), dtype=np.float64)
             _advance_block(S, m, U, params.q, params.alpha, out)
-            yield m + 1, out[0]
+            yield m + 1, out[:, 0]
 
 
-def _run_replica_blocks(R: int, run_block, threads: int) -> None:
-    """Run run_block(lo, hi) over fixed replica blocks, optionally threaded.
+def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
+    """Run run_block(lo, hi) over fixed replica blocks, optionally threaded;
+    threads=None means default_threads().
 
     The block partition is a constant of the library (REPLICA_BLOCK), never a
     function of the thread count, and each block writes to a disjoint output
     slice, so results are identical for any thread count or schedule.
     """
+    if threads is None:
+        threads = default_threads()
     bounds = [(lo, min(lo + REPLICA_BLOCK, R)) for lo in range(0, R, REPLICA_BLOCK)]
     if threads <= 1 or len(bounds) == 1:
         for lo, hi in bounds:

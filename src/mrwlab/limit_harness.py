@@ -20,7 +20,7 @@ and kernel, and every harness reads it. Four families of checks:
 Every operation validates its regime by exact comparison of alpha with 1/2
 and derives all replica streams from RngStreamSpec, merging accumulators in
 replica-index order, so results are reproducible bit for bit at any thread
-count.
+count. threads=None runs the engines on default_threads() workers.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ __all__ = [
 ]
 
 # Raw (point, weight) storage up to this horizon (~16 MB of float64 pairs at
-# 10^6); beyond it the measure is accumulated into a fixed histogram.
+# 10^6); beyond it the measure is accumulated into a fixed histogram (see
+# asclt_measure for its span).
 RAW_POINT_LIMIT = 10**6
 HISTOGRAM_BINS = 10_000
 HISTOGRAM_SPAN_SDS = 8.0
@@ -206,40 +207,45 @@ def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSa
 
     Mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)) for k from the
     law's first step to n, streamed into raw pairs up to RAW_POINT_LIMIT and
-    into a histogram of the law's variance beyond. Its weak limit along
-    almost every path is N(0, variance).
+    into a histogram beyond. The histogram spans HISTOGRAM_SPAN_SDS of the
+    law's standard deviation, or, when the limit variance is 0 (p = 1), the
+    path's own largest |point|, found by a first pass over the same stream.
+    Its weak limit along almost every path is N(0, variance).
     """
     law = limit_law(params)
     if n < law.min_horizon:
         raise ValueError(f"n must be at least {law.min_horizon}")
     start_k = law.first_step
-    raw = n <= RAW_POINT_LIMIT
-    if raw:
+
+    def contributions():
+        """(k, points, weights) per chunk of the path, for k >= start_k."""
+        for k_start, values in walk_position_chunks(params, n, rng):
+            k = np.arange(k_start, k_start + len(values), dtype=np.float64)
+            keep = k >= start_k
+            if not np.any(keep):
+                continue
+            k = k[keep]
+            L = law.L(k)
+            yield k, np.sqrt(k / L) * (values[keep] / k - law.centre), 1.0 / (k * L)
+
+    if n <= RAW_POINT_LIMIT:
         points = np.empty(n - start_k + 1, dtype=np.float64)
         weights = np.empty_like(points)
-    else:
-        half_span = HISTOGRAM_SPAN_SDS * math.sqrt(law.variance)
-        edges = np.linspace(-half_span, half_span, HISTOGRAM_BINS + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        masses = np.zeros(HISTOGRAM_BINS, dtype=np.float64)
-    for k_start, values in walk_position_chunks(params, n, rng):
-        k = np.arange(k_start, k_start + len(values), dtype=np.float64)
-        keep = k >= start_k
-        if not np.any(keep):
-            continue
-        k = k[keep]
-        L = law.L(k)
-        pts = np.sqrt(k / L) * (values[keep] / k - law.centre)
-        w = 1.0 / (k * L)
-        if raw:
+        for k, pts, w in contributions():
             lo = int(k[0]) - start_k
             points[lo : lo + len(k)] = pts
             weights[lo : lo + len(k)] = w
-        else:
-            idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, HISTOGRAM_BINS - 1)
-            np.add.at(masses, idx, w)
-    if raw:
         return WeightedSample(points, weights, law.normalizer(n), law.variance, n, histogram=False)
+    if law.variance > 0:
+        half_span = HISTOGRAM_SPAN_SDS * math.sqrt(law.variance)
+    else:
+        half_span = max(float(np.max(np.abs(pts))) for _, pts, _ in contributions())
+    edges = np.linspace(-half_span, half_span, HISTOGRAM_BINS + 1)
+    masses = np.zeros(HISTOGRAM_BINS, dtype=np.float64)
+    for _, pts, w in contributions():
+        idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, HISTOGRAM_BINS - 1)
+        np.add.at(masses, idx, w)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     return WeightedSample(centers, masses, law.normalizer(n), law.variance, n, histogram=True)
 
 
@@ -300,7 +306,7 @@ def qsl_functional_batch(
     n: int,
     r: int,
     specs: Sequence[RngStreamSpec],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> np.ndarray:
     """The functional of qsl_functional for many replicas, vectorized.
 
@@ -384,7 +390,7 @@ def fclt_skeletons_batch(
     n: int,
     grid: Sequence[float] | None,
     specs: Sequence[RngStreamSpec],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> PathSkeleton:
     """Skeletons for many replicas; values has shape (replicas, grid)."""
     law = limit_law(params)
@@ -415,7 +421,7 @@ def covariance_grid(
     grid: Sequence[float] | None,
     replicas: int,
     rng: RngStreamSpec,
-    threads: int = 1,
+    threads: int | None = None,
     batches: int = 20,
 ) -> CovarianceEstimate:
     """Monte Carlo covariance matrix of skeleton values against the kernel.
@@ -465,7 +471,7 @@ def superdiffusive_limit(
     n_list: Sequence[int],
     replicas: int,
     rng: RngStreamSpec,
-    threads: int = 1,
+    threads: int | None = None,
     keep_samples: bool = False,
 ) -> list[LimitEstimate]:
     """Samples of n^(1-alpha)(S_n/n - q/(1-alpha)) across horizons.

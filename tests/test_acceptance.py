@@ -319,7 +319,7 @@ def test_criterion_09_qsl_even_moments():
         ok = ok and good
         parts.append(
             f"diffusive r={r}: mean {values.mean():.4f} vs limit {target:.4f} "
-            f"({dev:+.1%}, tol {tol:.0%}, exact finite-n expectation {exact:.4f}) "
+            f"({(values.mean() - target) / target:+.1%}, tol {tol:.0%}, exact finite-n expectation {exact:.4f}) "
             f"{'ok' if good else 'BAD'}"
         )
     crit_params = ModelParams(s=0.5, q=0.25, p=0.75)
@@ -331,7 +331,7 @@ def test_criterion_09_qsl_even_moments():
     ok = ok and good
     parts.append(
         f"critical r=1: mean {values.mean():.4f} vs limit {target:.4f} "
-        f"({dev:+.1%}, tol 25%, exact finite-n expectation {exact:.4f}) "
+        f"({(values.mean() - target) / target:+.1%}, tol 25%, exact finite-n expectation {exact:.4f}) "
         f"{'ok' if good else 'BAD'}"
     )
     report(9, ok, "; ".join(parts))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mrwlab.core_process as cp
 from mrwlab import ModelParams, cli, exact_mean_recursion, exact_oracle, martingale_sequences
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
@@ -193,11 +194,12 @@ def test_simulate_at_alpha_minus_one_reports_nan_exact_mean(tmp_path):
 
 def test_default_threads_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("MRWLAB_THREADS", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert cli._default_threads() == 2
-    monkeypatch.delattr(cli.os, "sched_getaffinity")
-    assert cli._default_threads() == 64
+    monkeypatch.setattr(cp.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cp.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cli.default_threads is cp.default_threads
+    assert cp.default_threads() == 2
+    monkeypatch.delattr(cp.os, "sched_getaffinity")
+    assert cp.default_threads() == 64
 
 
 def test_qsl_beyond_memory_is_a_config_error(capsys):

@@ -290,11 +290,12 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     step_chunk=st.sampled_from([8, 16, 24, 40]),
     budget=st.sampled_from([16, 64, 2**25]),
     block=st.integers(1, 4),
+    tile=st.sampled_from([1, 3, 8, 256]),
     threads=st.sampled_from([1, 2]),
     data=st.data(),
 )
 def test_batch_engines_match_per_replica_generators(
-    s, q, p, seed, replicas, n, step_chunk, budget, block, threads, data
+    s, q, p, seed, replicas, n, step_chunk, budget, block, tile, threads, data
 ):
     specs = [RngStreamSpec(seed, i) for i in replicas]
     if data.draw(st.booleans()):
@@ -307,6 +308,7 @@ def test_batch_engines_match_per_replica_generators(
         mp.setattr(cp, "STEP_CHUNK", step_chunk)
         mp.setattr(cp, "_CHUNK_BUDGET", budget)
         mp.setattr(cp, "REPLICA_BLOCK", block)
+        mp.setattr(cp, "FILL_TILE", tile)
         pos = walk_positions_batch(params, n, specs, threads=threads)
         rec = walk_checkpoints_batch(params, cps, specs, threads=threads)
     assert np.array_equal(pos, ref)
@@ -323,16 +325,19 @@ def test_batch_engines_match_per_replica_generators(
     n=st.integers(1, 300),
     step_chunk=st.sampled_from([8, 16, 40, 16384]),
     budget=st.sampled_from([1, 24, 2**25]),
+    tile=st.sampled_from([1, 3, 8, 256]),
 )
-def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget):
+def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget, tile):
     # Small chunks put chunk boundaries, and the split of the first chunk
-    # after S_1, inside the horizon.
+    # after S_1, inside the horizon; small tiles put transpose-block edges
+    # inside a chunk.
     spec = RngStreamSpec(seed, replica)
     params = ModelParams(s=s, q=q, p=p)
     ref = _reference_positions(params, n, [spec])[0, 1:]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "STEP_CHUNK", step_chunk)
         mp.setattr(cp, "_CHUNK_BUDGET", budget)
+        mp.setattr(cp, "FILL_TILE", tile)
         chunks = list(walk_position_chunks(params, n, spec))
     assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
     assert [k for k, _ in chunks] == list(np.cumsum([1] + [len(v) for _, v in chunks[:-1]]))
@@ -353,11 +358,11 @@ def test_fill_places_each_stream_at_its_offset():
     gen = RngStreamSpec(1).generator()
     specs = [RngStreamSpec(0, 0), RngStreamSpec(2**64 - 1, 2**63), RngStreamSpec(12345, 6789)]
     for k in [9, 0, 1, 7, 8, 1023, 1024, 2047, 4097, 16, 3]:
-        U = np.empty((len(specs), 21), dtype=np.float32)
-        cp._fill_uniforms(gen, specs, k, U)
-        for row, spec in zip(U, specs):
+        U = np.empty((21, len(specs)), dtype=np.float32)
+        cp._fill_uniforms(gen, specs, k, U, np.empty(len(specs) * 21, dtype=np.float32))
+        for column, spec in zip(U.T, specs):
             expected = spec.generator().random(k + 21, dtype=np.float32)[k:]
-            assert np.array_equal(row.view(np.uint32), expected.view(np.uint32)), (k, spec)
+            assert np.array_equal(column.view(np.uint32), expected.view(np.uint32)), (k, spec)
 
 
 def test_checkpoint_validation():

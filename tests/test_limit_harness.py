@@ -197,6 +197,22 @@ def test_histogram_mode_agrees_with_raw(monkeypatch):
     assert abs(v_raw - v_hist) < 0.01
 
 
+def test_histogram_mode_at_zero_limit_variance(monkeypatch):
+    # At p = 1 the limit variance is 0, so the histogram spans the path's own points.
+    params = ModelParams(s=0.5, q=0.6, p=1.0)
+    spec = RngStreamSpec(1, 2)
+    raw = asclt_measure(params, 3000, spec)
+    monkeypatch.setattr(lh, "RAW_POINT_LIMIT", 500)
+    hist = asclt_measure(params, 3000, spec)
+    assert hist.histogram and hist.target_variance == 0.0
+    width = hist.points[1] - hist.points[0]
+    m_raw, v_raw = weighted_mean_variance(raw)
+    m_hist, v_hist = weighted_mean_variance(hist)
+    assert round(m_raw, 3) == -0.540 and round(v_raw, 4) == 0.0534
+    assert abs(m_hist - m_raw) <= width
+    assert abs(v_hist - v_raw) <= width
+
+
 # ---------------------------------------------------------------- qsl
 
 
