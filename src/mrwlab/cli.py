@@ -25,7 +25,6 @@ from .core_process import (
     RegimeError,
     RngStreamSpec,
     classify_regime,
-    default_threads,
     simulate_walk,
     walk_checkpoints_batch,
 )
@@ -381,14 +380,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _params_from(args)
-        threads = args.threads if args.threads else default_threads()
-        if threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ValueError("--threads must be positive")
         if getattr(args, "replicas", 1) < 1:
             raise ValueError("--replicas must be at least 1")
         config = _config_dict(args, params)
         emitter = _Emitter(config)
-        _RUNNERS[args.command](args, params, threads, emitter)
+        _RUNNERS[args.command](args, params, args.threads, emitter)
     except RegimeError as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
         return EXIT_REGIME

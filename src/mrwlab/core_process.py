@@ -61,6 +61,10 @@ _CHUNK_BUDGET = 32 * 1024 * 1024
 # 256 x 256 float32 block stays in cache on both sides of the copy.
 FILL_TILE = 256
 
+# Float64 positions per tile of _position_tiles, so that a tile and the
+# reducers' temporaries of its shape stay in cache.
+_TILE_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -373,6 +377,20 @@ def _advance_block(
             out[j] = S
 
 
+def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
+    """Yield (k, tile) over one replica block's walk to step n, where
+    tile[j, i] = S_{k+j} of specs[i] in float64: first the tile [S_1] alone,
+    then tiles of at most max(1, _TILE_VALUES // len(specs)) steps."""
+    rows = max(1, _TILE_VALUES // len(specs))
+    for m, S, U in _walk_block(params, specs, n):
+        if m == 1:
+            yield 1, S[None].copy()
+        for j in range(0, len(U), rows):
+            tile = np.empty((min(rows, len(U) - j), len(specs)), dtype=np.float64)
+            _advance_block(S, m + j, U[j : j + rows], params.q, params.alpha, tile)
+            yield m + 1 + j, tile
+
+
 def walk_positions_batch(
     params: ModelParams,
     n: int,
@@ -457,13 +475,8 @@ def walk_position_chunks(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    for m, S, U in _walk_block(params, [rng], n):
-        if m == 1:
-            yield 1, S.copy()
-        if len(U):
-            out = np.empty((len(U), 1), dtype=np.float64)
-            _advance_block(S, m, U, params.q, params.alpha, out)
-            yield m + 1, out[:, 0]
+    for k, tile in _position_tiles(params, [rng], n):
+        yield k, tile[:, 0]
 
 
 def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:

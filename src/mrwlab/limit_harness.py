@@ -5,7 +5,9 @@ measure: mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)), with L = 1
 when diffusive and L = log when critical, normalized by log n respectively
 log log n. limit_law resolves the regime once into a LimitLaw that holds
 that measure's ingredients, its Gaussian limit and the skeletons' grid, scale
-and kernel, and every harness reads it. Four families of checks:
+and kernel, and every harness reads it. The ASCLT and QSL harnesses apply
+LimitLaw.measure to the walk engine's position tiles and hold no trajectory
+matrix. Four families of checks:
 
 * Log-averaged weighted empirical measures of the rescaled position along a
   single path, compared to their Gaussian targets by weighted KS distance.
@@ -37,10 +39,10 @@ from .core_process import (
     Regime,
     RegimeError,
     RngStreamSpec,
+    _position_tiles,
+    _run_replica_blocks,
     classify_regime,
     walk_checkpoints_batch,
-    walk_position_chunks,
-    walk_positions_batch,
 )
 from .martingale_sequences import sigma_squared
 from .urn_spectral import (
@@ -126,6 +128,11 @@ class LimitLaw:
     def variance(self) -> float:
         return self.noise / self.damping
 
+    def measure(self, k: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The measure's points sqrt(k/L(k))(S/k - centre) and weights 1/(k L(k)) at steps k."""
+        L = self.L(k)
+        return np.sqrt(k / L) * (S / k - self.centre), 1.0 / (k * L)
+
     def moment(self, r: int) -> float:
         """The limit's 2r-th moment, noise^r (2r)!/(2^r r! damping^r)."""
         return self.noise**r * math.factorial(2 * r) / (2**r * math.factorial(r) * self.damping**r)
@@ -202,6 +209,15 @@ def weighted_mean_variance(sample: WeightedSample) -> tuple[float, float]:
     return mean, var
 
 
+def _measure_tiles(law: LimitLaw, params: ModelParams, n: int, specs: Sequence[RngStreamSpec]):
+    """Yield the law's (points, weights) tile by tile along the walks of specs:
+    points[j, i] and weights[j, 0] belong to step k + j of specs[i], for the
+    steps from law.first_step to n."""
+    for k, S in _position_tiles(params, specs, n):
+        if k >= law.first_step:
+            yield law.measure(np.arange(k, k + len(S), dtype=np.float64)[:, None], S)
+
+
 def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
     """One path's weighted measure under the LimitLaw of params (alpha <= 1/2).
 
@@ -215,34 +231,16 @@ def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSa
     law = limit_law(params)
     if n < law.min_horizon:
         raise ValueError(f"n must be at least {law.min_horizon}")
-    start_k = law.first_step
-
-    def contributions():
-        """(k, points, weights) per chunk of the path, for k >= start_k."""
-        for k_start, values in walk_position_chunks(params, n, rng):
-            k = np.arange(k_start, k_start + len(values), dtype=np.float64)
-            keep = k >= start_k
-            if not np.any(keep):
-                continue
-            k = k[keep]
-            L = law.L(k)
-            yield k, np.sqrt(k / L) * (values[keep] / k - law.centre), 1.0 / (k * L)
-
     if n <= RAW_POINT_LIMIT:
-        points = np.empty(n - start_k + 1, dtype=np.float64)
-        weights = np.empty_like(points)
-        for k, pts, w in contributions():
-            lo = int(k[0]) - start_k
-            points[lo : lo + len(k)] = pts
-            weights[lo : lo + len(k)] = w
+        points, weights = (np.concatenate(x)[:, 0] for x in zip(*_measure_tiles(law, params, n, [rng])))
         return WeightedSample(points, weights, law.normalizer(n), law.variance, n, histogram=False)
     if law.variance > 0:
         half_span = HISTOGRAM_SPAN_SDS * math.sqrt(law.variance)
     else:
-        half_span = max(float(np.max(np.abs(pts))) for _, pts, _ in contributions())
+        half_span = max(float(np.max(np.abs(pts))) for pts, _ in _measure_tiles(law, params, n, [rng]))
     edges = np.linspace(-half_span, half_span, HISTOGRAM_BINS + 1)
     masses = np.zeros(HISTOGRAM_BINS, dtype=np.float64)
-    for _, pts, w in contributions():
+    for pts, w in _measure_tiles(law, params, n, [rng]):
         idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, HISTOGRAM_BINS - 1)
         np.add.at(masses, idx, w)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -308,34 +306,34 @@ def qsl_functional_batch(
     specs: Sequence[RngStreamSpec],
     threads: int | None = None,
 ) -> np.ndarray:
-    """The functional of qsl_functional for many replicas, vectorized.
+    """The functional of qsl_functional for many replicas, in O(replicas) memory.
 
-    It is the LimitLaw's weighted measure's 2r-th moment: each step k adds
-    k^(r-1) L(k)^-(r+1) (S_k/k - centre)^(2r), and the sum is divided by
-    the law's normalizer. Returns one value per spec, in spec order. Uses
-    the full trajectory matrix of walk_positions_batch, so replicas * (n+1)
-    * 4 bytes must fit in physical memory (a ValueError otherwise); the
-    acceptance workloads (hundreds of replicas at n = 10^5) are far below
-    that.
+    It is the 2r-th moment of the LimitLaw's weighted measure: each step k
+    adds weight * (point^2)^r, that is k^(r-1) L(k)^-(r+1) (S_k/k -
+    centre)^(2r), and the sum is divided by the law's normalizer. Each
+    replica's terms are added one step at a time in step order, so a value
+    depends only on its stream, never on tiles, chunks, blocks or threads.
+    Returns one value per spec, in spec order; horizons up to 10^8 are
+    supported.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
     law = limit_law(params)
     if n < 3:
         raise ValueError("n must be at least 3")
-    pos = walk_positions_batch(params, n, specs, threads=threads)
     values = np.zeros(len(specs), dtype=np.float64)
-    # Column chunks of 2^16 steps, reduced 64 rows at a time, so that each
-    # float64 temporary stays within 32 MB whatever the replica count.
-    chunk = 1 << 16
-    rows = 64
-    for lo in range(law.first_step, n + 1, chunk):
-        hi = min(lo + chunk, n + 1)
-        k = np.arange(lo, hi, dtype=np.float64)
-        weight = k ** (r - 1) * law.L(k) ** (-(r + 1))
-        for top in range(0, len(specs), rows):
-            dev = pos[top : top + rows, lo:hi] / k - law.centre
-            values[top : top + rows] += (weight * dev ** (2 * r)).sum(axis=1)
+
+    def run_block(lo: int, hi: int) -> None:
+        for point, weight in _measure_tiles(law, params, n, specs[lo:hi]):
+            point *= point
+            terms = weight * point
+            for _ in range(r - 1):
+                terms *= point
+            # A running sum per replica: row j of the cumsum is the sum through that step.
+            terms[0] += values[lo:hi]
+            values[lo:hi] = np.cumsum(terms, axis=0, out=terms)[-1]
+
+    _run_replica_blocks(len(specs), run_block, threads)
     return values / law.normalizer(n)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import mrwlab.core_process as cp
-from mrwlab import ModelParams, cli, exact_mean_recursion, exact_oracle, martingale_sequences
+from mrwlab import ModelParams, exact_mean_recursion, exact_oracle, martingale_sequences
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
 
@@ -157,6 +157,13 @@ def test_nonpositive_replicas_exit(capsys, argv):
     assert "--replicas must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_nonpositive_threads_exit(capsys, threads):
+    # 0 is a thread count like any other, not "use the default".
+    assert main(["simulate", "--n", "10", "--replicas", "3", "--threads", threads]) == EXIT_CONFIG
+    assert "--threads must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", ["1", "0", "-3"])
 def test_sequences_rejects_fewer_than_two_points(capsys, points):
     assert main(["sequences", "--n", "1000", "--points", points]) == EXIT_CONFIG
@@ -196,17 +203,9 @@ def test_default_threads_follow_cpu_affinity(monkeypatch):
     monkeypatch.delenv("MRWLAB_THREADS", raising=False)
     monkeypatch.setattr(cp.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(cp.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert cli.default_threads is cp.default_threads
     assert cp.default_threads() == 2
     monkeypatch.delattr(cp.os, "sched_getaffinity")
     assert cp.default_threads() == 64
-
-
-def test_qsl_beyond_memory_is_a_config_error(capsys):
-    # 10^5 replicas x (10^8 + 1) int32 positions is 40 TB; refused before allocating.
-    rc = main(["qsl", "--n", "100000000", "--replicas", "100000"])
-    assert rc == EXIT_CONFIG
-    assert "walk_checkpoints_batch" in capsys.readouterr().err
 
 
 def test_exact_rejects_oversized_n(capsys):

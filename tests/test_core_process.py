@@ -326,11 +326,12 @@ def test_batch_engines_match_per_replica_generators(
     step_chunk=st.sampled_from([8, 16, 40, 16384]),
     budget=st.sampled_from([1, 24, 2**25]),
     tile=st.sampled_from([1, 3, 8, 256]),
+    position_tile=st.sampled_from([1, 2, 3, 7, cp._TILE_VALUES]),
 )
-def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget, tile):
+def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget, tile, position_tile):
     # Small chunks put chunk boundaries, and the split of the first chunk
-    # after S_1, inside the horizon; small tiles put transpose-block edges
-    # inside a chunk.
+    # after S_1, inside the horizon; small fill tiles put transpose-block
+    # edges inside a chunk, and small position tiles split each chunk.
     spec = RngStreamSpec(seed, replica)
     params = ModelParams(s=s, q=q, p=p)
     ref = _reference_positions(params, n, [spec])[0, 1:]
@@ -338,6 +339,7 @@ def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, 
         mp.setattr(cp, "STEP_CHUNK", step_chunk)
         mp.setattr(cp, "_CHUNK_BUDGET", budget)
         mp.setattr(cp, "FILL_TILE", tile)
+        mp.setattr(cp, "_TILE_VALUES", position_tile)
         chunks = list(walk_position_chunks(params, n, spec))
     assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
     assert [k for k, _ in chunks] == list(np.cumsum([1] + [len(v) for _, v in chunks[:-1]]))

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import mrwlab.core_process as cp
 import mrwlab.limit_harness as lh
 from mrwlab import (
     ModelParams,
@@ -15,6 +18,7 @@ from mrwlab import (
     asclt_measure,
     asclt_measure_critical,
     asclt_measure_diffusive,
+    classify_regime,
     covariance_grid,
     exact_mean_recursion,
     fclt_skeleton,
@@ -32,6 +36,7 @@ from mrwlab import (
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
+from test_core_process import _reference_positions, _unit
 
 DIFFUSIVE = ModelParams(s=0.5, q=0.5, p=0.5)
 CRITICAL = ModelParams(s=0.5, q=0.25, p=0.75)
@@ -224,18 +229,71 @@ def test_qsl_single_path_matches_batch():
             assert single.value == batch[i]
 
 
-def test_qsl_batch_peak_memory_stays_near_the_position_matrix():
-    # The reducer works in row slices, so its float64 temporaries stay far
-    # below the R x (n+1) int32 position matrix it reads.
-    R, n = 1024, 8192
-    specs = [RngStreamSpec(3, i) for i in range(R)]
-    tracemalloc.start()
-    try:
-        qsl_functional_batch(CRITICAL, n, 2, specs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * R * (n + 1) * 4
+def test_qsl_batch_peak_memory_does_not_grow_with_n(monkeypatch):
+    # The reducer streams position tiles, so its traced peak at 16 chunks
+    # stays within 10% of its peak at 2 chunks.
+    monkeypatch.setattr(cp, "STEP_CHUNK", 256)
+    specs = [RngStreamSpec(3, i) for i in range(1024)]
+    peaks = []
+    for chunks in (2, 16):
+        tracemalloc.start()
+        try:
+            qsl_functional_batch(CRITICAL, chunks * 256, 2, specs, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.01, 0.99),
+    qp=st.one_of(
+        st.sampled_from([(0.2, 0.7), (0.25, 0.75), (0.6, 1.0)]),
+        st.tuples(_unit.filter(lambda q: q > 0.0), _unit).filter(
+            lambda qp: classify_regime(ModelParams(0.5, *qp)) is not Regime.SUPERDIFFUSIVE
+        ),
+    ),
+    r=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**64 - 1),
+    replicas=st.integers(1, 6),
+    n=st.integers(3, 130),
+    step_chunk=st.sampled_from([8, 16, 40]),
+    budget=st.sampled_from([16, 64, 2**25]),
+    block=st.integers(1, 4),
+    fill_tile=st.sampled_from([1, 3, 256]),
+    position_tile=st.sampled_from([1, 2, 3, 7, cp._TILE_VALUES]),
+    threads=st.sampled_from([1, 2]),
+)
+def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
+    s, qp, r, seed, replicas, n, step_chunk, budget, block, fill_tile, position_tile, threads
+):
+    params = ModelParams(s, *qp)
+    law = limit_law(params)
+    specs = [RngStreamSpec(seed, i) for i in range(replicas)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "STEP_CHUNK", step_chunk)
+        mp.setattr(cp, "_CHUNK_BUDGET", budget)
+        mp.setattr(cp, "REPLICA_BLOCK", block)
+        mp.setattr(cp, "FILL_TILE", fill_tile)
+        mp.setattr(cp, "_TILE_VALUES", position_tile)
+        values = qsl_functional_batch(params, n, r, specs, threads=threads)
+    k = np.arange(law.first_step, n + 1, dtype=np.float64)
+    for value, S in zip(values, _reference_positions(params, n, specs)[:, law.first_step :]):
+        points, weights = law.measure(k, S)
+        total = 0.0
+        for point, weight in zip(points.tolist(), weights.tolist()):
+            term = weight * (point * point)
+            for _ in range(r - 1):
+                term *= point * point
+            total += term
+        assert value == total / law.normalizer(n)
+        # The definition term by term, k^(r-1) L(k)^-(r+1) (S_k/k - centre)^(2r).
+        exact = math.fsum(
+            kk ** (r - 1) * float(law.L(kk)) ** -(r + 1) * (float(sk) / kk - law.centre) ** (2 * r)
+            for kk, sk in zip(k.tolist(), S)
+        ) / law.normalizer(n)
+        assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_qsl_targets():

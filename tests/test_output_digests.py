@@ -174,8 +174,8 @@ DIGESTS = {
     "cli:asclt-p-one": "aa57ef8241cb110a18a88ee8783acec4de871327ec0f4ffe6ed26bc6189b05ba",
     "cli:asclt-superdiffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:asclt-short": "9830ce9d409097e8147e1ce53d55c9b0539a7344c241bd2caad75ca441f08355",
-    "cli:qsl": "71d6e605a65faf494d20ded8d79ec9b4e61c0f2617ffc8b840df6ebbb909b0e7",
-    "cli:qsl-critical-json": "d6d7784e2a730270d45e9b5b8e0551b7ddc1ba4e9ecaae4d2ccfb1bdb5fcc0ed",
+    "cli:qsl": "49adde5df017f1427a40f20f6a2c7df29b5be05b2c91014a4149d156772f98b7",
+    "cli:qsl-critical-json": "060521a49853851c736cb5212c3d164527486a88fa2e5cb19bdd9ab3bf58bcbc",
     "cli:qsl-p-one": "6865050103261d204ffa6975f8ef867560aa348f9d503c00da4977958f267a9b",
     "cli:qsl-superdiffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:fclt": "4aa81fb3c96d95f79a606aa1bb64f4971d684cccc674b79ce6e6476abf514f18",
@@ -196,8 +196,8 @@ DIGESTS = {
     "lib:asclt-diffusive": "40aed03cb776b6ad06264b442c2a9e8a1f634d817750a5c95c8f634ec4161317",
     "lib:asclt-critical": "3ab911f1471a5c1a98ec23d96968bc9baa24f494415b71dab88bd0e08ff17eb9",
     "lib:asclt-histogram": "3f43cfff543205704d4b8cb41970fc19d4c84126b0618101aa3c8f2c2a442e5f",
-    "lib:qsl-batch": "c3ce747b6e07ac8984fc8c010ff683cb5e6e53320ee77ebb3ef8d4952114a72d",
-    "lib:qsl-single": "729ccf5d133e4b7927145c89a50670c79d101cb7d3933498d420dd3c3380dfa0",
+    "lib:qsl-batch": "744a15354472f0f4befd3422acc59d07c45c9ba62485a61aab62c44610b86ff6",
+    "lib:qsl-single": "f24a25b9f3339f3bae3b33eb53cb2fae465f24e155d3b5925b583ec2f2f4e14b",
     "lib:skeletons": "7eac5b7c4f109491440df976a57f2f4b58112ad5bf3290b0055a3a072c9d934c",
     "lib:covariance-diffusive": "f67e3a391e70a7994eb59bdf159f974b2682d95c7a985663ac46e3d3cac03634",
     "lib:covariance-critical": "a74357f09499f24eef630c3449d2afce87af47ebda347b4d1250ecce95ea4158",
