@@ -24,6 +24,7 @@ from .core_process import (
     ModelParams,
     RegimeError,
     RngStreamSpec,
+    _KernelBuildError,
     classify_regime,
     simulate_walk,
     walk_checkpoints_batch,
@@ -390,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, _KernelBuildError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = emitter.render_json() if args.out == "json" else emitter.render_csv()

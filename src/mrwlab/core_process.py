@@ -19,13 +19,21 @@ distributed exactly as S_n.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 
 __all__ = [
     "ModelParams",
@@ -49,20 +57,8 @@ __all__ = [
 # size is a library constant, not a function of the thread count.
 REPLICA_BLOCK = 16384
 
-# Upper bound on steps generated per chunk, per replica. Chunk size does not
-# affect the stream, since each chunk is read from its own offset; chunks are
-# a multiple of 8 draws (one Philox counter step) and shrink for wide replica
-# blocks to keep the uniform buffer near 128 MB.
-STEP_CHUNK = 16384
-_CHUNK_BUDGET = 32 * 1024 * 1024
-
-# Replicas per staging tile of the uniform fill, and the edge of the square
-# blocks in which a tile is transposed into the step-major chunk buffer; a
-# 256 x 256 float32 block stays in cache on both sides of the copy.
-FILL_TILE = 256
-
-# Float64 positions per tile of _position_tiles, so that a tile and the
-# reducers' temporaries of its shape stay in cache.
+# Float64 positions per _position_tiles tile (tiles are at least 8 steps
+# tall), so that a tile and the reducers' temporaries of its shape stay in cache.
 _TILE_VALUES = 1 << 16
 
 
@@ -128,8 +124,8 @@ class RngStreamSpec:
     Distinct replica indices give statistically independent streams, and the
     stream is a pure function of the two fields, so any (master seed,
     replica) pair can be reproduced in isolation on any machine. The batch
-    engines read these same streams without a Generator per replica: each
-    replica block re-keys one Philox to every replica's key and offset.
+    engines read these same streams without a Generator per replica: the
+    compiled walk kernel computes each draw from the key and its counter.
     """
 
     master_seed: int
@@ -284,12 +280,9 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
 # Positions are accumulated in float64, so counts stay exact far beyond any
 # supported horizon.
 #
-# A chunk of uniforms is stored step-major (steps x replicas), so the step
-# kernel reads one contiguous row per step. Each stream is drawn into a row
-# of a replica-major staging tile, which is transposed into the chunk block
-# by block (FILL_TILE). Only the storage order changes: every replica still
-# reads its own stream, and every output byte is the same as with a
-# replica-major buffer.
+# The draws and the steps run in one C loop (walk_kernel.c), compiled with
+# the fixed flags below on first use and cached in the package's
+# __pycache__ under the digest of source and flags.
 # ---------------------------------------------------------------------------
 
 
@@ -307,88 +300,100 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_uniforms(
-    gen: np.random.Generator, specs: Sequence[RngStreamSpec], k: int, U: np.ndarray, spare: np.ndarray
-) -> None:
-    """Fill column i of U with float32 draws k, k+1, ... of the stream of specs[i].
-
-    gen's Philox is re-keyed per stream. A draw takes one uint32, a counter
-    step yields eight and comes before its block, so after k draws the
-    counter is k // 8 with the buffer spent; k % 8 more draws are then
-    thrown away. Each stream fills a row of the staging tile, held in the
-    flat float32 array spare (at least min(FILL_TILE, len(specs)) * len(U)
-    long), and the tile is transposed into U block by block.
-    """
-    state = {"bit_generator": "Philox", "state": {"counter": [k // 8, 0, 0, 0], "key": [0, 0]},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key = state["state"]["key"]
-    bitgen = gen.bit_generator
-    tile = FILL_TILE
-    height = min(tile, len(specs))
-    stage = spare[: height * len(U)].reshape(height, len(U))
-    for lo in range(0, len(specs), tile):
-        rows = stage[: min(tile, len(specs) - lo)]
-        for row, spec in zip(rows, specs[lo : lo + tile]):
-            key[:] = spec.master_seed, spec.replica_index
-            bitgen.state = state
-            if k % 8:
-                gen.random(k % 8, dtype=np.float32)
-            gen.random(out=row, dtype=np.float32)
-        for j in range(0, len(U), tile):
-            U[j : j + tile, lo : lo + len(rows)] = rows[:, j : j + tile].T
+_KERNEL_SOURCE = Path(__file__).with_name("walk_kernel.c")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_kernel_lock = threading.Lock()
+_kernel = None
 
 
-def _walk_block(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
-    """Yield (m, S, U) per chunk of one replica block's walk to step n.
-
-    S holds S_m per replica, from m = 1 on; the caller advances it in place
-    through U, whose row j decides step m+1+j, before U is refilled.
-    """
-    gen = specs[0].generator()
-    step = max(8, min(STEP_CHUNK, _CHUNK_BUDGET // len(specs)) // 8 * 8)
-    # One allocation holds the chunk buffer and, after it, the staging tile,
-    # so the tile is returned with the buffer; a tile allocated on its own
-    # stays in the allocator's heap and raises later peaks by its size.
-    R, rows = len(specs), min(step, n)
-    mem = np.empty(rows * (R + min(FILL_TILE, R)), dtype=np.float32)
-    buf = mem[: rows * R].reshape(rows, R)
-    for k in range(0, n, step):
-        U = buf[: min(step, n - k)]
-        _fill_uniforms(gen, specs, k, U, mem[rows * R :])
-        if k == 0:
-            S = (U[0].astype(np.float64) < params.s).astype(np.float64)
-            k, U = 1, U[1:]
-        yield k, S, U
+class _KernelBuildError(RuntimeError):
+    """The walk kernel could not be compiled."""
 
 
-def _advance_block(
-    S: np.ndarray, m_start: int, U: np.ndarray, q: float, alpha: float, out: np.ndarray | None = None
-) -> None:
-    """Advance all replicas through steps m_start+1 .. m_start+len(U).
+def _compile_kernel(target: Path) -> Path:
+    try:
+        done = subprocess.run(["cc", *_CFLAGS, "-o", str(target), str(_KERNEL_SOURCE)],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise _KernelBuildError(f"the walk engine is compiled on first use by the C compiler `cc`: {exc}") from None
+    if done.returncode:
+        raise _KernelBuildError(f"`cc` failed to compile {_KERNEL_SOURCE}: {done.stderr.strip()}")
+    return target
 
-    S holds S_{m_start} per replica and is updated in place. When out is
-    given, row j receives S after step m_start+1+j.
-    """
-    for j in range(len(U)):
-        m = m_start + j
-        prob = q + (alpha / m) * S
-        S += U[j] < prob
-        if out is not None:
-            out[j] = S
+
+def _bind_kernel(path: Path):
+    fn = ctypes.CDLL(str(path)).mrw_advance
+    f64 = ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    # The output tile may be None, which the kernel reads as NULL: no tile.
+    tile = type("tile", (f64,), {"from_param": classmethod(lambda cls, a: a if a is None else f64.from_param(a))})
+    fn.argtypes = [ndpointer(np.uint64, 2, flags="C_CONTIGUOUS"), f64, *[ctypes.c_int64] * 3,
+                   *[ctypes.c_double] * 3, tile]
+    fn.restype = None
+    return fn
+
+
+def _load_kernel():
+    """The kernel's mrw_advance, built unless the cache holds it. A build is
+    written to a temporary name and renamed into place, so concurrent
+    processes never load a partial file."""
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    path = _KERNEL_CACHE / f"walk_kernel-{digest}.so"
+    if path.exists():
+        return _bind_kernel(path)
+    try:
+        _KERNEL_CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", dir=_KERNEL_CACHE)
+    except OSError:
+        # The package cannot be written: build privately for this process.
+        # A loaded library outlives its file.
+        private = tempfile.mkdtemp()
+        try:
+            return _bind_kernel(_compile_kernel(Path(private, path.name)))
+        finally:
+            shutil.rmtree(private)
+    os.close(fd)
+    try:
+        os.replace(_compile_kernel(Path(tmp)), path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return _bind_kernel(path)
+
+
+def _stream_keys(specs: Sequence[RngStreamSpec]) -> np.ndarray:
+    """The Philox keys (master_seed, replica_index) of specs, one row each.
+    Two flat passes, not a list of pairs: a third of the time and memory."""
+    return np.stack([np.fromiter((s.master_seed for s in specs), np.uint64, len(specs)),
+                     np.fromiter((s.replica_index for s in specs), np.uint64, len(specs))], axis=1)
+
+
+def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps: int, out=None) -> None:
+    """Advance the replicas whose stream keys are the rows of keys through
+    steps m+1 .. m+steps. S holds S_m per replica (zeros at m = 0) and is
+    updated in place; out, when given, receives S_{m+1+j} in row j."""
+    global _kernel
+    if keys.shape != (len(S), 2) or (out is not None and out.shape != (steps, len(S))):
+        raise ValueError("walk kernel arguments disagree in shape")
+    with _kernel_lock:
+        if _kernel is None:
+            _kernel = _load_kernel()
+    _kernel(keys, S, len(S), m, steps, params.s, params.q, params.alpha, out)
 
 
 def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
-    """Yield (k, tile) over one replica block's walk to step n, where
-    tile[j, i] = S_{k+j} of specs[i] in float64: first the tile [S_1] alone,
-    then tiles of at most max(1, _TILE_VALUES // len(specs)) steps."""
-    rows = max(1, _TILE_VALUES // len(specs))
-    for m, S, U in _walk_block(params, specs, n):
-        if m == 1:
-            yield 1, S[None].copy()
-        for j in range(0, len(U), rows):
-            tile = np.empty((min(rows, len(U) - j), len(specs)), dtype=np.float64)
-            _advance_block(S, m + j, U[j : j + rows], params.q, params.alpha, tile)
-            yield m + 1 + j, tile
+    """Yield (k, tile) over the walks of specs to step n, where tile[j, i] =
+    S_{k+j} of specs[i] in float64: first [S_1] alone, then tiles ending at
+    multiples of rows steps (_TILE_VALUES // len(specs), rounded down to a
+    multiple of 8, at least 8), so that no kernel call after the second starts
+    inside a Philox block of 8 draws, whose uniforms it would compute again."""
+    keys, S = _stream_keys(specs), np.zeros(len(specs))
+    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8)
+    m = 0
+    while m < n:
+        tile = np.empty((min(rows - m % rows, n - m) if m else 1, len(specs)))
+        _advance(params, keys, S, m, len(tile), tile)
+        m += len(tile)
+        yield m + 1 - len(tile), tile
 
 
 def walk_positions_batch(
@@ -419,9 +424,8 @@ def walk_positions_batch(
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
-        for m, S, U in _walk_block(params, specs[lo:hi], n):
-            pos[lo:hi, m] = S
-            _advance_block(S, m, U, params.q, params.alpha, pos[lo:hi, m + 1 : m + 1 + len(U)].T)
+        for k, tile in _position_tiles(params, specs[lo:hi], n):
+            pos[lo:hi, k : k + len(tile)] = tile.T
 
     _run_replica_blocks(R, run_block, threads)
     return pos
@@ -444,21 +448,15 @@ def walk_checkpoints_batch(
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing and >= 1")
-    n = cps[-1]
     R = len(specs)
     out = np.empty((R, len(cps)), dtype=np.float64)
+    keys = _stream_keys(specs)
 
     def run_block(lo: int, hi: int) -> None:
-        next_cp = 0
-        for m, S, U in _walk_block(params, specs[lo:hi], n):
-            # Split the chunk at checkpoint boundaries so S can be recorded.
-            done = 0
-            while next_cp < len(cps) and cps[next_cp] <= m + len(U):
-                _advance_block(S, m + done, U[done : cps[next_cp] - m], params.q, params.alpha)
-                done = cps[next_cp] - m
-                out[lo:hi, next_cp] = S
-                next_cp += 1
-            _advance_block(S, m + done, U[done:], params.q, params.alpha)
+        S = np.zeros(hi - lo)
+        for t, (m, c) in enumerate(zip([0] + cps, cps)):
+            _advance(params, keys[lo:hi], S, m, c - m)
+            out[lo:hi, t] = S
 
     _run_replica_blocks(R, run_block, threads)
     return out

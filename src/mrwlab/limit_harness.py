@@ -312,7 +312,7 @@ def qsl_functional_batch(
     adds weight * (point^2)^r, that is k^(r-1) L(k)^-(r+1) (S_k/k -
     centre)^(2r), and the sum is divided by the law's normalizer. Each
     replica's terms are added one step at a time in step order, so a value
-    depends only on its stream, never on tiles, chunks, blocks or threads.
+    depends only on its stream, never on tiles, blocks or threads.
     Returns one value per spec, in spec order; horizons up to 10^8 are
     supported.
     """

@@ -262,3 +262,12 @@ def test_simulate_exact_mean_does_not_materialize_the_sequences(tmp_path, monkey
     assert rc == EXIT_OK
     assert after.read_bytes() == before.read_bytes()
     assert f"# diagnostic exact_mean={expected}" in after.read_text().splitlines()
+
+
+def test_missing_compiler_exits_with_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
+    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "`cc`" in err and "Traceback" not in err

@@ -1,3 +1,10 @@
+import subprocess
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,18 +292,17 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     q=_unit.filter(lambda q: q > 0.0),
     p=_unit,
     seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
-    replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=6),
+    replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=17),
     n=st.integers(1, 130),
-    step_chunk=st.sampled_from([8, 16, 24, 40]),
-    budget=st.sampled_from([16, 64, 2**25]),
-    block=st.integers(1, 4),
-    tile=st.sampled_from([1, 3, 8, 256]),
+    block=st.sampled_from([1, 3, 8, 9, cp.REPLICA_BLOCK]),
+    tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
     threads=st.sampled_from([1, 2]),
     data=st.data(),
 )
-def test_batch_engines_match_per_replica_generators(
-    s, q, p, seed, replicas, n, step_chunk, budget, block, tile, threads, data
-):
+def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, block, tile, threads, data):
+    # Up to 17 replicas leave the kernel's last group of 8 partial; small
+    # position tiles split the walk into many kernel calls, and checkpoint
+    # gaps start calls inside a Philox block of 8 draws.
     specs = [RngStreamSpec(seed, i) for i in replicas]
     if data.draw(st.booleans()):
         # s just above a drawn uniform: a float32 comparison would round s down onto it.
@@ -305,10 +311,8 @@ def test_batch_engines_match_per_replica_generators(
     cps = sorted(data.draw(st.sets(st.integers(1, n), max_size=6)) | {n})
     ref = _reference_positions(params, n, specs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "STEP_CHUNK", step_chunk)
-        mp.setattr(cp, "_CHUNK_BUDGET", budget)
         mp.setattr(cp, "REPLICA_BLOCK", block)
-        mp.setattr(cp, "FILL_TILE", tile)
+        mp.setattr(cp, "_TILE_VALUES", tile)
         pos = walk_positions_batch(params, n, specs, threads=threads)
         rec = walk_checkpoints_batch(params, cps, specs, threads=threads)
     assert np.array_equal(pos, ref)
@@ -323,22 +327,15 @@ def test_batch_engines_match_per_replica_generators(
     seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
     replica=st.one_of(st.just(0), st.just(2**63), st.integers(0, 2**63)),
     n=st.integers(1, 300),
-    step_chunk=st.sampled_from([8, 16, 40, 16384]),
-    budget=st.sampled_from([1, 24, 2**25]),
-    tile=st.sampled_from([1, 3, 8, 256]),
-    position_tile=st.sampled_from([1, 2, 3, 7, cp._TILE_VALUES]),
+    position_tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
 )
-def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, step_chunk, budget, tile, position_tile):
-    # Small chunks put chunk boundaries, and the split of the first chunk
-    # after S_1, inside the horizon; small fill tiles put transpose-block
-    # edges inside a chunk, and small position tiles split each chunk.
+def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, position_tile):
+    # Small position tiles split the walk into many kernel calls; the one
+    # after [S_1] starts inside a Philox block of 8 draws.
     spec = RngStreamSpec(seed, replica)
     params = ModelParams(s=s, q=q, p=p)
     ref = _reference_positions(params, n, [spec])[0, 1:]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "STEP_CHUNK", step_chunk)
-        mp.setattr(cp, "_CHUNK_BUDGET", budget)
-        mp.setattr(cp, "FILL_TILE", tile)
         mp.setattr(cp, "_TILE_VALUES", position_tile)
         chunks = list(walk_position_chunks(params, n, spec))
     assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
@@ -354,17 +351,92 @@ def test_positions_beyond_physical_memory_are_refused():
         walk_positions_batch(params, 10**8, specs)
 
 
-def test_fill_places_each_stream_at_its_offset():
-    # One generator is re-used across offsets, so state left by an odd
-    # offset must not leak into the next fill.
-    gen = RngStreamSpec(1).generator()
-    specs = [RngStreamSpec(0, 0), RngStreamSpec(2**64 - 1, 2**63), RngStreamSpec(12345, 6789)]
-    for k in [9, 0, 1, 7, 8, 1023, 1024, 2047, 4097, 16, 3]:
-        U = np.empty((21, len(specs)), dtype=np.float32)
-        cp._fill_uniforms(gen, specs, k, U, np.empty(len(specs) * 21, dtype=np.float32))
-        for column, spec in zip(U.T, specs):
-            expected = spec.generator().random(k + 21, dtype=np.float32)[k:]
-            assert np.array_equal(column.view(np.uint32), expected.view(np.uint32)), (k, spec)
+def test_kernel_starts_each_stream_at_its_offset():
+    # Philox is counter-based, so a call that starts at step m, on or off
+    # the edge of a Philox block of 8 draws, reads draws m, m+1, ... of each
+    # stream. Ten replicas fill one group of 8 and part of the next.
+    params = ModelParams(s=0.5, q=0.3, p=0.6)
+    specs = [RngStreamSpec(seed, i) for seed in (0, 2**64 - 1) for i in (0, 1, 6789, 2**63 - 1, 2**63)]
+    ref = _reference_positions(params, 4097 + 21, specs)
+    keys = cp._stream_keys(specs)
+    for m in [0, 1, 7, 8, 9, 1023, 1024, 4097]:
+        S = ref[:, m].copy()
+        out = np.empty((21, len(specs)))
+        cp._advance(params, keys, S, m, 21, out)
+        assert np.array_equal(out, ref[:, m + 1 : m + 22].T), m
+        assert np.array_equal(S, ref[:, m + 21]), m
+
+
+# ---------------------------------------------------------------- kernel build
+
+
+def test_second_load_in_a_fresh_process_compiles_nothing():
+    cp._load_kernel()
+    code = (
+        "import subprocess\n"
+        "def refuse(*args, **kwargs): raise AssertionError('compiled again')\n"
+        "subprocess.run = refuse\n"
+        "from mrwlab import ModelParams, RngStreamSpec, walk_checkpoints_batch\n"
+        "print(walk_checkpoints_batch(ModelParams(0.5, 0.25, 0.75), [100], [RngStreamSpec(4, 1)])[0, 0])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    ref = _reference_positions(ModelParams(0.5, 0.25, 0.75), 100, [RngStreamSpec(4, 1)])
+    assert float(done.stdout) == ref[0, 100]
+
+
+def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
+    # A cache path under a regular file cannot be created, even by root.
+    (tmp_path / "file").write_text("")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "file" / "__pycache__")
+    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    params, specs = ModelParams(0.5, 0.4, 0.7), [RngStreamSpec(8, i) for i in range(3)]
+    rec = walk_checkpoints_batch(params, [5, 40], specs)
+    assert np.array_equal(rec, _reference_positions(params, 40, specs)[:, [5, 40]])
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_missing_compiler_is_named(tmp_path, monkeypatch):
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
+    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(RuntimeError, match="`cc`"):
+        walk_checkpoints_batch(ModelParams(0.5, 0.5, 0.5), [10], [RngStreamSpec(1)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_first_calls_build_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
+    monkeypatch.setattr(cp, "_kernel", None)
+    builds, run = [], subprocess.run
+
+    def slow_run(*args, **kwargs):
+        builds.append(args)
+        time.sleep(0.2)  # holds the first caller inside the build
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", slow_run)
+    params, specs = ModelParams(0.5, 0.25, 0.75), [RngStreamSpec(6, i) for i in range(9)]
+    barrier, results = threading.Barrier(2), [None, None]
+
+    def first_call(i):
+        barrier.wait(timeout=30)
+        results[i] = walk_checkpoints_batch(params, [3, 77], specs, threads=1)
+
+    workers = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    assert not any(w.is_alive() for w in workers)
+    assert len(builds) == 1
+    # One built library and no temporary file left behind.
+    assert [p.name[:12] for p in tmp_path.iterdir()] == ["walk_kernel-"]
+    ref = _reference_positions(params, 77, specs)[:, [3, 77]]
+    assert all(np.array_equal(r, ref) for r in results)
 
 
 def test_checkpoint_validation():

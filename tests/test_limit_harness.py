@@ -229,16 +229,15 @@ def test_qsl_single_path_matches_batch():
             assert single.value == batch[i]
 
 
-def test_qsl_batch_peak_memory_does_not_grow_with_n(monkeypatch):
-    # The reducer streams position tiles, so its traced peak at 16 chunks
-    # stays within 10% of its peak at 2 chunks.
-    monkeypatch.setattr(cp, "STEP_CHUNK", 256)
+def test_qsl_batch_peak_memory_does_not_grow_with_n():
+    # The reducer streams position tiles, so its traced peak over 64 tiles
+    # stays within 10% of its peak over 8.
     specs = [RngStreamSpec(3, i) for i in range(1024)]
     peaks = []
-    for chunks in (2, 16):
+    for tiles in (8, 64):
         tracemalloc.start()
         try:
-            qsl_functional_batch(CRITICAL, chunks * 256, 2, specs, threads=1)
+            qsl_functional_batch(CRITICAL, tiles * cp._TILE_VALUES // len(specs), 2, specs, threads=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -256,26 +255,18 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n(monkeypatch):
     ),
     r=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**64 - 1),
-    replicas=st.integers(1, 6),
+    replicas=st.integers(1, 17),
     n=st.integers(3, 130),
-    step_chunk=st.sampled_from([8, 16, 40]),
-    budget=st.sampled_from([16, 64, 2**25]),
-    block=st.integers(1, 4),
-    fill_tile=st.sampled_from([1, 3, 256]),
-    position_tile=st.sampled_from([1, 2, 3, 7, cp._TILE_VALUES]),
+    block=st.sampled_from([1, 3, 8, 9, cp.REPLICA_BLOCK]),
+    position_tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
     threads=st.sampled_from([1, 2]),
 )
-def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
-    s, qp, r, seed, replicas, n, step_chunk, budget, block, fill_tile, position_tile, threads
-):
+def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(s, qp, r, seed, replicas, n, block, position_tile, threads):
     params = ModelParams(s, *qp)
     law = limit_law(params)
     specs = [RngStreamSpec(seed, i) for i in range(replicas)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "STEP_CHUNK", step_chunk)
-        mp.setattr(cp, "_CHUNK_BUDGET", budget)
         mp.setattr(cp, "REPLICA_BLOCK", block)
-        mp.setattr(cp, "FILL_TILE", fill_tile)
         mp.setattr(cp, "_TILE_VALUES", position_tile)
         values = qsl_functional_batch(params, n, r, specs, threads=threads)
     k = np.arange(law.first_step, n + 1, dtype=np.float64)
