@@ -26,6 +26,7 @@ from .core_process import (
 )
 from .exact_oracle import (
     ExactDistribution,
+    central_moments,
     conditional_moment_S,
     conditional_moment_eps,
     exact_covariance_S,
@@ -50,6 +51,7 @@ from .limit_harness import (
     asclt_measure_critical,
     asclt_measure_diffusive,
     covariance_grid,
+    exact_qsl_expectation,
     fclt_skeleton,
     fclt_skeletons_batch,
     limit_law,

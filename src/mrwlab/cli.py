@@ -394,6 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError, _KernelBuildError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("configuration error: the run does not fit in memory; lower --replicas or --n", file=sys.stderr)
+        return EXIT_CONFIG
     text = emitter.render_json() if args.out == "json" else emitter.render_csv()
     try:
         if args.out_path == "-":

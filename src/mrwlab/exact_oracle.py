@@ -4,8 +4,9 @@ The one-step law depends on the past only through (m, S_m), so the full
 distribution of S_n follows from a forward dynamic program over (step,
 count) states in O(n^2). The same collapse applies to the urn with the
 draw-then-respond mixture written literally, giving an independent route to
-what must be the identical law. Mean and raw moments follow O(n) recursions
-and serve as oracles at horizons far beyond the DP bound.
+what must be the identical law. Beyond the DP bound, central_moments gives
+E[S_m] and the central moments of S_m for every m <= n in O(order^2 n),
+without differences of raw moments of size n^j.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "urn_walk_equivalence_check",
     "exact_mean_recursion",
     "exact_mean_checkpoints",
+    "central_moments",
     "moment_recursion",
     "conditional_moment_S",
     "conditional_moment_eps",
@@ -160,33 +162,68 @@ def exact_mean_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> n
     return (params.s - params.q + params.q * seqs["A"]) / seqs["a"]
 
 
-def moment_recursion(params: ModelParams, n: int, order: int) -> np.ndarray:
-    """Raw moments E[S_m^j] for j = 0..order, m = 0..n; shape (order+1, n+1).
+def _affine_recurrence(G: np.ndarray, b: np.ndarray, x1: float) -> np.ndarray:
+    """x_1 = x1, x_{m+1} = G_m x_m + b_m for m = 1..len(G), by a cumulative product and sum.
 
-    One application of the conditional expansion (with X^k = X for binary
-    steps) per step:
+    The steps up to the last G_m <= 0, where the product would vanish or
+    change sign, are taken one at a time.
+    """
+    x = np.empty(len(G) + 1)
+    x[0] = x1
+    start = max(np.flatnonzero(G <= 0.0), default=-1) + 1
+    for i in range(start):
+        x[i + 1] = G[i] * x[i] + b[i]
+    P = np.cumprod(G[start:])
+    x[start + 1 :] = P * (x[start] + np.cumsum(b[start:] / P))
+    return x
 
-        E[S_{m+1}^j] = E[S_m^j] + q * sum_{i<j} C(j,i) E[S_m^i]
-                                + (alpha/m) * sum_{i<j} C(j,i) E[S_m^{i+1}]
+
+def central_moments(params: ModelParams, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, central): E[S_m] and E[(S_m - E[S_m])^j] for m = 0..n, j = 0..order.
+
+    Shapes (n+1,) and (order+1, n+1); column 0 is S_0 = 0. With D_m = S_m -
+    E[S_m], pibar = q + h E[S_m] and h = alpha/m, D_{m+1} = D_m + X_{m+1} -
+    pibar is D_m + u (u = 1 - pibar) with probability pibar + h D_m, else
+    D_m - pibar. So E[D_{m+1}^j] = sum_i [C(j,i) c_{j-i} + h C(j,i-1)
+    w_{j-i+1}] E[D_m^i] over i <= j, where c_t = pibar u^t + u (-pibar)^t
+    (the central moments of a Bernoulli(pibar) step) and w_t = u^t -
+    (-pibar)^t: each order is an affine recurrence in m with factor 1 + j h,
+    driven by the lower orders. The mean has factor 1 + h and input q, so
+    nothing needs the weight sequence a_n, and alpha = -1 works.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    binom = np.zeros((order + 1, order + 1))
+    q, s = params.q, params.s
+    h = params.alpha / np.arange(1, n, dtype=np.float64)
+    mean = np.zeros(n + 1)
+    mean[1:] = _affine_recurrence(1.0 + h, np.full(n - 1, q), s)
+    pibar = q + h * mean[1:n]
+    u, t = 1.0 - pibar, np.arange(order + 1)[:, None]
+    up, down = u**t, (-pibar) ** t
+    c, w = pibar * up + u * down, up - down
+    central = np.zeros((order + 1, n + 1))
+    central[0] = 1.0
+    for j in range(2, order + 1):
+        b = c[j] + sum(
+            (math.comb(j, i) * c[j - i] + h * math.comb(j, i - 1) * w[j - i + 1]) * central[i, 1:n]
+            for i in range(2, j)
+        )
+        central[j, 1:] = _affine_recurrence(1.0 + j * h, b, s * (1 - s) ** j + (1 - s) * (-s) ** j)
+    return mean, central
+
+
+def moment_recursion(params: ModelParams, n: int, order: int) -> np.ndarray:
+    """Raw moments E[S_m^j] for j = 0..order, m = 0..n; shape (order+1, n+1).
+
+    Reassembled from central_moments by the binomial sum
+    E[S_m^j] = sum_i C(j,i) E[S_m]^(j-i) E[(S_m - E[S_m])^i].
+    """
+    mean, central = central_moments(params, n, order)
+    mom = np.empty_like(central)
     for j in range(order + 1):
-        for i in range(j + 1):
-            binom[j, i] = math.comb(j, i)
-    mom = np.zeros((order + 1, n + 1), dtype=np.float64)
-    mom[0, :] = 1.0
-    mom[1:, 1] = params.s
-    q, alpha = params.q, params.alpha
-    for m in range(1, n):
-        prev = mom[:, m]
-        cur = mom[:, m + 1]
-        for j in range(order, 0, -1):
-            c = binom[j, :j]
-            cur[j] = prev[j] + q * float(c @ prev[:j]) + (alpha / m) * float(c @ prev[1 : j + 1])
+        mom[j] = sum(math.comb(j, i) * mean ** (j - i) * central[i] for i in range(j + 1))
     return mom
 
 
@@ -246,13 +283,11 @@ def two_point_moment_eps(params: ModelParams, n: int, s_state: float, k: int) ->
 def exact_covariance_S(params: ModelParams, m: int, big_m: int) -> float:
     """Exact Cov(S_m, S_M) for m <= M.
 
-    Conditioning on step m gives E[S_M | F_m] = (a_m/a_M) S_m + const, so
-    the covariance is (a_m/a_M) Var(S_m), with Var(S_m) from the moment
-    recursion.
+    Conditioning on step k >= m gives E[S_{k+1} | F_k] = (1 + alpha/k) S_k + q,
+    so the covariance is prod_{m<=k<M} (1 + alpha/k) times Var(S_m), the
+    latter read from central_moments. Works at alpha = -1.
     """
     if not (1 <= m <= big_m):
         raise ValueError("need 1 <= m <= M")
-    mom = moment_recursion(params, m, 2)
-    var_m = mom[2, m] - mom[1, m] ** 2
-    a = sequence_checkpoints(params, sorted({m, big_m}))["a"]
-    return float(a[0] / a[-1] * var_m)
+    var_m = central_moments(params, m, 2)[1][2, m]
+    return float(np.prod(1.0 + params.alpha / np.arange(m, big_m, dtype=np.float64)) * var_m)

@@ -44,6 +44,7 @@ from .core_process import (
     classify_regime,
     walk_checkpoints_batch,
 )
+from .exact_oracle import central_moments
 from .martingale_sequences import sigma_squared
 from .urn_spectral import (
     theoretical_covariance_critical,
@@ -66,6 +67,7 @@ __all__ = [
     "qsl_functional",
     "qsl_functional_batch",
     "qsl_target",
+    "exact_qsl_expectation",
     "fclt_skeleton",
     "fclt_skeletons_batch",
     "skeleton_steps",
@@ -285,6 +287,21 @@ def qsl_target(params: ModelParams, r: int, regime: Regime) -> float:
     """
     _require(params, regime, "the even-moment limit")
     return limit_law(params).moment(r)
+
+
+def exact_qsl_expectation(params: ModelParams, n: int, r: int) -> float:
+    """The exact finite-n expectation of qsl_functional_batch's value.
+
+    The LimitLaw's point is affine in S_k with slope sqrt(weight), so
+    E[point^(2r)] expands about the point at E[S_k] with the central moments
+    of S_k from central_moments.
+    """
+    law = limit_law(params)
+    mean, central = central_moments(params, n, 2 * r)
+    point, weight = law.measure(np.arange(law.first_step, n + 1, dtype=np.float64), mean[law.first_step :])
+    slope, central = np.sqrt(weight), central[:, law.first_step :]
+    moment = sum(math.comb(2 * r, i) * point ** (2 * r - i) * slope**i * central[i] for i in range(2 * r + 1))
+    return float(np.sum(weight * moment) / law.normalizer(n))
 
 
 def qsl_functional(params: ModelParams, n: int, r: int, rng: RngStreamSpec) -> MomentFunctionalResult:

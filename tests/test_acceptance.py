@@ -23,12 +23,14 @@ from mrwlab import (
     asclt_measure_critical,
     asclt_measure_diffusive,
     build_sequences,
+    central_moments,
     conditional_moment_S,
     conditional_moment_eps,
     covariance_grid,
     exact_distribution,
     exact_mean_recursion,
-    moment_recursion,
+    exact_qsl_expectation,
+    limit_law,
     qsl_functional_batch,
     qsl_target,
     sequence_checkpoints,
@@ -159,7 +161,7 @@ def test_criterion_05_diffusive_clt_variance():
 
     The statistic is centered at the limiting frequency q/(1-alpha) = 1/2.
     Variance within 3% of 0.25, KS to N(0, 0.25) <= 0.02, and the exact DP
-    variance agrees with the moment recursion to 1e-10 (deterministic).
+    variance agrees with central_moments to 1e-10 (deterministic).
     """
     params = ModelParams(s=0.5, q=0.5, p=0.5)
     n, reps = 10**4, 10**5
@@ -172,8 +174,7 @@ def test_criterion_05_diffusive_clt_variance():
     ks_ok = ks <= 0.02
     dist = exact_distribution(params, n)
     dp_var = dist.variance() / n
-    mom = moment_recursion(params, n, 2)
-    rec_var = (mom[2, n] - mom[1, n] ** 2) / n
+    rec_var = central_moments(params, n, 2)[1][2, n] / n
     cross_dev = abs(dp_var - rec_var) / rec_var
     cross_ok = cross_dev <= 1e-10
     ok = var_ok and ks_ok and cross_ok
@@ -254,15 +255,13 @@ def test_criterion_08_asclt():
         factors.append(var / sample.target_variance)
     factors = np.array(factors)
     frac_crit = float(np.mean((factors >= 0.5) & (factors <= 2.0)))
-    # Exact finite-n expectation of the weighted second moment about 2q,
-    # with the measure's own weights 1/(k log k), k = 2..n.
+    # Exact finite-n expectation of the weighted second moment about 2q: the
+    # r = 1 functional, renormalized from log log n to the measure's own mass
+    # sum 1/(k log k), k = 2..n.
     n = 10**6
-    mom = moment_recursion(crit_params, n, 2)
     k = np.arange(2, n + 1, dtype=np.float64)
-    c = 2.0 * crit_params.q
-    sq_dev = (mom[2, 2:] - 2 * c * k * mom[1, 2:] + (c * k) ** 2) / k**2
-    w = 1.0 / (k * np.log(k))
-    exact_m2 = float(np.sum(w * k / np.log(k) * sq_dev) / np.sum(w))
+    mass = float(np.sum(1.0 / (k * np.log(k))))
+    exact_m2 = exact_qsl_expectation(crit_params, n, 1) * limit_law(crit_params).normalizer(n) / mass
     limit = 4 * crit_params.q * (1 - crit_params.p)
 
     ok = frac_diff >= 0.90 and median_decreasing and frac_crit >= 0.90
@@ -276,32 +275,11 @@ def test_criterion_08_asclt():
     assert ok
 
 
-def _exact_qsl_expectation(params: ModelParams, n: int, r: int) -> float:
-    """E[functional] from exact raw moments; r = 1 or 2."""
-    mom = moment_recursion(params, n, 2 * r)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    c = params.q / (1 - params.alpha)
-    if r == 1:
-        dev = (mom[2, 1:] - 2 * c * k * mom[1, 1:] + (c * k) ** 2) / k**2
-    else:
-        dev = (
-            mom[4, 1:]
-            - 4 * c * k * mom[3, 1:]
-            + 6 * (c * k) ** 2 * mom[2, 1:]
-            - 4 * (c * k) ** 3 * mom[1, 1:]
-            + (c * k) ** 4
-        ) / k**4
-    if params.alpha == 0.5:
-        terms = k[1:] ** (r - 1) * np.log(k[1:]) ** (-(r + 1)) * dev[1:]
-        return float(terms.sum() / math.log(math.log(n)))
-    return float((k ** (r - 1) * dev).sum() / math.log(n))
-
-
 def test_criterion_09_qsl_even_moments():
     """Mean functional over 200 paths at n = 10^5 vs the limit constants.
 
     Diffusive r = 1, 2 within 10%; critical r = 1 within 25%. The exact
-    finite-n expectation of each functional (from the moment recursion) is
+    finite-n expectation of each functional (exact_qsl_expectation) is
     printed next to the Monte Carlo mean: where the criterion fails, that
     number shows how far the finite-n target itself sits from the limit.
     """
@@ -313,7 +291,7 @@ def test_criterion_09_qsl_even_moments():
     for r, tol in ((1, 0.10), (2, 0.10)):
         values = qsl_functional_batch(diff_params, n, r, specs)
         target = qsl_target(diff_params, r, Regime.DIFFUSIVE)
-        exact = _exact_qsl_expectation(diff_params, n, r)
+        exact = exact_qsl_expectation(diff_params, n, r)
         dev = abs(values.mean() - target) / target
         good = dev <= tol
         ok = ok and good
@@ -325,7 +303,7 @@ def test_criterion_09_qsl_even_moments():
     crit_params = ModelParams(s=0.5, q=0.25, p=0.75)
     values = qsl_functional_batch(crit_params, n, 1, specs)
     target = qsl_target(crit_params, 1, Regime.CRITICAL)
-    exact = _exact_qsl_expectation(crit_params, n, 1)
+    exact = exact_qsl_expectation(crit_params, n, 1)
     dev = abs(values.mean() - target) / target
     good = dev <= 0.25
     ok = ok and good

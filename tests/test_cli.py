@@ -1,6 +1,10 @@
 import json
+import resource
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,15 @@ def test_missing_compiler_exits_with_config_error(tmp_path, monkeypatch, capsys)
     assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "`cc`" in err and "Traceback" not in err
+
+
+def test_run_beyond_memory_exits_with_config_error():
+    # 5e7 replicas cannot be set up in a 512 MB address space, set in the child only.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    argv = [sys.executable, "-m", "mrwlab.cli", "simulate", "--n", "10", "--replicas", "50000000"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, preexec_fn=limit,
+                          env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == EXIT_CONFIG and done.stdout == "", done.stderr
+    assert "does not fit in memory" in done.stderr and "Traceback" not in done.stderr

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from mrwlab import (
     ModelParams,
     RngStreamSpec,
     build_sequences,
+    central_moments,
     conditional_moment_S,
     conditional_moment_eps,
     exact_covariance_S,
@@ -141,14 +144,38 @@ def test_moment_recursion_first_column():
     assert np.allclose(mom[1:, 1], params.s, rtol=1e-15)
 
 
-def test_moment_recursion_against_dp():
-    params = ModelParams(s=0.4, q=0.3, p=0.7)
+# alpha = -1; alpha = -1/2, whose first variance factor 1 + 2 alpha/m is 0;
+# the decimal critical point (float alpha 0.49999999999999994); p = 1; alpha = 0.8.
+BOUNDARY_PAIRS = [(1.0, 0.0), (0.75, 0.25), (0.2, 0.7), (0.3, 1.0), (0.1, 0.9)]
+
+
+@pytest.mark.parametrize("q,p", [(0.3, 0.7), *BOUNDARY_PAIRS])
+def test_moment_recursion_against_dp(q, p):
+    params = ModelParams(s=0.4, q=q, p=p)
     n = 200
-    mom = moment_recursion(params, n, 4)
+    mom = moment_recursion(params, n, 6)
     dist = exact_distribution(params, n)
-    for order in (1, 2, 3, 4):
+    for order in range(1, 7):
         dp_val = dist.moment(order)
         assert abs(mom[order, n] - dp_val) < 1e-10 * abs(dp_val)
+
+
+@pytest.mark.parametrize("q,p", [(0.25, 0.75), (0.6, 0.35), (0.95, 0.0), *BOUNDARY_PAIRS])
+def test_central_moments_against_exact_rationals(q, p):
+    # The DP in rationals, the parameters read as decimals. Order j is held to
+    # 1e-12 of Var^(j/2), at most the moment itself for even j; odd moments may vanish.
+    n, (s_, q_, p_) = 150, (Fraction(repr(x)) for x in (0.4, q, p))
+    law = [1 - s_, s_]
+    for m in range(1, n):
+        moved = [x * (q_ + (p_ - q_) * j / m) for j, x in enumerate(law)]
+        law = [x - out + into for x, out, into in zip(law + [0], moved + [0], [0] + moved)]
+    mu = sum(j * x for j, x in enumerate(law))
+    exact = [float(sum((j - mu) ** order * x for j, x in enumerate(law))) for order in range(7)]
+    mean, central = central_moments(ModelParams(s=0.4, q=q, p=p), n, 6)
+    assert abs(mean[n] - float(mu)) <= 1e-12 * float(mu)
+    assert central[0, n] == 1.0 and central[1, n] == 0.0
+    for order in range(2, 7):
+        assert abs(central[order, n] - exact[order]) <= 1e-12 * exact[2] ** (order / 2)
 
 
 def test_moment_recursion_agrees_with_mean_recursion():
@@ -256,7 +283,11 @@ def brute_force_cov(params: ModelParams, m: int, big_m: int) -> float:
     return e_mM - e_m * e_M
 
 
-@pytest.mark.parametrize("q,p,m,M", [(0.3, 0.8, 4, 9), (0.25, 0.75, 1, 8), (0.5, 0.5, 5, 10)])
+@pytest.mark.parametrize(
+    "q,p,m,M",
+    [(0.3, 0.8, 4, 9), (0.25, 0.75, 1, 8), (0.5, 0.5, 5, 10), (1.0, 0.0, 3, 9), (1.0, 0.0, 1, 6),
+     (0.75, 0.25, 3, 8), (0.2, 0.7, 4, 10), (0.3, 1.0, 2, 9), (0.1, 0.9, 5, 10)],
+)
 def test_covariance_matches_enumeration(q, p, m, M):
     params = ModelParams(s=0.4, q=q, p=p)
     exact = exact_covariance_S(params, m, M)

@@ -20,11 +20,12 @@ from mrwlab import (
     asclt_measure_diffusive,
     classify_regime,
     covariance_grid,
+    exact_distribution,
     exact_mean_recursion,
+    exact_qsl_expectation,
     fclt_skeleton,
     fclt_skeletons_batch,
     limit_law,
-    moment_recursion,
     qsl_functional,
     qsl_functional_batch,
     qsl_target,
@@ -298,16 +299,23 @@ def test_qsl_targets():
         qsl_target(ModelParams(0.5, 0.5, 0.5), 1, Regime.CRITICAL)
 
 
-def exact_qsl_expectation(params: ModelParams, n: int, r: int) -> float:
-    """E[functional] from the exact moment recursion, r = 1 only."""
-    mom = moment_recursion(params, n, 2)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    c = params.q / (1 - params.alpha)
-    sq_dev = (mom[2, 1:] - 2 * c * k * mom[1, 1:] + c**2 * k**2) / k**2
-    if params.alpha == 0.5:
-        terms = sq_dev[1:] / np.log(k[1:]) ** 2
-        return float(terms.sum() / math.log(math.log(n)))
-    return float(sq_dev.sum() / math.log(n))
+@pytest.mark.parametrize("r", [1, 2])
+def test_exact_qsl_expectation_follows_the_law_not_the_float_alpha(r):
+    # At (0.2, 0.7) the float p - q is 0.49999999999999994, yet the law is
+    # critical: weights 1/(k log k) from k = 2, centre 2q, normalizer log log n.
+    params = ModelParams(s=0.5, q=0.2, p=0.7)
+    n = 100
+    moments = {
+        k: float(np.dot((np.arange(k + 1) / k - 0.4) ** (2 * r), exact_distribution(params, k).probs))
+        for k in range(1, n + 1)
+    }
+    critical = sum(k ** (r - 1) * math.log(k) ** -(r + 1) * moments[k] for k in range(2, n + 1))
+    critical /= math.log(math.log(n))
+    value = exact_qsl_expectation(params, n, r)
+    assert abs(value - critical) <= 1e-12 * critical
+    # A float test alpha == 0.5 would have picked the diffusive weights and normalizer.
+    diffusive = sum(k ** (r - 1) * moments[k] for k in range(1, n + 1)) / math.log(n)
+    assert abs(value - diffusive) > 0.1 * critical
 
 
 @pytest.mark.parametrize("params", [DIFFUSIVE, CRITICAL], ids=["diffusive", "critical"])
