@@ -112,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism",
         choices=("direct", "lookup"),
         default="direct",
-        help="stepping mechanism for --trajectory output",
+        help="stepping mechanism for --trajectory: direct reads the stream of replica 0, lookup draws past indices",
     )
     sp.add_argument(
         "--trajectory",
         action="store_true",
-        help="emit the full (k, S_k) path of replica 0 instead of final positions",
+        help="emit the full (k, S_k) path of replica 0 instead of final positions (needs --replicas 1)",
     )
 
     sp = subs.add_parser("exact", help="exact law of S_n by dynamic programming")
@@ -238,6 +238,8 @@ def _run_simulate(args, params, threads, emitter) -> None:
     if args.n < 1:
         raise ValueError("n must be at least 1")
     if args.trajectory:
+        if args.replicas != 1:
+            raise ValueError("--trajectory emits the path of replica 0 alone; it needs --replicas 1")
         path = simulate_walk(params, args.n, RngStreamSpec(args.seed, 0), mechanism=args.mechanism)
         emitter.table(("k", "S_k"), ((k, int(path.positions[k])) for k in range(args.n + 1)))
         emitter.results["final_position"] = int(path.positions[-1])

@@ -215,33 +215,30 @@ def simulate_walk(
 ) -> WalkPath:
     """Simulate one trajectory of length n.
 
-    mechanism="direct" draws one float64 uniform per step and thresholds it
-    against q + alpha * S_{m-1}/(m-1). mechanism="lookup" samples the past
-    index explicitly (one integer uniform on {1,...,m-1} plus one float64
+    mechanism="direct" reads the walk engine's stream of rng (one float32
+    uniform per step, see walk_position_chunks), so its positions equal
+    walk_positions_batch(params, n, [rng])[0]. mechanism="lookup" samples the
+    past index explicitly (one integer uniform on {1,...,m-1} plus one float64
     uniform per step) and responds to the looked-up step. The two mechanisms
     consume their streams differently and so produce different paths from
     the same spec, but identical distributions.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if mechanism == "direct":
+        positions = np.zeros(n + 1, dtype=np.int64)
+        for k, values in walk_position_chunks(params, n, rng):
+            positions[k : k + len(values)] = values
+        return WalkPath(steps=np.diff(positions).astype(np.uint8), positions=positions)
+    if mechanism != "lookup":
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     gen = rng.generator()
     steps = np.zeros(n, dtype=np.uint8)
     steps[0] = gen.random() < params.s
-    if mechanism == "direct":
-        alpha = params.alpha
-        s_cur = int(steps[0])
-        for m in range(1, n):
-            prob = params.q + alpha * s_cur / m
-            x = gen.random() < prob
-            steps[m] = x
-            s_cur += x
-    elif mechanism == "lookup":
-        for m in range(1, n):
-            k = int(gen.integers(0, m))  # uniform past index, 0-based
-            prob = params.p if steps[k] else params.q
-            steps[m] = gen.random() < prob
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+    for m in range(1, n):
+        k = int(gen.integers(0, m))  # uniform past index, 0-based
+        prob = params.p if steps[k] else params.q
+        steps[m] = gen.random() < prob
     positions = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(steps, out=positions[1:])
     return WalkPath(steps=steps, positions=positions)

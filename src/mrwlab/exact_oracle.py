@@ -67,8 +67,8 @@ class ExactDistribution:
         return float(np.dot(self.support() ** order, self.probs))
 
     def variance(self) -> float:
-        m = self.mean()
-        return self.moment(2) - m * m
+        """Sum of (j - mean)^2 P(S_n = j); moment(2) - mean^2 cancels terms of size n^2."""
+        return float(np.dot((self.support() - self.mean()) ** 2, self.probs))
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
@@ -76,10 +76,10 @@ class ExactDistribution:
 
 def _forward_dp(s: float, n: int, step_prob) -> np.ndarray:
     """Run the (step, count) DP; step_prob(m, j) is the move-up probability."""
+    if not (1 <= n <= DP_BOUND):
+        raise ValueError(f"n must lie in [1, {DP_BOUND}] for the exact DP")
     probs = np.zeros(n + 1, dtype=np.float64)
-    probs[0] = 1.0 - s
-    if n >= 1:
-        probs[1] = s
+    probs[0], probs[1] = 1.0 - s, s
     for m in range(1, n):
         j = np.arange(m + 1, dtype=np.float64)
         up = step_prob(m, j)
@@ -91,10 +91,8 @@ def _forward_dp(s: float, n: int, step_prob) -> np.ndarray:
     return probs
 
 
-def exact_distribution(params: ModelParams, n: int, dp_bound: int = DP_BOUND) -> ExactDistribution:
+def exact_distribution(params: ModelParams, n: int) -> ExactDistribution:
     """Exact law of S_n via the conditional one-step form q + alpha*j/m."""
-    if not (1 <= n <= dp_bound):
-        raise ValueError(f"n must lie in [1, {dp_bound}] for the exact DP")
     q, alpha = params.q, params.alpha
 
     def step_prob(m, j):
@@ -103,7 +101,7 @@ def exact_distribution(params: ModelParams, n: int, dp_bound: int = DP_BOUND) ->
     return ExactDistribution(n=n, probs=_forward_dp(params.s, n, step_prob))
 
 
-def exact_urn_distribution(params: ModelParams, n: int, dp_bound: int = DP_BOUND) -> ExactDistribution:
+def exact_urn_distribution(params: ModelParams, n: int) -> ExactDistribution:
     """Exact law of the blue count via the urn's literal draw/respond mixture.
 
     The move-up probability is written as (j/m)*p + (1-j/m)*q: draw blue
@@ -111,8 +109,6 @@ def exact_urn_distribution(params: ModelParams, n: int, dp_bound: int = DP_BOUND
     probability q. Deliberately not simplified, so this is an independent
     computation of the law that exact_distribution produces.
     """
-    if not (1 <= n <= dp_bound):
-        raise ValueError(f"n must lie in [1, {dp_bound}] for the exact DP")
     q, p = params.q, params.p
 
     def step_prob(m, j):

@@ -82,6 +82,9 @@ RAW_POINT_LIMIT = 10**6
 HISTOGRAM_BINS = 10_000
 HISTOGRAM_SPAN_SDS = 8.0
 
+# Replica-index batches behind covariance_grid's standard errors.
+COVARIANCE_BATCHES = 20
+
 DEFAULT_GRID_DIFFUSIVE = (0.25, 0.5, 0.75, 1.0)
 DEFAULT_GRID_CRITICAL = (0.5, 0.75, 1.0)
 
@@ -437,12 +440,11 @@ def covariance_grid(
     replicas: int,
     rng: RngStreamSpec,
     threads: int | None = None,
-    batches: int = 20,
 ) -> CovarianceEstimate:
     """Monte Carlo covariance matrix of skeleton values against the kernel.
 
-    Standard errors per cell come from batch means over contiguous
-    replica-index batches, so they are reproducible at any thread count.
+    Standard errors per cell come from the covariances of COVARIANCE_BATCHES
+    (20) contiguous replica-index batches, reproducible at any thread count.
     """
     if replicas < 1000:
         raise ValueError("covariance estimation needs at least 1000 replicas")
@@ -454,14 +456,14 @@ def covariance_grid(
     centered = values - values.mean(axis=0, keepdims=True)
     empirical = centered.T @ centered / (replicas - 1)
     theoretical = np.array([[law.kernel(params, min(s, t), max(s, t)) for t in times] for s in times])
-    bounds = np.linspace(0, replicas, batches + 1, dtype=np.int64)
+    bounds = np.linspace(0, replicas, COVARIANCE_BATCHES + 1, dtype=np.int64)
     batch_vals = []
-    for b in range(batches):
+    for b in range(COVARIANCE_BATCHES):
         part = values[bounds[b] : bounds[b + 1]]
         pc = part - part.mean(axis=0, keepdims=True)
         batch_vals.append(pc.T @ pc / (len(part) - 1))
     batch_vals = np.array(batch_vals)
-    standard_errors = batch_vals.std(axis=0, ddof=1) / math.sqrt(batches)
+    standard_errors = batch_vals.std(axis=0, ddof=1) / math.sqrt(COVARIANCE_BATCHES)
     return CovarianceEstimate(
         grid=times, empirical=empirical, theoretical=theoretical,
         standard_errors=standard_errors, n=n, replicas=replicas,

@@ -168,6 +168,21 @@ def test_nonpositive_threads_exit(capsys, threads):
     assert "--threads must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicas", ["2", "5"])
+def test_trajectory_rejects_more_than_one_replica(tmp_path, capsys, replicas):
+    rc, out = run_to_file(tmp_path, "traj.csv", ["simulate", "--n", "3", "--trajectory", "--replicas", replicas])
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert "--trajectory" in capsys.readouterr().err
+
+
+def test_trajectory_is_replica_zero_of_the_simulate_stream(tmp_path):
+    argv = ["simulate", "--n", "5000", "--q", "0.25", "--p", "0.75"]
+    _, traj = run_to_file(tmp_path, "traj.csv", argv + ["--trajectory"])
+    _, finals = run_to_file(tmp_path, "finals.csv", argv + ["--replicas", "1"])
+    assert traj.read_text().splitlines()[-1] == "5000,2563"
+    assert finals.read_text().splitlines()[-1] == "0,2563"
+
+
 @pytest.mark.parametrize("points", ["1", "0", "-3"])
 def test_sequences_rejects_fewer_than_two_points(capsys, points):
     assert main(["sequences", "--n", "1000", "--points", points]) == EXIT_CONFIG

@@ -338,9 +338,11 @@ def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, position_til
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_TILE_VALUES", position_tile)
         chunks = list(walk_position_chunks(params, n, spec))
+        path = simulate_walk(params, n, spec)
     assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
     assert [k for k, _ in chunks] == list(np.cumsum([1] + [len(v) for _, v in chunks[:-1]]))
     assert np.array_equal(np.concatenate([v for _, v in chunks]), ref)
+    assert np.array_equal(path.positions[1:], ref) and np.array_equal(path.steps, np.diff(path.positions))
 
 
 def test_positions_beyond_physical_memory_are_refused():

@@ -81,6 +81,13 @@ def test_distribution_summaries():
     assert np.all(np.diff(cdf) >= -1e-15)
 
 
+def test_dp_variance_is_a_central_sum():
+    # moment(2) - mean^2 cancels two numbers of size n^2 and lands 6e-12 away.
+    params, n = ModelParams(s=0.5, q=0.5, p=0.5), DP_BOUND
+    central = central_moments(params, n, 2)[1][2, n]
+    assert abs(exact_distribution(params, n).variance() / central - 1.0) < 1e-13
+
+
 @pytest.mark.parametrize("q,p", [(0.25, 0.25), (0.5, 0.5), (0.25, 0.75), (0.75, 0.25), (0.3, 1.0), (1.0, 0.0)])
 def test_urn_walk_equivalence(q, p):
     params = ModelParams(s=0.4, q=q, p=p)

@@ -56,6 +56,7 @@ CLI_RUNS = {
     "simulate": ["simulate", "--n", "200", "--replicas", "20", *_T1],
     "simulate-critical-json": ["simulate", "--n", "200", "--replicas", "20", *_CRIT, *_JSON, *_T2],
     "simulate-trajectory": ["simulate", "--n", "50", "--trajectory", "--mechanism", "lookup"],
+    "simulate-trajectory-direct": ["simulate", "--n", "50", "--trajectory"],
     "simulate-alpha-minus-one": ["simulate", "--n", "100", "--replicas", "3", "--q", "1", "--p", "0"],
     "exact-critical": ["exact", "--n", "30", *_CRIT_EXACT],
     "exact-p-one-json": ["exact", "--n", "30", *_P_ONE, *_JSON],
@@ -166,9 +167,10 @@ DIGESTS = {
     "cli:simulate": "fdd352f2af18a028a658a0df15af47b8dfac8331bd80322ecb5f091fc2a4f8b8",
     "cli:simulate-critical-json": "477e42f55dfb0d6e9dcd375836023a81aac6c7f2e88716b7598720b9f0210fb5",
     "cli:simulate-trajectory": "f74b59f8e5dbcbbf1b56eee4e0b73011df4b6e6895abae79e2ddb41d6c056100",
+    "cli:simulate-trajectory-direct": "e57ba8b38147be96d4569af17cb2372550147c4ec56c3bc78f50b815c1fcc096",
     "cli:simulate-alpha-minus-one": "b0e950e824d431ca281337588f767834d3c5c43e415f49ed479300545b2c3637",
-    "cli:exact-critical": "3eb6490348cb550c9f2a7e795430abc35af6896cc4554359e04c9c26aa362bd6",
-    "cli:exact-p-one-json": "ef057fac789b99e1cb0b31915dc5063e71632543391130dd83be60adfc7d4df9",
+    "cli:exact-critical": "3c36754931c9bd5c82a0aeef086a9994db19d1e7d40968392a5679675e9a5247",
+    "cli:exact-p-one-json": "c16673570785bb8dc7b8a3e8e9eacfc782d647c7049c4f8e57d1ae688a9b351d",
     "cli:asclt": "d1053410da1e23e5adeba0087109c39307e290839309459d41830609957f4ffb",
     "cli:asclt-critical-json": "cd2a2e636fecdcc60a53fdf8707e602f5cfcbb04d504cc028dfe05a3b228ea28",
     "cli:asclt-p-one": "aa57ef8241cb110a18a88ee8783acec4de871327ec0f4ffe6ed26bc6189b05ba",
