@@ -13,6 +13,7 @@ from .core_process import (
     ModelParams,
     Regime,
     RegimeError,
+    ReplicaRange,
     RngStreamSpec,
     UrnPath,
     UrnState,

@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism",
         choices=("direct", "lookup"),
         default="direct",
-        help="stepping mechanism for --trajectory: direct reads the stream of replica 0, lookup draws past indices",
+        help="stepping mechanism of the --trajectory path: direct reads the stream of replica 0, "
+        "lookup draws past indices (lookup needs --trajectory)",
     )
     sp.add_argument(
         "--trajectory",
@@ -244,7 +245,9 @@ def _run_simulate(args, params, threads, emitter) -> None:
         emitter.table(("k", "S_k"), ((k, int(path.positions[k])) for k in range(args.n + 1)))
         emitter.results["final_position"] = int(path.positions[-1])
         return
-    specs = [RngStreamSpec(args.seed, i) for i in range(args.replicas)]
+    if args.mechanism != "direct":
+        raise ValueError(f"--mechanism {args.mechanism} needs --trajectory; final positions read the direct engine stream")
+    specs = RngStreamSpec(args.seed).replicas(args.replicas)
     finals = walk_checkpoints_batch(params, [args.n], specs, threads=threads)[:, 0]
     emitter.table(("replica", "S_n"), ((i, int(v)) for i, v in enumerate(finals)))
     emitter.results["mean"] = float(finals.mean())
@@ -284,8 +287,7 @@ def _run_asclt(args, params, threads, emitter) -> None:
 
 
 def _run_qsl(args, params, threads, emitter) -> None:
-    rng = RngStreamSpec(args.seed)
-    specs = [rng.replica(i) for i in range(args.replicas)]
+    specs = RngStreamSpec(args.seed).replicas(args.replicas)
     values = qsl_functional_batch(params, args.n, args.r_order, specs, threads=threads)
     emitter.table(("replica", "value"), ((i, float(v)) for i, v in enumerate(values)))
     emitter.results["target"] = limit_law(params).moment(args.r_order)
@@ -310,8 +312,7 @@ def _run_fclt(args, params, threads, emitter) -> None:
         else:  # the kernel vanishes (p = 1), so only the absolute error is meaningful
             emitter.results["max_absolute_error"] = float(err.max())
     else:
-        specs = [rng.replica(i) for i in range(args.replicas)]
-        skel = fclt_skeletons_batch(params, args.n, grid, specs, threads=threads)
+        skel = fclt_skeletons_batch(params, args.n, grid, rng.replicas(args.replicas), threads=threads)
         rows = ((i, t, v) for i, values in enumerate(skel.values) for t, v in zip(skel.grid, values))
         emitter.table(("replica", "t", "value"), rows)
         emitter.results["replicas"] = args.replicas

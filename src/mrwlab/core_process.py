@@ -40,6 +40,7 @@ __all__ = [
     "Regime",
     "RegimeError",
     "RngStreamSpec",
+    "ReplicaRange",
     "WalkPath",
     "UrnState",
     "UrnPath",
@@ -52,13 +53,9 @@ __all__ = [
     "default_threads",
 ]
 
-# Replica axes are processed in fixed blocks of this many replicas so that
-# results never depend on how blocks are scheduled across threads. The block
-# size is a library constant, not a function of the thread count.
-REPLICA_BLOCK = 16384
-
 # Float64 positions per _position_tiles tile (tiles are at least 8 steps
-# tall), so that a tile and the reducers' temporaries of its shape stay in cache.
+# tall, and _replica_ranges keeps a range's 8-row tile within this), so that
+# a tile and the reducers' temporaries of its shape stay in cache.
 _TILE_VALUES = 1 << 16
 
 
@@ -123,9 +120,10 @@ class RngStreamSpec:
 
     Distinct replica indices give statistically independent streams, and the
     stream is a pure function of the two fields, so any (master seed,
-    replica) pair can be reproduced in isolation on any machine. The batch
-    engines read these same streams without a Generator per replica: the
-    compiled walk kernel computes each draw from the key and its counter.
+    replica) pair can be reproduced in isolation on any machine. Both fields
+    are unsigned 64-bit integers. The batch engines read these same streams
+    without a Generator per replica: the compiled walk kernel computes each
+    draw from the key and its counter.
     """
 
     master_seed: int
@@ -134,15 +132,39 @@ class RngStreamSpec:
     def __post_init__(self) -> None:
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.replica_index < 0:
-            raise ValueError("replica_index must be nonnegative")
+        if not (0 <= self.replica_index < 2**64):
+            raise ValueError("replica_index must be an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.replica_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def replica(self, index: int) -> "RngStreamSpec":
-        """Spec for another replica under the same master seed."""
+    def replicas(self, count: int) -> ReplicaRange:
+        """The specs of replicas replica_index .. replica_index + count - 1
+        under this master seed."""
+        if count < 0:
+            raise ValueError("the replica count must be nonnegative")
+        if self.replica_index + count > 2**64:
+            raise ValueError(f"replicas from {self.replica_index} on reach past replica_index 2**64 - 1")
+        return ReplicaRange(self.master_seed, range(self.replica_index, self.replica_index + count))
+
+
+@dataclass(frozen=True)
+class ReplicaRange(Sequence[RngStreamSpec]):
+    """The specs RngStreamSpec(master_seed, i) for i in indices, as built by
+    RngStreamSpec.replicas. Its slices are ReplicaRanges, and the engines key
+    its streams from the two fields without a spec object per replica."""
+
+    master_seed: int
+    indices: range
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        index = self.indices[i]
+        if isinstance(index, range):
+            return ReplicaRange(self.master_seed, index)
         return RngStreamSpec(self.master_seed, index)
 
 
@@ -359,9 +381,16 @@ def _load_kernel():
 
 def _stream_keys(specs: Sequence[RngStreamSpec]) -> np.ndarray:
     """The Philox keys (master_seed, replica_index) of specs, one row each.
-    Two flat passes, not a list of pairs: a third of the time and memory."""
-    return np.stack([np.fromiter((s.master_seed for s in specs), np.uint64, len(specs)),
-                     np.fromiter((s.replica_index for s in specs), np.uint64, len(specs))], axis=1)
+    A ReplicaRange fills its rows from its fields; any other sequence takes
+    two flat passes, not a list of pairs: a third of the time and memory."""
+    keys = np.empty((len(specs), 2), np.uint64)
+    if isinstance(specs, ReplicaRange):
+        r = specs.indices
+        keys[:, 0], keys[:, 1] = specs.master_seed, np.arange(r.start, r.stop, r.step, dtype=np.uint64)
+    else:
+        keys[:, 0] = np.fromiter((s.master_seed for s in specs), np.uint64, len(specs))
+        keys[:, 1] = np.fromiter((s.replica_index for s in specs), np.uint64, len(specs))
+    return keys
 
 
 def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps: int, out=None) -> None:
@@ -474,18 +503,30 @@ def walk_position_chunks(
         yield k, tile[:, 0]
 
 
-def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
-    """Run run_block(lo, hi) over fixed replica blocks, optionally threaded;
-    threads=None means default_threads().
+def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
+    """Split replicas 0 .. R-1 into contiguous ranges (lo, hi), as even as the
+    kernel's groups of 8 lanes allow: at least min(threads, ceil(R/8)) of
+    them, each a multiple of 8 wide but the last, and none wider than
+    _TILE_VALUES // 8, so that an 8-row position tile holds at most
+    _TILE_VALUES values."""
+    groups = -(-R // 8)
+    parts = max(min(threads, groups), -(-groups // (_TILE_VALUES // 64)))
+    bounds = [0] + [min(8 * (i * groups // parts), R) for i in range(1, parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
-    The block partition is a constant of the library (REPLICA_BLOCK), never a
-    function of the thread count, and each block writes to a disjoint output
-    slice, so results are identical for any thread count or schedule.
+
+def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
+    """Run run_block(lo, hi) over the ranges of _replica_ranges, on threads
+    workers; threads=None means default_threads().
+
+    A replica's values depend only on its stream key, and each range writes
+    to a disjoint output slice, so results are identical for any partition,
+    thread count or schedule.
     """
     if threads is None:
         threads = default_threads()
-    bounds = [(lo, min(lo + REPLICA_BLOCK, R)) for lo in range(0, R, REPLICA_BLOCK)]
-    if threads <= 1 or len(bounds) == 1:
+    bounds = _replica_ranges(R, threads)
+    if threads <= 1 or len(bounds) <= 1:
         for lo, hi in bounds:
             run_block(lo, hi)
         return

@@ -19,10 +19,12 @@ matrix. Four families of checks:
 * The superdiffusive almost-sure limit of n^(1-alpha)(S_n/n - q/(1-alpha)),
   with a coupled-stream Cauchy contraction check between horizons n and 2n.
 
-Every operation validates its regime by exact comparison of alpha with 1/2
-and derives all replica streams from RngStreamSpec, merging accumulators in
-replica-index order, so results are reproducible bit for bit at any thread
-count. threads=None runs the engines on default_threads() workers.
+Every operation validates its regime by exact comparison of alpha with 1/2.
+The many-replica harnesses read the streams rng.replicas(replicas) of an
+RngStreamSpec rng (replicas rng.replica_index onwards) or a given sequence of
+specs, and keep results in replica order; a replica's values depend only on
+its stream, so results are reproducible bit for bit at any thread count.
+threads=None runs the engines on default_threads() workers.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ def qsl_functional_batch(
     adds weight * (point^2)^r, that is k^(r-1) L(k)^-(r+1) (S_k/k -
     centre)^(2r), and the sum is divided by the law's normalizer. Each
     replica's terms are added one step at a time in step order, so a value
-    depends only on its stream, never on tiles, blocks or threads.
+    depends only on its stream, never on tiles, replica ranges or threads.
     Returns one value per spec, in spec order; horizons up to 10^8 are
     supported.
     """
@@ -441,7 +443,8 @@ def covariance_grid(
     rng: RngStreamSpec,
     threads: int | None = None,
 ) -> CovarianceEstimate:
-    """Monte Carlo covariance matrix of skeleton values against the kernel.
+    """Monte Carlo covariance matrix of skeleton values against the kernel,
+    over the replica streams rng.replicas(replicas).
 
     Standard errors per cell come from the covariances of COVARIANCE_BATCHES
     (20) contiguous replica-index batches, reproducible at any thread count.
@@ -449,8 +452,7 @@ def covariance_grid(
     if replicas < 1000:
         raise ValueError("covariance estimation needs at least 1000 replicas")
     law = limit_law(params)
-    specs = [rng.replica(i) for i in range(replicas)]
-    skel = fclt_skeletons_batch(params, n, grid, specs, threads=threads)
+    skel = fclt_skeletons_batch(params, n, grid, rng.replicas(replicas), threads=threads)
     values = skel.values
     times = skel.grid
     centered = values - values.mean(axis=0, keepdims=True)
@@ -493,9 +495,9 @@ def superdiffusive_limit(
 ) -> list[LimitEstimate]:
     """Samples of n^(1-alpha)(S_n/n - q/(1-alpha)) across horizons.
 
-    Each replica stream is simulated once through 2*max(n_list), recording
-    each horizon n and its double 2n, so the per-horizon statistics are
-    coupled pathwise. cauchy_rms is the across-replica RMS of the statistic
+    Each replica stream of rng.replicas(replicas) is simulated once through
+    2*max(n_list), recording each horizon n and its double 2n, so the
+    per-horizon statistics are coupled pathwise. cauchy_rms is the across-replica RMS of the statistic
     difference between 2n and n; almost sure convergence makes it shrink as
     n grows.
     """
@@ -509,8 +511,7 @@ def superdiffusive_limit(
     center = params.q / (1.0 - alpha)
     checkpoints = sorted(set(ns) | {2 * x for x in ns})
     col = {cp: i for i, cp in enumerate(checkpoints)}
-    specs = [rng.replica(i) for i in range(replicas)]
-    pos = walk_checkpoints_batch(params, checkpoints, specs, threads=threads)
+    pos = walk_checkpoints_batch(params, checkpoints, rng.replicas(replicas), threads=threads)
 
     def stat(n: int) -> np.ndarray:
         S = pos[:, col[n]]

@@ -175,6 +175,25 @@ def test_trajectory_rejects_more_than_one_replica(tmp_path, capsys, replicas):
     assert "--trajectory" in capsys.readouterr().err
 
 
+def test_lookup_mechanism_needs_trajectory(tmp_path, capsys):
+    # Final positions always read the direct engine stream, so lookup there would be mislabelled.
+    rc, out = run_to_file(tmp_path, "sim.csv", ["simulate", "--n", "10", "--replicas", "2", "--mechanism", "lookup"])
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert "--mechanism lookup needs --trajectory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replica", [str(2**64), str(2**70), "-1"])
+def test_asclt_replica_outside_64_bits_is_a_config_error(capsys, replica):
+    assert main(["asclt", "--n", "20", "--replica", replica]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "replica_index must be an unsigned 64-bit integer" in err and "C long" not in err
+
+
+def test_asclt_reads_the_last_64_bit_replica(tmp_path):
+    rc, _ = run_to_file(tmp_path, "asclt.csv", ["asclt", "--n", "20", "--replica", str(2**64 - 1)])
+    assert rc == EXIT_OK
+
+
 def test_trajectory_is_replica_zero_of_the_simulate_stream(tmp_path):
     argv = ["simulate", "--n", "5000", "--q", "0.25", "--p", "0.75"]
     _, traj = run_to_file(tmp_path, "traj.csv", argv + ["--trajectory"])

@@ -14,9 +14,11 @@ import mrwlab.core_process as cp
 from mrwlab import (
     ModelParams,
     Regime,
+    ReplicaRange,
     RngStreamSpec,
     classify_regime,
     exact_distribution,
+    qsl_functional_batch,
     simulate_urn,
     simulate_walk,
     total_variation,
@@ -198,6 +200,59 @@ def test_stream_spec_validation():
         RngStreamSpec(2**64)
     with pytest.raises(ValueError):
         RngStreamSpec(0, -2)
+    with pytest.raises(ValueError, match="replica_index"):
+        RngStreamSpec(0, 2**64)
+    RngStreamSpec(2**64 - 1, 2**64 - 1)
+
+
+def test_replica_range_bounds():
+    spec = RngStreamSpec(7, 2**64 - 3)
+    assert list(spec.replicas(3)) == [RngStreamSpec(7, 2**64 - 3 + i) for i in range(3)]
+    assert len(spec.replicas(0)) == 0
+    with pytest.raises(ValueError, match="2\\*\\*64 - 1"):
+        spec.replicas(4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RngStreamSpec(7).replicas(-1)
+
+
+def test_replica_range_is_a_sequence_of_specs():
+    specs = RngStreamSpec(4, 10).replicas(6)
+    assert specs[0] == RngStreamSpec(4, 10) and specs[-1] == RngStreamSpec(4, 15)
+    assert specs[2:4] == RngStreamSpec(4, 12).replicas(2)
+    assert isinstance(specs[::2], ReplicaRange) and list(specs[::-2]) == [RngStreamSpec(4, i) for i in (15, 13, 11)]
+    with pytest.raises(IndexError):
+        specs[6]
+    for part in (specs, specs[1:5], specs[::2], specs[::-3], specs[4:1]):
+        assert np.array_equal(cp._stream_keys(part), cp._stream_keys(list(part)))
+
+
+def _fixed_ranges(width):
+    """A stand-in for cp._replica_ranges: ranges of width replicas, whatever the thread count."""
+    return lambda R, threads: [(lo, min(lo + width, R)) for lo in range(0, R, width)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    R=st.one_of(st.integers(0, 100), st.integers(0, 3 * cp._TILE_VALUES // 8 + 9)),
+    threads=st.integers(1, 40),
+)
+def test_replica_ranges_split_by_lanes_and_threads(R, threads):
+    ranges = cp._replica_ranges(R, threads)
+    bounds = [lo for lo, _ in ranges] + [R]
+    assert ranges == list(zip(bounds, bounds[1:])) and bounds[0] == 0
+    assert all(lo < hi for lo, hi in ranges)
+    assert len(ranges) >= min(threads, -(-R // 8))
+    assert all(lo % 8 == 0 for lo, _ in ranges)
+    assert all(hi - lo <= cp._TILE_VALUES // 8 for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("specs", [[], RngStreamSpec(3, 5).replicas(0)], ids=["list", "range"])
+def test_zero_replicas_give_empty_results(specs):
+    assert cp._replica_ranges(0, 1) == cp._replica_ranges(0, 4) == []
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    assert walk_checkpoints_batch(params, [5], specs).shape == (0, 1)
+    assert walk_positions_batch(params, 5, specs).shape == (0, 6)
+    assert qsl_functional_batch(params, 10, 1, specs).shape == (0,)
 
 
 def test_stream_is_pure_function_of_key():
@@ -244,15 +299,15 @@ def test_block_partition_does_not_affect_results(monkeypatch):
     params = ModelParams(s=0.5, q=0.25, p=0.75)
     specs = [RngStreamSpec(9, i) for i in range(23)]
     base = walk_positions_batch(params, 200, specs)
-    monkeypatch.setattr(cp, "REPLICA_BLOCK", 5)
+    monkeypatch.setattr(cp, "_replica_ranges", _fixed_ranges(5))
     split = walk_positions_batch(params, 200, specs)
     assert np.array_equal(base, split)
 
 
-def test_thread_count_does_not_affect_results(monkeypatch):
+def test_thread_count_does_not_affect_results():
     params = ModelParams(s=0.5, q=0.25, p=0.75)
     specs = [RngStreamSpec(13, i) for i in range(40)]
-    monkeypatch.setattr(cp, "REPLICA_BLOCK", 8)
+    assert len(cp._replica_ranges(len(specs), 1)) == 1 and len(cp._replica_ranges(len(specs), 4)) == 4
     one = walk_checkpoints_batch(params, [50, 400], specs, threads=1)
     four = walk_checkpoints_batch(params, [50, 400], specs, threads=4)
     assert np.array_equal(one, four)
@@ -294,24 +349,34 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
     replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=17),
     n=st.integers(1, 130),
-    block=st.sampled_from([1, 3, 8, 9, cp.REPLICA_BLOCK]),
+    width=st.sampled_from([1, 3, 8, 9, 8192]),
     tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
     threads=st.sampled_from([1, 2]),
     data=st.data(),
 )
-def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, block, tile, threads, data):
+def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, width, tile, threads, data):
     # Up to 17 replicas leave the kernel's last group of 8 partial; small
     # position tiles split the walk into many kernel calls, and checkpoint
     # gaps start calls inside a Philox block of 8 draws.
     specs = [RngStreamSpec(seed, i) for i in replicas]
     if data.draw(st.booleans()):
+        # A ReplicaRange, or a slice of it, in place of a list: the engines
+        # key its streams from its fields, and give the bytes of its specs.
+        count = data.draw(st.integers(1, 17))
+        start = data.draw(st.one_of(st.integers(2**63 - 20, 2**63 + 20), st.just(2**64 - count)))
+        whole = RngStreamSpec(seed, start).replicas(count)
+        cut = data.draw(st.slices(count).filter(lambda cut: len(range(count)[cut]) > 0))
+        specs = whole[cut]
+        assert isinstance(specs, ReplicaRange)
+        assert list(specs) == [RngStreamSpec(seed, i) for i in range(start, start + count)[cut]]
+    if data.draw(st.booleans()):
         # s just above a drawn uniform: a float32 comparison would round s down onto it.
         s = float(specs[0].generator().random(dtype=np.float32)) + 2.0**-30
     params = ModelParams(s=s, q=q, p=p)
     cps = sorted(data.draw(st.sets(st.integers(1, n), max_size=6)) | {n})
-    ref = _reference_positions(params, n, specs)
+    ref = _reference_positions(params, n, list(specs))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "REPLICA_BLOCK", block)
+        mp.setattr(cp, "_replica_ranges", _fixed_ranges(width))
         mp.setattr(cp, "_TILE_VALUES", tile)
         pos = walk_positions_batch(params, n, specs, threads=threads)
         rec = walk_checkpoints_batch(params, cps, specs, threads=threads)

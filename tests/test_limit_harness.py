@@ -37,7 +37,7 @@ from mrwlab import (
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from test_core_process import _reference_positions, _unit
+from test_core_process import _fixed_ranges, _reference_positions, _unit
 
 DIFFUSIVE = ModelParams(s=0.5, q=0.5, p=0.5)
 CRITICAL = ModelParams(s=0.5, q=0.25, p=0.75)
@@ -256,22 +256,28 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n():
     ),
     r=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**64 - 1),
+    start=st.one_of(st.just(0), st.integers(2**63 - 20, 2**63 + 20)),
     replicas=st.integers(1, 17),
+    as_range=st.booleans(),
     n=st.integers(3, 130),
-    block=st.sampled_from([1, 3, 8, 9, cp.REPLICA_BLOCK]),
+    width=st.sampled_from([1, 3, 8, 9, 8192]),
     position_tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
     threads=st.sampled_from([1, 2]),
 )
-def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(s, qp, r, seed, replicas, n, block, position_tile, threads):
+def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
+    s, qp, r, seed, start, replicas, as_range, n, width, position_tile, threads
+):
     params = ModelParams(s, *qp)
     law = limit_law(params)
-    specs = [RngStreamSpec(seed, i) for i in range(replicas)]
+    specs = RngStreamSpec(seed, start).replicas(replicas)
+    if not as_range:
+        specs = list(specs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "REPLICA_BLOCK", block)
+        mp.setattr(cp, "_replica_ranges", _fixed_ranges(width))
         mp.setattr(cp, "_TILE_VALUES", position_tile)
         values = qsl_functional_batch(params, n, r, specs, threads=threads)
     k = np.arange(law.first_step, n + 1, dtype=np.float64)
-    for value, S in zip(values, _reference_positions(params, n, specs)[:, law.first_step :]):
+    for value, S in zip(values, _reference_positions(params, n, list(specs))[:, law.first_step :]):
         points, weights = law.measure(k, S)
         total = 0.0
         for point, weight in zip(points.tolist(), weights.tolist()):
@@ -450,11 +456,9 @@ def test_superdiffusive_argument_checks():
 # ---------------------------------------------------------------- threading
 
 
-def test_harness_results_independent_of_threads(monkeypatch):
-    import mrwlab.core_process as cp
-
-    monkeypatch.setattr(cp, "REPLICA_BLOCK", 16)
+def test_harness_results_independent_of_threads():
     specs = [RngStreamSpec(3, i) for i in range(50)]
+    assert len(cp._replica_ranges(len(specs), 4)) == 4
     a = qsl_functional_batch(DIFFUSIVE, 500, 1, specs, threads=1)
     b = qsl_functional_batch(DIFFUSIVE, 500, 1, specs, threads=4)
     assert np.array_equal(a, b)
