@@ -34,7 +34,7 @@ from .exact_oracle import (
     exact_distribution,
     exact_mean_checkpoints,
     exact_urn_distribution,
-    urn_walk_equivalence_check,
+    total_variation,
 )
 from .limit_harness import (
     asclt_measure,
@@ -253,9 +253,7 @@ def _run_simulate(args, params, threads, emitter) -> None:
     emitter.results["mean"] = float(finals.mean())
     if args.replicas > 1:
         emitter.results["variance"] = float(finals.var(ddof=1))
-    # The exact mean is built from the weight sequence, which is undefined at alpha = -1.
-    exact = params.alpha != -1.0
-    emitter.diagnostics["exact_mean"] = float(exact_mean_checkpoints(params, [args.n])[0]) if exact else math.nan
+    emitter.diagnostics["exact_mean"] = float(exact_mean_checkpoints(params, [args.n])[0])
 
 
 def _run_exact(args, params, threads, emitter) -> None:
@@ -320,14 +318,13 @@ def _run_fclt(args, params, threads, emitter) -> None:
 
 
 def _run_urn_compare(args, params, threads, emitter) -> None:
-    tv = urn_walk_equivalence_check(params, args.n)
     walk = exact_distribution(params, args.n)
     urn = exact_urn_distribution(params, args.n)
     emitter.table(
         ("j", "walk_prob", "urn_prob"),
         ((j, float(a), float(b)) for j, (a, b) in enumerate(zip(walk.probs, urn.probs))),
     )
-    emitter.results["tv_distance"] = tv
+    emitter.results["tv_distance"] = total_variation(walk.probs, urn.probs)
 
 
 def _run_superdiffusive(args, params, threads, emitter) -> None:

@@ -42,7 +42,6 @@ __all__ = [
     "RngStreamSpec",
     "ReplicaRange",
     "WalkPath",
-    "UrnState",
     "UrnPath",
     "classify_regime",
     "simulate_walk",
@@ -106,6 +105,20 @@ def classify_regime(params: ModelParams) -> Regime:
     if a == 0.5:
         return Regime.CRITICAL
     return Regime.SUPERDIFFUSIVE
+
+
+def _require(params: ModelParams, regime: Regime, what: str) -> None:
+    """Raise RegimeError naming what and the condition unless params lie in regime."""
+    actual = classify_regime(params)
+    if actual is not regime:
+        cond = {
+            Regime.DIFFUSIVE: "alpha < 1/2",
+            Regime.CRITICAL: "alpha = 1/2",
+            Regime.SUPERDIFFUSIVE: "alpha > 1/2",
+        }[regime]
+        raise RegimeError(
+            f"{what} requires {cond}; got alpha = {params.alpha} ({actual.value})"
+        )
 
 
 @dataclass(frozen=True)
@@ -190,22 +203,6 @@ class WalkPath:
             raise AssertionError("0 <= S_k <= k violated")
 
 
-class UrnState:
-    """Composition (red, blue) of the urn; red + blue equals the step count."""
-
-    __slots__ = ("red", "blue")
-
-    def __init__(self, red: int, blue: int):
-        self.red = red
-        self.blue = blue
-
-    def __eq__(self, other) -> bool:
-        return (self.red, self.blue) == (other.red, other.blue)
-
-    def __repr__(self) -> str:
-        return f"UrnState(red={self.red}, blue={self.blue})"
-
-
 @dataclass
 class UrnPath:
     """Urn composition after each addition; index k holds the state after k balls."""
@@ -216,9 +213,6 @@ class UrnPath:
     @property
     def n(self) -> int:
         return len(self.red) - 1
-
-    def state(self, k: int) -> UrnState:
-        return UrnState(int(self.red[k]), int(self.blue[k]))
 
     def validate(self) -> None:
         total = self.red + self.blue

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_process import ModelParams
-from .martingale_sequences import build_sequences, sequence_checkpoints
+from .martingale_sequences import MAX_MATERIALIZED, _checkpoint_array, sequence_checkpoints
 
 __all__ = [
     "DP_BOUND",
@@ -139,21 +139,25 @@ def exact_mean_recursion(params: ModelParams, n: int) -> np.ndarray:
     """E[S_m] for m = 1..n (index-aligned array of length n+1, entry 0 = 0).
 
     The defining recursion is E[S_1] = s, E[S_{m+1}] = q + gamma_m E[S_m]
-    with gamma_m = (m+alpha)/m. It telescopes against the weight sequence to
-    the closed form E[S_m] = (s - q + q A_m) / a_m, which is what is
-    evaluated here (vectorized, and the recursion itself is asserted in the
-    tests). Horizons above the materialization bound should use
-    exact_mean_checkpoints.
+    with gamma_m = (m+alpha)/m; the values are exact_mean_checkpoints at
+    every step. Horizons above MAX_MATERIALIZED should call
+    exact_mean_checkpoints on the steps they need.
     """
-    cache = build_sequences(params, n)
-    out = np.empty(n + 1, dtype=np.float64)
-    out[0] = 0.0
-    out[1:] = (params.s - params.q + params.q * cache.A[1:]) / cache.a[1:]
-    return out
+    if n > MAX_MATERIALIZED:
+        raise ValueError(f"horizon {n} exceeds the materialization bound {MAX_MATERIALIZED}")
+    return np.concatenate([[0.0], exact_mean_checkpoints(params, np.arange(1, n + 1))])
 
 
 def exact_mean_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> np.ndarray:
-    """E[S_m] at selected steps, streamed in constant memory (horizons to 10^8)."""
+    """E[S_m] at selected steps, streamed in constant memory (horizons to 10^8).
+
+    The recursion telescopes against the weight sequence to the closed form
+    E[S_m] = (s - q + q A_m) / a_m. At alpha = -1, where a_m is undefined,
+    E[S_{m+1}] = 1 + (1 - 1/m) E[S_m] gives E[S_1] = s and E[S_m] = m/2 beyond.
+    """
+    if params.alpha == -1.0:
+        cps = _checkpoint_array(checkpoints)
+        return np.where(cps == 1, params.s, cps / 2.0)
     seqs = sequence_checkpoints(params, checkpoints)
     return (params.s - params.q + params.q * seqs["A"]) / seqs["a"]
 

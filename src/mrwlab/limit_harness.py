@@ -30,7 +30,7 @@ threads=None runs the engines on default_threads() workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from .core_process import (
     RegimeError,
     RngStreamSpec,
     _position_tiles,
+    _require,
     _run_replica_blocks,
     classify_regime,
     walk_checkpoints_batch,
@@ -70,7 +71,6 @@ __all__ = [
     "qsl_functional_batch",
     "qsl_target",
     "exact_qsl_expectation",
-    "fclt_skeleton",
     "fclt_skeletons_batch",
     "skeleton_steps",
     "covariance_grid",
@@ -89,19 +89,6 @@ COVARIANCE_BATCHES = 20
 
 DEFAULT_GRID_DIFFUSIVE = (0.25, 0.5, 0.75, 1.0)
 DEFAULT_GRID_CRITICAL = (0.5, 0.75, 1.0)
-
-
-def _require(params: ModelParams, regime: Regime, what: str) -> None:
-    actual = classify_regime(params)
-    if actual is not regime:
-        cond = {
-            Regime.DIFFUSIVE: "alpha < 1/2",
-            Regime.CRITICAL: "alpha = 1/2",
-            Regime.SUPERDIFFUSIVE: "alpha > 1/2",
-        }[regime]
-        raise RegimeError(
-            f"{what} requires {cond}; got alpha = {params.alpha} ({actual.value})"
-        )
 
 
 @dataclass(frozen=True)
@@ -389,22 +376,6 @@ def skeleton_steps(n: int, grid: Sequence[float], regime: Regime) -> np.ndarray:
     return steps
 
 
-def fclt_skeleton(
-    params: ModelParams,
-    n: int,
-    grid: Sequence[float] | None,
-    rng: RngStreamSpec,
-) -> PathSkeleton:
-    """One replica's rescaled values at the grid times: row 0 of
-    fclt_skeletons_batch(params, n, grid, [rng]).
-
-    Diffusive: sqrt(n)(S_{floor(nt)}/floor(nt) - q/(1-alpha)). Critical:
-    sqrt(n^t/log n)(S_{floor(n^t)}/floor(n^t) - 2q) on the n^t time change.
-    """
-    skel = fclt_skeletons_batch(params, n, grid, [rng])
-    return replace(skel, values=skel.values[0])
-
-
 def fclt_skeletons_batch(
     params: ModelParams,
     n: int,
@@ -412,7 +383,11 @@ def fclt_skeletons_batch(
     specs: Sequence[RngStreamSpec],
     threads: int | None = None,
 ) -> PathSkeleton:
-    """Skeletons for many replicas; values has shape (replicas, grid)."""
+    """Rescaled values at the grid times, shape (replicas, grid), one row per spec.
+
+    Diffusive: sqrt(n)(S_{floor(nt)}/floor(nt) - q/(1-alpha)). Critical:
+    sqrt(n^t/log n)(S_{floor(n^t)}/floor(n^t) - 2q) on the n^t time change.
+    """
     law = limit_law(params)
     grid = law.default_grid if grid is None else grid
     steps = skeleton_steps(n, grid, law.regime)
@@ -474,7 +449,7 @@ def covariance_grid(
 
 @dataclass
 class LimitEstimate:
-    """Sample of the superdiffusive statistic at one horizon."""
+    """Sample of the superdiffusive statistic at one horizon; samples holds one value per replica."""
 
     n: int
     mean: float
@@ -482,7 +457,7 @@ class LimitEstimate:
     variance: float
     variance_se: float
     cauchy_rms: float
-    samples: np.ndarray | None = None
+    samples: np.ndarray
 
 
 def superdiffusive_limit(
@@ -491,7 +466,6 @@ def superdiffusive_limit(
     replicas: int,
     rng: RngStreamSpec,
     threads: int | None = None,
-    keep_samples: bool = False,
 ) -> list[LimitEstimate]:
     """Samples of n^(1-alpha)(S_n/n - q/(1-alpha)) across horizons.
 
@@ -534,7 +508,7 @@ def superdiffusive_limit(
                 variance=var,
                 variance_se=var_se,
                 cauchy_rms=float(np.sqrt(np.mean(diff**2))),
-                samples=x if keep_samples else None,
+                samples=x,
             )
         )
     return results

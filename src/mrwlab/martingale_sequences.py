@@ -130,6 +130,13 @@ def build_sequences(params_or_alpha, N: int) -> SequenceCache:
     return SequenceCache(alpha=alpha, horizon=N, a=a, A=A, v=v, f=f)
 
 
+def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
+    cps = np.array(checkpoints, dtype=np.int64)
+    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
+        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    return cps
+
+
 def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
     """Stream the recurrence to large horizons, recording selected steps.
 
@@ -137,9 +144,7 @@ def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
     checkpoint list, equal to the build_sequences entries at those steps.
     Memory is O(chunk), so horizons of 10^8 and beyond are fine.
     """
-    cps = np.array(checkpoints, dtype=np.int64)
-    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    cps = _checkpoint_array(checkpoints)
     alpha = _alpha_of(params_or_alpha)
     out = np.empty((3, len(cps)), dtype=np.float64)
     for start, chunk in _sequence_chunks(alpha, int(cps[-1])):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, RegimeError, classify_regime
+from .core_process import ModelParams, Regime, _require, classify_regime
 from .martingale_sequences import sigma_squared
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "theoretical_covariance_diffusive",
     "theoretical_covariance_critical",
     "matrix_exponential_kernel",
-    "fluctuation_coefficient",
 ]
 
 
@@ -114,8 +113,7 @@ def theoretical_covariance_diffusive(params: ModelParams, s: float, t: float) ->
     At p = 1 the noise variance vanishes and the kernel is identically 0.
     """
     _check_times(s, t)
-    if classify_regime(params) is not Regime.DIFFUSIVE:
-        raise RegimeError("diffusive kernel requires alpha < 1/2")
+    _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
     alpha = params.alpha
     return sigma_squared(params) / ((1.0 - 2.0 * alpha) * t) * (t / s) ** alpha
 
@@ -123,8 +121,7 @@ def theoretical_covariance_diffusive(params: ModelParams, s: float, t: float) ->
 def theoretical_covariance_critical(params: ModelParams, s: float, t: float) -> float:
     """Limit covariance 4 q (1-p) s of the critical time-changed process."""
     _check_times(s, t)
-    if classify_regime(params) is not Regime.CRITICAL:
-        raise RegimeError("critical kernel requires alpha = 1/2")
+    _require(params, Regime.CRITICAL, "the critical kernel")
     return 4.0 * params.q * (1.0 - params.p) * s
 
 
@@ -139,25 +136,11 @@ def matrix_exponential_kernel(params: ModelParams, s: float, t: float) -> float:
     guard against transcription errors in the closed form.
     """
     _check_times(s, t)
-    if classify_regime(params) is not Regime.DIFFUSIVE:
-        raise RegimeError("diffusive kernel requires alpha < 1/2")
+    _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
     spectral = build_spectral(params)
-    if spectral.sigma_i is None:
-        raise ValueError("integrated covariance undefined at alpha = 1/2")
     log_ratio = math.log(t / s)
     eigvals, eigvecs = np.linalg.eig(spectral.a_matrix.T)
     exp_at = eigvecs @ np.diag(np.exp(log_ratio * eigvals)) @ np.linalg.inv(eigvecs)
     cov = s * spectral.sigma_i @ exp_at
     return float(cov[1, 1]) / (s * t)
 
-
-def fluctuation_coefficient(red, blue, spectral: SpectralData):
-    """Coefficient c in W_n - n v1 = c * (-1, 1) for an urn composition.
-
-    red + blue = n forces the deviation from the drift line n*v1 to lie on
-    the direction (-1, 1) exactly; the coefficient is blue - n * v1_blue.
-    """
-    red = np.asarray(red, dtype=np.float64)
-    blue = np.asarray(blue, dtype=np.float64)
-    n = red + blue
-    return blue - n * spectral.v1[1]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mrwlab.core_process as cp
-from mrwlab import ModelParams, exact_mean_recursion, exact_oracle, martingale_sequences
+from mrwlab import ModelParams, exact_mean_recursion, martingale_sequences
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
 
@@ -231,10 +231,11 @@ def test_sequences_rejects_alpha_minus_one(capsys):
     assert "alpha = -1" in capsys.readouterr().err
 
 
-def test_simulate_at_alpha_minus_one_reports_nan_exact_mean(tmp_path):
+def test_simulate_at_alpha_minus_one_reports_exact_mean(tmp_path):
+    # E[S_{m+1}] = 1 + (1 - 1/m) E[S_m] at alpha = -1, so E[S_m] = m/2 for m >= 2.
     rc, out = run_to_file(tmp_path, "sim.csv", ["simulate", "--n", "100", "--replicas", "3", "--q", "1", "--p", "0"])
     assert rc == EXIT_OK
-    assert "# diagnostic exact_mean=nan" in out.read_text().splitlines()
+    assert "# diagnostic exact_mean=50" in out.read_text().splitlines()
 
 
 def test_default_threads_follow_cpu_affinity(monkeypatch):
@@ -294,7 +295,6 @@ def test_simulate_exact_mean_does_not_materialize_the_sequences(tmp_path, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("simulate must stream the weight sequence, not materialize it")
 
-    monkeypatch.setattr(exact_oracle, "build_sequences", refuse)
     monkeypatch.setattr(martingale_sequences, "build_sequences", refuse)
     rc, after = run_to_file(tmp_path, "after.csv", argv)
     assert rc == EXIT_OK

@@ -3,6 +3,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrwlab
 import mrwlab.core_process as cp
 from mrwlab import (
     ModelParams,
@@ -180,7 +182,7 @@ def test_urn_counts_and_determinism():
     b = simulate_urn(params, 500, RngStreamSpec(21))
     a.validate()
     assert np.array_equal(a.blue, b.blue)
-    assert a.state(500).red + a.state(500).blue == 500
+    assert a.red[500] + a.blue[500] == 500
 
 
 def test_urn_all_blue_when_q_and_p_are_one():
@@ -514,3 +516,18 @@ def test_checkpoint_validation():
         walk_checkpoints_batch(params, [5, 5], [RngStreamSpec(1)])
     with pytest.raises(ValueError):
         walk_checkpoints_batch(params, [0, 3], [RngStreamSpec(1)])
+
+
+# ---------------------------------------------------------------- public surface
+
+
+def test_package_exports_exactly_the_modules_all_lists():
+    from mrwlab import exact_oracle, limit_harness, martingale_sequences, urn_spectral
+
+    lists = [m.__all__ for m in (cp, exact_oracle, limit_harness, martingale_sequences, urn_spectral)]
+    public = {
+        name for name, value in vars(mrwlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for names in lists for name in names}
+    assert len(public) == sum(len(names) for names in lists)

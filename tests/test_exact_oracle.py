@@ -141,6 +141,15 @@ def test_mean_frequency_limit():
     assert abs(mean / 1e7 - 0.25 / 0.75) < 1e-4
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.9])
+def test_mean_checkpoints_at_alpha_minus_one_match_dp(s):
+    # The weight sequence is undefined at alpha = -1, but the mean is not.
+    params = ModelParams(s=s, q=1.0, p=0.0)
+    steps = np.arange(1, 41)
+    dp = [exact_distribution(params, int(n)).mean() for n in steps]
+    assert np.allclose(exact_mean_checkpoints(params, steps), dp, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------- moments
 
 

@@ -23,7 +23,6 @@ from mrwlab import (
     exact_distribution,
     exact_mean_recursion,
     exact_qsl_expectation,
-    fclt_skeleton,
     fclt_skeletons_batch,
     limit_law,
     qsl_functional,
@@ -58,7 +57,7 @@ def test_regime_gates():
     with pytest.raises(RegimeError):
         qsl_functional_batch(SUPER, 1000, 1, [spec])
     with pytest.raises(RegimeError):
-        fclt_skeleton(SUPER, 1000, None, spec)
+        fclt_skeletons_batch(SUPER, 1000, None, [spec])
     with pytest.raises(RegimeError):
         superdiffusive_limit(DIFFUSIVE, [100, 200], 10, spec)
     with pytest.raises(RegimeError):
@@ -363,10 +362,10 @@ def test_skeleton_step_errors():
 def test_skeleton_endpoint_is_clt_statistic():
     n = 4000
     spec = RngStreamSpec(17)
-    skel = fclt_skeleton(DIFFUSIVE, n, None, spec)
+    skel = fclt_skeletons_batch(DIFFUSIVE, n, None, [spec])
     final = walk_checkpoints_batch(DIFFUSIVE, [n], [spec])[0, 0]
     expected = math.sqrt(n) * (final / n - 0.5)
-    assert abs(skel.values[-1] - expected) < 1e-12
+    assert abs(skel.values[0, -1] - expected) < 1e-12
     assert np.array_equal(skel.grid, np.asarray(lh.DEFAULT_GRID_DIFFUSIVE))
 
 
@@ -375,8 +374,8 @@ def test_skeleton_batch_shape_and_default_grids():
     skel = fclt_skeletons_batch(CRITICAL, 1000, None, specs)
     assert skel.values.shape == (6, len(lh.DEFAULT_GRID_CRITICAL))
     assert skel.regime is Regime.CRITICAL
-    single = fclt_skeleton(CRITICAL, 1000, None, specs[2])
-    assert np.array_equal(skel.values[2], single.values)
+    single = fclt_skeletons_batch(CRITICAL, 1000, None, [specs[2]])
+    assert np.array_equal(skel.values[2:3], single.values)
 
 
 def test_degenerate_zero_noise_skeleton_collapses():
@@ -431,12 +430,11 @@ def test_superdiffusive_limit_against_exact_mean():
         assert abs(res.mean - exact_stat_mean) < 5 * res.mean_se
         assert res.variance > 0
         assert res.variance_se > 0
-        assert res.samples is None
     assert results[1].cauchy_rms < results[0].cauchy_rms
 
 
 def test_superdiffusive_keep_samples_consistency():
-    results = superdiffusive_limit(SUPER, [300], 500, RngStreamSpec(8), keep_samples=True)
+    results = superdiffusive_limit(SUPER, [300], 500, RngStreamSpec(8))
     x = results[0].samples
     assert x is not None and len(x) == 500
     assert abs(results[0].mean - x.mean()) < 1e-12

@@ -128,7 +128,7 @@ LIBRARY_CASES = {
     "covariance-critical": lambda: _covariance(CRIT, 300),
     "superdiffusive-limit": lambda: tuple(
         (e.mean, e.mean_se, e.variance, e.variance_se, e.cauchy_rms, e.samples)
-        for e in superdiffusive_limit(SUPER, [50, 400], 100, RngStreamSpec(9), keep_samples=True)
+        for e in superdiffusive_limit(SUPER, [50, 400], 100, RngStreamSpec(9))
     ),
     "sequence-asymptotics": lambda: tuple(
         x for params in (DIFF, CRIT, ModelParams(0.5, 0.65, 0.35), SUPER) for x in _asymptotics(params)
@@ -168,7 +168,7 @@ DIGESTS = {
     "cli:simulate-critical-json": "477e42f55dfb0d6e9dcd375836023a81aac6c7f2e88716b7598720b9f0210fb5",
     "cli:simulate-trajectory": "f74b59f8e5dbcbbf1b56eee4e0b73011df4b6e6895abae79e2ddb41d6c056100",
     "cli:simulate-trajectory-direct": "e57ba8b38147be96d4569af17cb2372550147c4ec56c3bc78f50b815c1fcc096",
-    "cli:simulate-alpha-minus-one": "b0e950e824d431ca281337588f767834d3c5c43e415f49ed479300545b2c3637",
+    "cli:simulate-alpha-minus-one": "568da456ef90273457c41ff3e8c1d4b1f9fe3ae179a7213d60e730154b968d2b",
     "cli:exact-critical": "3c36754931c9bd5c82a0aeef086a9994db19d1e7d40968392a5679675e9a5247",
     "cli:exact-p-one-json": "c16673570785bb8dc7b8a3e8e9eacfc782d647c7049c4f8e57d1ae688a9b351d",
     "cli:asclt": "d1053410da1e23e5adeba0087109c39307e290839309459d41830609957f4ffb",

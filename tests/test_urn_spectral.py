@@ -6,12 +6,9 @@ import pytest
 from mrwlab import (
     ModelParams,
     RegimeError,
-    RngStreamSpec,
     build_spectral,
-    fluctuation_coefficient,
     matrix_exponential_kernel,
     sigma_squared,
-    simulate_urn,
     theoretical_covariance_critical,
     theoretical_covariance_diffusive,
 )
@@ -126,21 +123,3 @@ def test_kernel_regime_and_time_guards():
         theoretical_covariance_diffusive(diffusive, 0.0, 1.0)
     with pytest.raises(ValueError):
         theoretical_covariance_diffusive(diffusive, 1.0, 0.5)
-
-
-def test_fluctuation_coefficient_spans_deviation():
-    # red + blue = n exactly, so the deviation from n*v1 must be c*(-1, 1):
-    # the red deviation is the negative of the blue one.
-    params = ModelParams(s=0.4, q=0.3, p=0.8)
-    spectral = build_spectral(params)
-    urn = simulate_urn(params, 300, RngStreamSpec(6))
-    coeff = fluctuation_coefficient(urn.red, urn.blue, spectral)
-    n = urn.red + urn.blue
-    red_dev = urn.red - n * spectral.v1[0]
-    assert np.allclose(red_dev, -coeff, atol=1e-9)
-
-
-def test_fluctuation_coefficient_scalar_inputs():
-    spectral = build_spectral(ModelParams(s=0.5, q=0.25, p=0.5))
-    c = fluctuation_coefficient(6.0, 4.0, spectral)
-    assert abs(c - (4.0 - 10.0 * spectral.v1[1])) < 1e-12
