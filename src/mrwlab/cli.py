@@ -80,7 +80,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: MRWLAB_THREADS or machine parallelism); "
+        help="worker threads, at most the usable CPUs (default: MRWLAB_THREADS or machine parallelism); "
         "results are identical at any value",
     )
     sub.add_argument(

@@ -299,6 +299,13 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_threads() -> int:
     """Worker threads when none are given: MRWLAB_THREADS if it is a valid
     integer (at least 1), else the CPUs this process may run on."""
@@ -308,9 +315,7 @@ def default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("walk_kernel.c")
@@ -511,14 +516,14 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
 
 def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
     """Run run_block(lo, hi) over the ranges of _replica_ranges, on threads
-    workers; threads=None means default_threads().
+    workers, but never more than the CPUs this process may run on;
+    threads=None means default_threads().
 
     A replica's values depend only on its stream key, and each range writes
     to a disjoint output slice, so results are identical for any partition,
     thread count or schedule.
     """
-    if threads is None:
-        threads = default_threads()
+    threads = min(default_threads() if threads is None else threads, _usable_cpus())
     bounds = _replica_ranges(R, threads)
     if threads <= 1 or len(bounds) <= 1:
         for lo, hi in bounds:

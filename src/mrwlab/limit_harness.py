@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core_process import (
     ModelParams,
@@ -69,7 +69,6 @@ __all__ = [
     "weighted_mean_variance",
     "qsl_functional",
     "qsl_functional_batch",
-    "qsl_target",
     "exact_qsl_expectation",
     "fclt_skeletons_batch",
     "skeleton_steps",
@@ -180,9 +179,9 @@ class WeightedSample:
         return float(self.weights.sum()) / self.normalizer
 
 
-def weighted_ks_to_normal(sample: WeightedSample, variance: float | None = None) -> float:
-    """Sup distance between the weighted empirical CDF and a centered normal."""
-    var = sample.target_variance if variance is None else variance
+def weighted_ks_to_normal(sample: WeightedSample) -> float:
+    """Sup distance between the weighted empirical CDF and N(0, sample.target_variance)."""
+    var = sample.target_variance
     if var <= 0:
         raise ValueError("KS comparison needs a positive target variance")
     order = np.argsort(sample.points, kind="stable")
@@ -190,7 +189,7 @@ def weighted_ks_to_normal(sample: WeightedSample, variance: float | None = None)
     w = sample.weights[order]
     cum = np.cumsum(w)
     cum /= cum[-1]
-    ref = norm.cdf(pts, scale=math.sqrt(var))
+    ref = ndtr(pts / math.sqrt(var))
     below = np.concatenate([[0.0], cum[:-1]])
     return float(max(np.max(np.abs(cum - ref)), np.max(np.abs(below - ref))))
 
@@ -270,15 +269,6 @@ class MomentFunctionalResult:
     target: float
     n: int
     regime: Regime
-
-
-def qsl_target(params: ModelParams, r: int, regime: Regime) -> float:
-    """The almost sure limit of the order-r functional: the LimitLaw's 2r-th moment.
-
-    Raises RegimeError when params is not in the given regime.
-    """
-    _require(params, regime, "the even-moment limit")
-    return limit_law(params).moment(r)
 
 
 def exact_qsl_expectation(params: ModelParams, n: int, r: int) -> float:

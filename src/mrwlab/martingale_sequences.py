@@ -29,12 +29,10 @@ from .core_process import ModelParams, Regime, WalkPath, classify_regime
 __all__ = [
     "SequenceCache",
     "MartingaleTrack",
-    "LimitConstants",
     "SequenceDiagnostics",
     "build_sequences",
     "sequence_checkpoints",
     "sigma_squared",
-    "limit_constants",
     "martingale_track",
     "sequence_asymptotics",
 ]
@@ -67,17 +65,10 @@ class SequenceCache:
     A_0 = v_0 = 0).
     """
 
-    alpha: float
-    horizon: int
     a: np.ndarray
     A: np.ndarray
     v: np.ndarray
     f: np.ndarray
-
-    def gamma(self, k) -> np.ndarray:
-        """gamma_k = (k + alpha) / k, the one-step mean growth factor."""
-        k = np.asarray(k, dtype=np.float64)
-        return (k + self.alpha) / k
 
 
 def _sequence_chunks(alpha: float, horizon: int):
@@ -127,7 +118,7 @@ def build_sequences(params_or_alpha, N: int) -> SequenceCache:
     f[1:] = a[1:] ** 2 / v[1:]
     if not np.all(np.isfinite(a[1:])) or np.any(a[1:] <= 0):
         raise ArithmeticError("weight sequence left the finite positive range")
-    return SequenceCache(alpha=alpha, horizon=N, a=a, A=A, v=v, f=f)
+    return SequenceCache(a=a, A=A, v=v, f=f)
 
 
 def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
@@ -159,34 +150,6 @@ def sigma_squared(params: ModelParams) -> float:
     return params.q * (1.0 - params.p) / (1.0 - params.alpha) ** 2
 
 
-@dataclass(frozen=True)
-class LimitConstants:
-    """Constants the sequence diagnostics converge to.
-
-    ell is the diffusive limit of v_n/n^(1-2*alpha) and is None outside the
-    diffusive regime; critical_v_limit is the critical limit of v_n/log n;
-    mean_ratio_limit is the limit of A_n/(n a_n) for every alpha < 1.
-    """
-
-    sigma2: float
-    ell: float | None
-    critical_v_limit: float
-    mean_ratio_limit: float
-
-
-def limit_constants(params: ModelParams) -> LimitConstants:
-    alpha = params.alpha
-    ell = None
-    if classify_regime(params) is Regime.DIFFUSIVE:
-        ell = math.gamma(alpha + 1.0) ** 2 / (1.0 - 2.0 * alpha)
-    return LimitConstants(
-        sigma2=sigma_squared(params),
-        ell=ell,
-        critical_v_limit=math.pi / 4.0,
-        mean_ratio_limit=1.0 / (1.0 - alpha),
-    )
-
-
 @dataclass
 class MartingaleTrack:
     """Martingale values by two routes plus the increment sequence.
@@ -201,13 +164,12 @@ class MartingaleTrack:
     max_discrepancy: float
 
 
-def martingale_track(path: WalkPath, cache: SequenceCache, params: ModelParams) -> MartingaleTrack:
+def martingale_track(path: WalkPath, params: ModelParams) -> MartingaleTrack:
+    """The martingale along path, with a_k and A_k from sequence_checkpoints at k = 1..n."""
     n = path.n
-    if cache.horizon < n:
-        raise ValueError(f"sequence cache horizon {cache.horizon} is below the path length {n}")
     S = path.positions[1:].astype(np.float64)  # S_1..S_n
-    a = cache.a[1 : n + 1]
-    A = cache.A[1 : n + 1]
+    seqs = sequence_checkpoints(params, np.arange(1, n + 1))
+    a, A = seqs["a"], seqs["A"]
     M_direct = a * S - params.q * A
     eps = np.empty(n + 1, dtype=np.float64)
     eps[0] = np.nan
@@ -279,18 +241,17 @@ def sequence_asymptotics(
     gf = g.astype(np.float64)
     # (1 - alpha) A_n - n a_n = -alpha for every n, so the deviation needs no difference of near-equal doubles.
     mean_ratio_dev = abs(alpha) * gf ** -alpha / ((1.0 - alpha) * a)
-    consts = limit_constants(params)
     columns: dict[str, np.ndarray] = {}
     targets: dict[str, float] = {}
     if regime is Regime.DIFFUSIVE:
         columns["v_over_power"] = v / gf ** (1.0 - 2.0 * alpha)
-        targets["v_over_power"] = float(consts.ell)
+        targets["v_over_power"] = math.gamma(alpha + 1.0) ** 2 / (1.0 - 2.0 * alpha)
         columns["n_times_f"] = gf * f
         targets["n_times_f"] = 1.0 - 2.0 * alpha
     elif regime is Regime.CRITICAL:
         logg = np.log(gf)
         columns["v_over_logn"] = v / logg
-        targets["v_over_logn"] = consts.critical_v_limit
+        targets["v_over_logn"] = math.pi / 4.0
         columns["nlogn_times_f"] = gf * logg * f
         targets["nlogn_times_f"] = 1.0
     return SequenceDiagnostics(

@@ -18,7 +18,6 @@ import numpy as np
 
 from mrwlab import (
     ModelParams,
-    Regime,
     RngStreamSpec,
     asclt_measure_critical,
     asclt_measure_diffusive,
@@ -32,7 +31,6 @@ from mrwlab import (
     exact_qsl_expectation,
     limit_law,
     qsl_functional_batch,
-    qsl_target,
     sequence_checkpoints,
     superdiffusive_limit,
     two_point_moment_S,
@@ -290,7 +288,7 @@ def test_criterion_09_qsl_even_moments():
     diff_params = ModelParams(s=0.5, q=0.5, p=0.5)
     for r, tol in ((1, 0.10), (2, 0.10)):
         values = qsl_functional_batch(diff_params, n, r, specs)
-        target = qsl_target(diff_params, r, Regime.DIFFUSIVE)
+        target = limit_law(diff_params).moment(r)
         exact = exact_qsl_expectation(diff_params, n, r)
         dev = abs(values.mean() - target) / target
         good = dev <= tol
@@ -302,7 +300,7 @@ def test_criterion_09_qsl_even_moments():
         )
     crit_params = ModelParams(s=0.5, q=0.25, p=0.75)
     values = qsl_functional_batch(crit_params, n, 1, specs)
-    target = qsl_target(crit_params, 1, Regime.CRITICAL)
+    target = limit_law(crit_params).moment(1)
     exact = exact_qsl_expectation(crit_params, n, 1)
     dev = abs(values.mean() - target) / target
     good = dev <= 0.25

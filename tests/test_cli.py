@@ -321,3 +321,12 @@ def test_run_beyond_memory_exits_with_config_error():
                           env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
     assert done.returncode == EXIT_CONFIG and done.stdout == "", done.stderr
     assert "does not fit in memory" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second to import, and every CLI call would pay it.
+    code = "import sys, mrwlab, mrwlab.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

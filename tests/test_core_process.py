@@ -315,6 +315,35 @@ def test_thread_count_does_not_affect_results():
     assert np.array_equal(one, four)
 
 
+def test_threads_are_clamped_to_usable_cpus(monkeypatch):
+    # The fake pool records its size and runs the tasks serially, so no thread is started.
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    specs = RngStreamSpec(1).replicas(800)
+    one = walk_checkpoints_batch(params, [10], specs, threads=1)
+    monkeypatch.setattr(cp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    many = walk_checkpoints_batch(params, [10], specs, threads=10**4)
+    assert workers and max(workers) <= 2
+    assert np.array_equal(one, many)
+
+
 def test_batch_law_matches_exact_dp():
     # The float32 batched engine must sample the same distribution the DP
     # computes; total variation at n = 12 over 10^5 replicas.

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -27,7 +27,6 @@ from mrwlab import (
     limit_law,
     qsl_functional,
     qsl_functional_batch,
-    qsl_target,
     skeleton_steps,
     superdiffusive_limit,
     theoretical_covariance_diffusive,
@@ -60,8 +59,6 @@ def test_regime_gates():
         fclt_skeletons_batch(SUPER, 1000, None, [spec])
     with pytest.raises(RegimeError):
         superdiffusive_limit(DIFFUSIVE, [100, 200], 10, spec)
-    with pytest.raises(RegimeError):
-        qsl_target(SUPER, 1, Regime.SUPERDIFFUSIVE)
     with pytest.raises(RegimeError):
         asclt_measure(SUPER, 1000, spec)
     with pytest.raises(RegimeError):
@@ -124,10 +121,9 @@ def test_weighted_ks_matches_scipy_for_equal_weights():
 
 def test_weighted_ks_variance_handling():
     pts = np.array([-1.0, 0.0, 1.0])
-    sample = WeightedSample(pts, np.ones(3), 3.0, 0.0, 3)
     with pytest.raises(ValueError):
-        weighted_ks_to_normal(sample)
-    assert weighted_ks_to_normal(sample, variance=1.0) > 0.0
+        weighted_ks_to_normal(WeightedSample(pts, np.ones(3), 3.0, 0.0, 3))
+    assert weighted_ks_to_normal(WeightedSample(pts, np.ones(3), 3.0, 1.0, 3)) > 0.0
 
 
 def test_weighted_mean_variance_definition():
@@ -263,6 +259,11 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n():
     position_tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
     threads=st.sampled_from([1, 2]),
 )
+# A subnormal value (about 1e-322), 3 subnormal ulps from its fsum reference.
+@example(
+    s=0.5, qp=(1.5973122800602915e-162, 0.0), r=1, seed=0, start=0, replicas=4, as_range=True,
+    n=111, width=8, position_tile=cp._TILE_VALUES, threads=1,
+)
 def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
     s, qp, r, seed, start, replicas, as_range, n, width, position_tile, threads
 ):
@@ -290,18 +291,16 @@ def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
             kk ** (r - 1) * float(law.L(kk)) ** -(r + 1) * (float(sk) / kk - law.centre) ** (2 * r)
             for kk, sk in zip(k.tolist(), S)
         ) / law.normalizer(n)
-        assert abs(value - exact) <= 1e-12 * abs(exact)
+        # Rounding below the normal range is absolute: up to n subnormal ulps of 2^-1074.
+        assert abs(value - exact) <= 1e-12 * abs(exact) + n * 2.0**-1074
 
 
 def test_qsl_targets():
-    assert abs(qsl_target(DIFFUSIVE, 1, Regime.DIFFUSIVE) - 0.25) < 1e-15
+    assert abs(limit_law(DIFFUSIVE).moment(1) - 0.25) < 1e-15
     # r = 2: sigma^4 * 4! / (4 * 2) / (1-2a)^2 with sigma^2 = 1/4
-    assert abs(qsl_target(DIFFUSIVE, 2, Regime.DIFFUSIVE) - (0.25**2 * 3.0)) < 1e-15
-    assert abs(qsl_target(CRITICAL, 1, Regime.CRITICAL) - 0.25) < 1e-15
-    assert abs(qsl_target(CRITICAL, 2, Regime.CRITICAL) - (0.25**2 * 3.0)) < 1e-15
-    # q = p = 1/2 is diffusive (limit 1/4), so the critical constant would be wrong
-    with pytest.raises(RegimeError):
-        qsl_target(ModelParams(0.5, 0.5, 0.5), 1, Regime.CRITICAL)
+    assert abs(limit_law(DIFFUSIVE).moment(2) - (0.25**2 * 3.0)) < 1e-15
+    assert abs(limit_law(CRITICAL).moment(1) - 0.25) < 1e-15
+    assert abs(limit_law(CRITICAL).moment(2) - (0.25**2 * 3.0)) < 1e-15
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -335,7 +334,7 @@ def test_qsl_monte_carlo_matches_exact_expectation(params):
 def test_qsl_result_metadata():
     res = qsl_functional(CRITICAL, 100, 2, RngStreamSpec(1))
     assert res.r == 2 and res.n == 100 and res.regime is Regime.CRITICAL
-    assert res.target == qsl_target(CRITICAL, 2, Regime.CRITICAL)
+    assert res.target == limit_law(CRITICAL).moment(2)
 
 
 # ---------------------------------------------------------------- skeletons

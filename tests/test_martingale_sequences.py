@@ -12,7 +12,6 @@ from mrwlab import (
     Regime,
     RngStreamSpec,
     build_sequences,
-    limit_constants,
     martingale_track,
     sequence_asymptotics,
     sequence_checkpoints,
@@ -78,8 +77,7 @@ def test_sequence_shape_invariants(alpha, horizon):
 def test_gamma_ratio_accessor():
     cache = build_sequences(0.25, 10)
     for k in range(1, 9):
-        assert abs(cache.gamma(k) - (1 + 0.25 / k)) < 1e-15
-        assert abs(cache.a[k] / cache.a[k + 1] - cache.gamma(k)) < 1e-12
+        assert abs(cache.a[k] / cache.a[k + 1] - (1 + 0.25 / k)) < 1e-12
 
 
 def test_horizon_limits():
@@ -157,15 +155,14 @@ def test_critical_sigma_squared_identity():
 
 
 def test_limit_constants_fields():
-    diff = limit_constants(ModelParams(s=0.5, q=0.25, p=0.5))
-    assert diff.ell is not None
-    assert abs(diff.ell - math.gamma(1.25) ** 2 / 0.5) < 1e-14
-    assert abs(diff.mean_ratio_limit - 1 / 0.75) < 1e-15
-    crit = limit_constants(ModelParams(s=0.5, q=0.25, p=0.75))
-    assert crit.ell is None
+    diff = sequence_asymptotics(ModelParams(s=0.5, q=0.25, p=0.5), 100).targets
+    assert set(diff) == {"v_over_power", "n_times_f"}
+    assert abs(diff["v_over_power"] - math.gamma(1.25) ** 2 / 0.5) < 1e-14
+    assert abs(diff["n_times_f"] - 0.5) < 1e-15
+    crit = sequence_asymptotics(ModelParams(s=0.5, q=0.25, p=0.75), 100).targets
+    assert crit == {"v_over_logn": math.pi / 4, "nlogn_times_f": 1.0}
     # 0.7 - 0.2 is 0.49999999999999994 in floats, but the point is critical.
-    assert limit_constants(ModelParams(s=0.5, q=0.2, p=0.7)).ell is None
-    assert abs(crit.critical_v_limit - math.pi / 4) < 1e-15
+    assert sequence_asymptotics(ModelParams(s=0.5, q=0.2, p=0.7), 100).targets == crit
 
 
 def test_attracting_frequency_is_fixed_point():
@@ -182,9 +179,8 @@ def test_attracting_frequency_is_fixed_point():
 
 def test_martingale_first_term_and_alpha_zero():
     params = ModelParams(s=0.5, q=0.3, p=0.3)
-    cache = build_sequences(params, 200)
     path = simulate_walk(params, 200, RngStreamSpec(5))
-    track = martingale_track(path, cache, params)
+    track = martingale_track(path, params)
     assert abs(track.M[1] - (path.steps[0] - 0.3)) < 1e-15
     # alpha = 0: a_k = 1 so M_n = S_n - q n
     expected = path.positions[1:] - 0.3 * np.arange(1, 201)
@@ -193,18 +189,9 @@ def test_martingale_first_term_and_alpha_zero():
 
 def test_martingale_track_discrepancy_small():
     params = ModelParams(s=0.5, q=0.2, p=0.5)
-    cache = build_sequences(params, 10_000)
     path = simulate_walk(params, 10_000, RngStreamSpec(77))
-    track = martingale_track(path, cache, params)
+    track = martingale_track(path, params)
     assert track.max_discrepancy < 1e-9
-
-
-def test_martingale_track_horizon_mismatch():
-    params = ModelParams(s=0.5, q=0.2, p=0.5)
-    cache = build_sequences(params, 50)
-    path = simulate_walk(params, 100, RngStreamSpec(1))
-    with pytest.raises(ValueError):
-        martingale_track(path, cache, params)
 
 
 def test_martingale_one_step_conditional_mean():
