@@ -46,7 +46,7 @@ from .limit_harness import (
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from .martingale_sequences import _log_grid, sequence_asymptotics, sequence_checkpoints, sigma_squared
+from .martingale_sequences import sequence_asymptotics, sequence_checkpoints, sigma_squared
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +80,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads, at most the usable CPUs (default: MRWLAB_THREADS or machine parallelism); "
+        help="worker threads, at most the usable CPUs (default: all of them); "
         "results are identical at any value",
     )
     sub.add_argument(
@@ -352,7 +352,7 @@ def _run_sequences(args, params, threads, emitter) -> None:
         raise ValueError("horizon must be at most 10^8")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
-    diag = sequence_asymptotics(params, args.n, _log_grid(args.n, args.points))
+    diag = sequence_asymptotics(params, args.n, args.points)
     table = {
         "n": diag.grid, "a_n": diag.a, "A_n": diag.A, "v_n": diag.v, "f_n": diag.f,
         "mean_ratio_dev": diag.mean_ratio_dev, **diag.columns,

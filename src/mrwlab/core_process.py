@@ -49,7 +49,6 @@ __all__ = [
     "walk_positions_batch",
     "walk_checkpoints_batch",
     "walk_position_chunks",
-    "default_threads",
 ]
 
 # Float64 positions per _position_tiles tile (tiles are at least 8 steps
@@ -306,18 +305,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def default_threads() -> int:
-    """Worker threads when none are given: MRWLAB_THREADS if it is a valid
-    integer (at least 1), else the CPUs this process may run on."""
-    env = os.environ.get("MRWLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return _usable_cpus()
-
-
 _KERNEL_SOURCE = Path(__file__).with_name("walk_kernel.c")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -434,7 +421,7 @@ def walk_positions_batch(
     replicas * (n+1) * 4 bytes, and a request beyond the machine's physical
     memory is refused with a ValueError before anything is allocated; use
     walk_checkpoints_batch when only selected steps are needed. threads=None
-    runs on default_threads() workers; results are the same at any count.
+    runs on one worker per usable CPU; results are the same at any count.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -468,7 +455,7 @@ def walk_checkpoints_batch(
     float64 array of shape (len(specs), len(checkpoints)) whose column t
     holds S at checkpoints[t]; row i reads the stream of specs[i] (see
     RngStreamSpec). Supports horizons up to 10^8 per replica. threads=None
-    runs on default_threads() workers; results are the same at any count.
+    runs on one worker per usable CPU; results are the same at any count.
     """
     cps = [int(c) for c in checkpoints]
     if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -517,13 +504,13 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
 def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
     """Run run_block(lo, hi) over the ranges of _replica_ranges, on threads
     workers, but never more than the CPUs this process may run on;
-    threads=None means default_threads().
+    threads=None means one per such CPU.
 
     A replica's values depend only on its stream key, and each range writes
     to a disjoint output slice, so results are identical for any partition,
     thread count or schedule.
     """
-    threads = min(default_threads() if threads is None else threads, _usable_cpus())
+    threads = _usable_cpus() if threads is None else min(threads, _usable_cpus())
     bounds = _replica_ranges(R, threads)
     if threads <= 1 or len(bounds) <= 1:
         for lo, hi in bounds:

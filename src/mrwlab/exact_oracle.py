@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_process import ModelParams
-from .martingale_sequences import MAX_MATERIALIZED, _checkpoint_array, sequence_checkpoints
+from .martingale_sequences import _checkpoint_array, sequence_checkpoints
 
 __all__ = [
     "DP_BOUND",
@@ -26,7 +26,6 @@ __all__ = [
     "exact_distribution",
     "exact_urn_distribution",
     "total_variation",
-    "urn_walk_equivalence_check",
     "exact_mean_recursion",
     "exact_mean_checkpoints",
     "central_moments",
@@ -40,6 +39,10 @@ __all__ = [
 
 # The DP touches ~n^2/2 states; 10^4 keeps it comfortably sub-second.
 DP_BOUND = 10_000
+
+# exact_mean_recursion holds one float64 per step; beyond this horizon call
+# exact_mean_checkpoints, which streams in constant memory.
+MAX_MATERIALIZED = 10**7
 
 
 @dataclass
@@ -126,13 +129,6 @@ def total_variation(first: np.ndarray, second: np.ndarray) -> float:
     a[: len(first)] = first
     b[: len(second)] = second
     return 0.5 * float(np.abs(a - b).sum())
-
-
-def urn_walk_equivalence_check(params: ModelParams, n: int) -> float:
-    """TV distance between the urn blue-count law and the walk law at step n."""
-    walk = exact_distribution(params, n)
-    urn = exact_urn_distribution(params, n)
-    return total_variation(walk.probs, urn.probs)
 
 
 def exact_mean_recursion(params: ModelParams, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ The many-replica harnesses read the streams rng.replicas(replicas) of an
 RngStreamSpec rng (replicas rng.replica_index onwards) or a given sequence of
 specs, and keep results in replica order; a replica's values depend only on
 its stream, so results are reproducible bit for bit at any thread count.
-threads=None runs the engines on default_threads() workers.
+threads=None runs the engines on one worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -349,6 +349,8 @@ class PathSkeleton:
 def skeleton_steps(n: int, grid: Sequence[float], regime: Regime) -> np.ndarray:
     """Map grid times to step indices: floor(n t) diffusive, floor(n^t) critical."""
     times = np.asarray(list(grid), dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"grid times must be finite, got grid {times.tolist()}")
     if len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("grid times must be strictly increasing")
     if regime is Regime.CRITICAL:

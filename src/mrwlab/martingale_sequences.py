@@ -27,19 +27,13 @@ import numpy as np
 from .core_process import ModelParams, Regime, WalkPath, classify_regime
 
 __all__ = [
-    "SequenceCache",
     "MartingaleTrack",
     "SequenceDiagnostics",
-    "build_sequences",
     "sequence_checkpoints",
     "sigma_squared",
     "martingale_track",
     "sequence_asymptotics",
 ]
-
-# Full materialization stores four float64 arrays; beyond this horizon use
-# sequence_checkpoints, which streams in constant memory.
-MAX_MATERIALIZED = 10**7
 
 _STREAM_CHUNK = 1_000_000
 
@@ -54,21 +48,6 @@ def _alpha_of(params_or_alpha) -> float:
             "the weight sequence a_n is undefined at alpha = -1 (q = 1, p = 0): a_2 = 1/(1 + alpha)"
         )
     return alpha
-
-
-@dataclass
-class SequenceCache:
-    """Sequences a, A, v, f up to a horizon, as index-aligned arrays.
-
-    Entry k of each array is the value at step k, valid for 1 <= k <= horizon;
-    index 0 is a placeholder (nan for a and f, 0 for A and v, matching
-    A_0 = v_0 = 0).
-    """
-
-    a: np.ndarray
-    A: np.ndarray
-    v: np.ndarray
-    f: np.ndarray
 
 
 def _sequence_chunks(alpha: float, horizon: int):
@@ -98,29 +77,6 @@ def _sequence_chunks(alpha: float, horizon: int):
         yield start, seq[:, 1:]
 
 
-def build_sequences(params_or_alpha, N: int) -> SequenceCache:
-    """Materialize the sequences up to horizon N by the stable recurrence."""
-    if N < 1:
-        raise ValueError("horizon must be at least 1")
-    if N > MAX_MATERIALIZED:
-        raise ValueError(
-            f"horizon {N} exceeds the materialization bound {MAX_MATERIALIZED}; "
-            "use sequence_checkpoints for larger horizons"
-        )
-    alpha = _alpha_of(params_or_alpha)
-    seq = np.empty((3, N + 1), dtype=np.float64)
-    seq[:, 0] = np.nan, 0.0, 0.0
-    for start, chunk in _sequence_chunks(alpha, N):
-        seq[:, start : start + chunk.shape[1]] = chunk
-    a, A, v = seq
-    f = np.empty_like(a)
-    f[0] = np.nan
-    f[1:] = a[1:] ** 2 / v[1:]
-    if not np.all(np.isfinite(a[1:])) or np.any(a[1:] <= 0):
-        raise ArithmeticError("weight sequence left the finite positive range")
-    return SequenceCache(a=a, A=A, v=v, f=f)
-
-
 def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
     cps = np.array(checkpoints, dtype=np.int64)
     if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
@@ -132,8 +88,8 @@ def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
     """Stream the recurrence to large horizons, recording selected steps.
 
     Returns {"n", "a", "A", "v", "f"} arrays over the strictly increasing
-    checkpoint list, equal to the build_sequences entries at those steps.
-    Memory is O(chunk), so horizons of 10^8 and beyond are fine.
+    checkpoint list; range(1, N + 1) gives every step up to N. Memory is
+    O(chunk + checkpoints), so horizons of 10^8 and beyond are fine.
     """
     cps = _checkpoint_array(checkpoints)
     alpha = _alpha_of(params_or_alpha)
@@ -208,32 +164,15 @@ class SequenceDiagnostics:
     targets: dict[str, float]
 
 
-def _log_grid(horizon: int, points: int) -> np.ndarray:
-    grid = np.unique(
-        np.round(np.logspace(0.0, math.log10(horizon), num=points)).astype(np.int64)
-    )
-    return grid[grid >= 2]
-
-
-def sequence_asymptotics(
-    params: ModelParams,
-    horizon: int,
-    grid: Sequence[int] | None = None,
-) -> SequenceDiagnostics:
+def sequence_asymptotics(params: ModelParams, horizon: int, points: int = 40) -> SequenceDiagnostics:
     """Evaluate the regime's convergence diagnostics on a step grid.
 
-    The grid defaults to 40 log-spaced steps up to horizon and must lie
-    within [2, horizon]. Values are streamed by sequence_checkpoints, so
-    horizons of 10^8 are fine.
+    The grid is points log-spaced steps from 1 to horizon, rounded, with
+    duplicates and step 1 dropped. Values are streamed by
+    sequence_checkpoints, so horizons of 10^8 are fine.
     """
-    if grid is None:
-        g = _log_grid(horizon, 40)
-    else:
-        g = np.asarray(sorted(set(int(x) for x in grid)), dtype=np.int64)
-    if g.size == 0:
-        raise ValueError("the diagnostics grid is empty")
-    if g[0] < 2 or g[-1] > horizon:
-        raise ValueError("grid must lie within [2, horizon]")
+    g = np.unique(np.round(np.logspace(0.0, math.log10(horizon), num=points)).astype(np.int64))
+    g = g[g >= 2]
     seqs = sequence_checkpoints(params, g)
     a, A, v, f = seqs["a"], seqs["A"], seqs["v"], seqs["f"]
     regime = classify_regime(params)

@@ -18,10 +18,10 @@ import numpy as np
 
 from mrwlab import (
     ModelParams,
+    ReplicaRange,
     RngStreamSpec,
     asclt_measure_critical,
     asclt_measure_diffusive,
-    build_sequences,
     central_moments,
     conditional_moment_S,
     conditional_moment_eps,
@@ -29,13 +29,14 @@ from mrwlab import (
     exact_distribution,
     exact_mean_recursion,
     exact_qsl_expectation,
+    exact_urn_distribution,
     limit_law,
     qsl_functional_batch,
     sequence_checkpoints,
     superdiffusive_limit,
+    total_variation,
     two_point_moment_S,
     two_point_moment_eps,
-    urn_walk_equivalence_check,
     walk_checkpoints_batch,
     weighted_ks_to_normal,
     weighted_mean_variance,
@@ -50,8 +51,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def replica_specs(count: int) -> list[RngStreamSpec]:
-    return [RngStreamSpec(MASTER_SEED, i) for i in range(count)]
+def replica_specs(count: int) -> ReplicaRange:
+    return RngStreamSpec(MASTER_SEED).replicas(count)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,8 @@ def test_criterion_01_exact_urn_walk_equivalence():
             params = ModelParams(s=0.5, q=q, p=p)
             alphas.add(params.alpha)
             for n in range(1, 31):
-                worst = max(worst, urn_walk_equivalence_check(params, n))
+                walk, urn = exact_distribution(params, n), exact_urn_distribution(params, n)
+                worst = max(worst, total_variation(walk.probs, urn.probs))
     covers = min(alphas) < 0 and 0.0 in alphas and 0.5 in alphas
     ok = worst < 1e-12 and covers
     report(1, ok, f"max TV {worst:.3e} over 9 cells x 30 horizons, "
@@ -81,11 +83,12 @@ def test_criterion_02_martingale_identity():
     worst = 0.0
     for q, p in sets:
         alpha = p - q
-        cache = build_sequences(alpha, 201)
+        seqs = sequence_checkpoints(alpha, range(1, 202))
+        a, A = seqs["a"], seqs["A"]  # entry k - 1 is step k
         for n in range(1, 201):
             states = np.arange(n + 1, dtype=np.float64)
-            lhs = cache.a[n + 1] * (states + q + alpha * states / n) - q * cache.A[n + 1]
-            rhs = cache.a[n] * states - q * cache.A[n]
+            lhs = a[n] * (states + q + alpha * states / n) - q * A[n]
+            rhs = a[n - 1] * states - q * A[n - 1]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     ok = worst <= 1e-12
     report(2, ok, f"max |lhs-rhs| {worst:.3e} over states s<=n<=200, "
@@ -124,10 +127,10 @@ def test_criterion_04_sequence_limits():
     """v_n, f_n, and mean-ratio asymptotics at n = 10^6."""
     checks = []
     # diffusive, alpha = 0.25
-    cache = build_sequences(0.25, 10**6)
+    diff4 = sequence_checkpoints(0.25, [10**6])
     ell = math.gamma(1.25) ** 2 / 0.5
-    v_dev = abs(cache.v[10**6] / 10**3 - ell) / ell
-    f_dev = abs(10**6 * cache.f[10**6] - 0.5)
+    v_dev = abs(diff4["v"][0] / 10**3 - ell) / ell
+    f_dev = abs(10**6 * diff4["f"][0] - 0.5)
     checks.append(("diffusive v_n/sqrt(n) rel dev", v_dev, v_dev <= 0.01))
     checks.append(("diffusive |n f_n - 0.5|", f_dev, f_dev <= 0.01))
     # critical

@@ -344,6 +344,31 @@ def test_threads_are_clamped_to_usable_cpus(monkeypatch):
     assert np.array_equal(one, many)
 
 
+def test_thread_pool_results_equal_one_thread(monkeypatch):
+    # Four usable CPUs on any runner, so threads=4 takes the real ThreadPoolExecutor branch.
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    specs = RngStreamSpec(21).replicas(64)
+    walk_one = walk_checkpoints_batch(params, [7, 300], specs, threads=1)
+    qsl_one = qsl_functional_batch(params, 300, 1, specs, threads=1)
+    monkeypatch.setattr(cp, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    assert len(cp._replica_ranges(len(specs), 4)) == 4
+    walk_four = walk_checkpoints_batch(params, [7, 300], specs, threads=4)
+    qsl_four = qsl_functional_batch(params, 300, 1, specs, threads=4)
+    assert pools == [4, 4]
+    assert walk_four.tobytes() == walk_one.tobytes()
+    assert qsl_four.tobytes() == qsl_one.tobytes()
+
+
 def test_batch_law_matches_exact_dp():
     # The float32 batched engine must sample the same distribution the DP
     # computes; total variation at n = 12 over 10^5 replicas.

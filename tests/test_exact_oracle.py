@@ -9,7 +9,6 @@ from scipy import stats
 from mrwlab import (
     ModelParams,
     RngStreamSpec,
-    build_sequences,
     central_moments,
     conditional_moment_S,
     conditional_moment_eps,
@@ -22,10 +21,9 @@ from mrwlab import (
     total_variation,
     two_point_moment_S,
     two_point_moment_eps,
-    urn_walk_equivalence_check,
     walk_checkpoints_batch,
 )
-from mrwlab.exact_oracle import DP_BOUND
+from mrwlab.exact_oracle import DP_BOUND, MAX_MATERIALIZED
 
 
 # ---------------------------------------------------------------- laws
@@ -91,7 +89,8 @@ def test_dp_variance_is_a_central_sum():
 @pytest.mark.parametrize("q,p", [(0.25, 0.25), (0.5, 0.5), (0.25, 0.75), (0.75, 0.25), (0.3, 1.0), (1.0, 0.0)])
 def test_urn_walk_equivalence(q, p):
     params = ModelParams(s=0.4, q=q, p=p)
-    assert urn_walk_equivalence_check(params, 25) < 1e-12
+    walk, urn = exact_distribution(params, 25), exact_urn_distribution(params, 25)
+    assert total_variation(walk.probs, urn.probs) < 1e-12
 
 
 def test_total_variation_pads_lengths():
@@ -132,6 +131,12 @@ def test_mean_checkpoints_match_full_array():
     out = exact_mean_checkpoints(params, cps)
     full = exact_mean_recursion(params, 4999)
     assert np.array_equal(out, full[np.array(cps)])
+
+
+def test_mean_recursion_refuses_horizons_above_its_bound():
+    params = ModelParams(s=0.4, q=0.1, p=0.9)
+    with pytest.raises(ValueError, match="materialization bound"):
+        exact_mean_recursion(params, MAX_MATERIALIZED + 1)
 
 
 def test_mean_frequency_limit():

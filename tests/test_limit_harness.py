@@ -356,6 +356,10 @@ def test_skeleton_step_errors():
         skeleton_steps(1000, (0.5, 0.5), Regime.DIFFUSIVE)
     with pytest.raises(ValueError):
         skeleton_steps(1000, (), Regime.DIFFUSIVE)
+    for regime in (Regime.DIFFUSIVE, Regime.CRITICAL):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"finite, got grid \[0\.5, "):
+                skeleton_steps(1000, (0.5, bad), regime)
 
 
 def test_skeleton_endpoint_is_clt_statistic():

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrwlab import martingale_sequences
-from mrwlab.martingale_sequences import MAX_MATERIALIZED
 from mrwlab import (
     ModelParams,
     Regime,
     RngStreamSpec,
-    build_sequences,
     martingale_track,
     sequence_asymptotics,
     sequence_checkpoints,
@@ -26,85 +24,87 @@ def closed_form_a(alpha: float, n: np.ndarray) -> np.ndarray:
     return np.exp(lg(n) + math.lgamma(1 + alpha) - lg(n + alpha))
 
 
-# ---------------------------------------------------------------- sequences
-
-
-def test_alpha_zero_sequences_are_trivial():
-    cache = build_sequences(0.0, 500)
-    n = np.arange(1, 501)
-    assert np.array_equal(cache.a[1:], np.ones(500))
-    assert np.array_equal(cache.A[1:], n.astype(np.float64))
-    assert np.array_equal(cache.v[1:], n.astype(np.float64))
-    assert np.allclose(cache.f[1:], 1.0 / n, rtol=1e-15)
-
-
-def test_first_terms_at_critical_alpha():
-    cache = build_sequences(0.5, 3)
-    assert cache.a[1] == 1.0
-    assert abs(cache.a[2] - 2.0 / 3.0) < 1e-15
-    assert abs(cache.a[3] - 8.0 / 15.0) < 1e-15
-    assert abs(cache.A[3] - (1 + 2 / 3 + 8 / 15)) < 1e-15
-
-
-@pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.25, 0.5, 0.8, 1.0])
-def test_recurrence_matches_gamma_closed_form(alpha):
-    cache = build_sequences(alpha, 150)
-    n = np.arange(1, 151)
-    expected = closed_form_a(alpha, n)
-    assert np.allclose(cache.a[1:], expected, rtol=1e-10)
-
-
-def test_sequences_accept_params_object():
-    params = ModelParams(s=0.5, q=0.25, p=0.75)
-    cache = build_sequences(params, 10)
-    assert np.array_equal(cache.a[1:], build_sequences(0.5, 10).a[1:])
-
-
-@settings(max_examples=20, deadline=None)
-@given(alpha=st.floats(-0.9, 1.0), horizon=st.integers(2, 400))
-def test_sequence_shape_invariants(alpha, horizon):
-    cache = build_sequences(alpha, horizon)
-    assert np.all(cache.a[1:] > 0)
-    assert np.all(np.diff(cache.A[1:]) > 0)
-    assert np.all(np.diff(cache.v[1:]) > 0)
-    f = cache.f[1:]
-    assert np.all((f > 0) & (f <= 1.0 + 1e-15))
-    # v_n <= A_n since a_k <= 1 implies a_k^2 <= a_k, for alpha >= 0
-    if alpha >= 0:
-        assert np.all(cache.v[1:] <= cache.A[1:] + 1e-12)
-
-
-def test_gamma_ratio_accessor():
-    cache = build_sequences(0.25, 10)
-    for k in range(1, 9):
-        assert abs(cache.a[k] / cache.a[k + 1] - (1 + 0.25 / k)) < 1e-12
-
-
-def test_horizon_limits():
-    with pytest.raises(ValueError):
-        build_sequences(0.25, 0)
-    with pytest.raises(ValueError):
-        build_sequences(0.25, MAX_MATERIALIZED + 1)
-
-
-def test_streaming_checkpoints_match_materialized():
-    for alpha in (-0.25, 0.0, 0.5, 0.8):
-        cps = [1, 2, 3, 10, 999, 5000]
-        out = sequence_checkpoints(alpha, cps)
-        cache = build_sequences(alpha, 5000)
-        idx = np.array(cps)
-        assert np.array_equal(out["a"], cache.a[idx])
-        assert np.array_equal(out["A"], cache.A[idx])
-        assert np.array_equal(out["v"], cache.v[idx])
-        assert np.array_equal(out["f"], cache.f[idx])
-
-
 def one_pass_sequences(alpha: float, N: int):
     # Reference: one cumprod/cumsum over the whole horizon, no chunking.
     k = np.arange(1.0, N, dtype=np.float64)
     a = np.concatenate([[1.0], np.cumprod(k / (k + alpha))])
     v = np.cumsum(a**2)
     return {"a": a, "A": np.cumsum(a), "v": v, "f": a**2 / v}
+
+
+def steps_to(params_or_alpha, N: int) -> dict:
+    # Entry k - 1 of each array is the value at step k.
+    return sequence_checkpoints(params_or_alpha, range(1, N + 1))
+
+
+# ---------------------------------------------------------------- sequences
+
+
+def test_alpha_zero_sequences_are_trivial():
+    seqs = steps_to(0.0, 500)
+    n = np.arange(1, 501)
+    assert np.array_equal(seqs["a"], np.ones(500))
+    assert np.array_equal(seqs["A"], n.astype(np.float64))
+    assert np.array_equal(seqs["v"], n.astype(np.float64))
+    assert np.allclose(seqs["f"], 1.0 / n, rtol=1e-15)
+
+
+def test_first_terms_at_critical_alpha():
+    seqs = steps_to(0.5, 3)
+    a, A = seqs["a"], seqs["A"]
+    assert a[0] == 1.0
+    assert abs(a[1] - 2.0 / 3.0) < 1e-15
+    assert abs(a[2] - 8.0 / 15.0) < 1e-15
+    assert abs(A[2] - (1 + 2 / 3 + 8 / 15)) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.25, 0.5, 0.8, 1.0])
+def test_recurrence_matches_gamma_closed_form(alpha):
+    n = np.arange(1, 151)
+    expected = closed_form_a(alpha, n)
+    assert np.allclose(steps_to(alpha, 150)["a"], expected, rtol=1e-10)
+
+
+def test_sequences_accept_params_object():
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    assert np.array_equal(steps_to(params, 10)["a"], steps_to(0.5, 10)["a"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(-0.9, 1.0), horizon=st.integers(2, 400))
+def test_sequence_shape_invariants(alpha, horizon):
+    seqs = steps_to(alpha, horizon)
+    assert np.all(seqs["a"] > 0)
+    assert np.all(np.diff(seqs["A"]) > 0)
+    assert np.all(np.diff(seqs["v"]) > 0)
+    f = seqs["f"]
+    assert np.all((f > 0) & (f <= 1.0 + 1e-15))
+    # v_n <= A_n since a_k <= 1 implies a_k^2 <= a_k, for alpha >= 0
+    if alpha >= 0:
+        assert np.all(seqs["v"] <= seqs["A"] + 1e-12)
+
+
+def test_gamma_ratio_accessor():
+    a = steps_to(0.25, 10)["a"]
+    for k in range(1, 9):
+        assert abs(a[k - 1] / a[k] - (1 + 0.25 / k)) < 1e-12
+
+
+def test_horizon_limits():
+    with pytest.raises(ValueError):
+        sequence_checkpoints(0.25, [0])
+    with pytest.raises(ValueError):
+        steps_to(0.25, 0)
+
+
+def test_streaming_checkpoints_match_materialized():
+    for alpha in (-0.25, 0.0, 0.5, 0.8):
+        cps = [1, 2, 3, 10, 999, 5000]
+        out = sequence_checkpoints(alpha, cps)
+        ref = one_pass_sequences(alpha, 5000)
+        idx = np.array(cps) - 1
+        for name in ("a", "A", "v", "f"):
+            assert np.array_equal(out[name], ref[name][idx])
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,12 +120,10 @@ def test_checkpoints_equal_materialized_at_any_chunk(alpha, cps, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(martingale_sequences, "_STREAM_CHUNK", chunk)
         out = sequence_checkpoints(alpha, cps)
-        chunked = build_sequences(alpha, N)
-    cache = build_sequences(alpha, N)
+        every = steps_to(alpha, N)
     for name in ("a", "A", "v", "f"):
-        assert np.array_equal(getattr(cache, name)[1:], ref[name])
-        assert np.array_equal(getattr(chunked, name)[1:], ref[name])
-        assert np.array_equal(out[name], getattr(cache, name)[idx])
+        assert np.array_equal(every[name], ref[name])
+        assert np.array_equal(out[name], ref[name][idx - 1])
     assert np.array_equal(out["n"], idx)
 
 
@@ -198,13 +196,14 @@ def test_martingale_one_step_conditional_mean():
     # E[M_{n+1} | F_n] = M_n pointwise over states: the compensated value
     # a_{n+1} (s + q + alpha s / n) - q A_{n+1} must equal a_n s - q A_n.
     params = ModelParams(s=0.4, q=0.3, p=0.8)
-    cache = build_sequences(params, 60)
+    seqs = steps_to(params, 60)
+    a, A = np.concatenate([[np.nan], seqs["a"]]), np.concatenate([[0.0], seqs["A"]])
     alpha = params.alpha
     for n in range(1, 50):
         for s_state in range(n + 1):
             drift = params.q + alpha * s_state / n
-            m_now = cache.a[n] * s_state - params.q * cache.A[n]
-            m_next = cache.a[n + 1] * (s_state + drift) - params.q * cache.A[n + 1]
+            m_now = a[n] * s_state - params.q * A[n]
+            m_next = a[n + 1] * (s_state + drift) - params.q * A[n + 1]
             # expectation over the step: + drift contribution already included
             assert abs(m_next - m_now) < 1e-12 * max(1.0, abs(m_now))
 
@@ -214,11 +213,11 @@ def test_martingale_one_step_conditional_mean():
 
 def test_asymptotics_alpha_zero_is_exact():
     params = ModelParams(s=0.5, q=0.5, p=0.5)
-    cache = build_sequences(params, 100_000)
+    ref = one_pass_sequences(params.alpha, 100_000)
     diag = sequence_asymptotics(params, 100_000)
     assert diag.regime is Regime.DIFFUSIVE
     for name in ("a", "A", "v", "f"):
-        assert np.array_equal(getattr(diag, name), getattr(cache, name)[diag.grid])
+        assert np.array_equal(getattr(diag, name), ref[name][diag.grid - 1])
     assert np.allclose(diag.columns["v_over_power"], 1.0, rtol=1e-12)
     assert np.allclose(diag.columns["n_times_f"], 1.0, rtol=1e-12)
     assert np.allclose(diag.mean_ratio_dev, 0.0, atol=1e-9)
@@ -233,16 +232,6 @@ def test_asymptotics_critical_trend():
     # deviation shrinks along the grid tail
     assert devs[-1] < devs[len(devs) // 2] < devs[0]
     assert abs(ratio[-1] / target - 1) < 0.15
-
-
-def test_asymptotics_rejects_empty_and_out_of_range_grids():
-    params = ModelParams(s=0.5, q=0.25, p=0.5)
-    with pytest.raises(ValueError, match="empty"):
-        sequence_asymptotics(params, 1000, grid=[])
-    with pytest.raises(ValueError, match="empty"):
-        sequence_asymptotics(params, 1)  # the default log grid has no step >= 2
-    with pytest.raises(ValueError, match="within"):
-        sequence_asymptotics(params, 1000, grid=[2, 1001])
 
 
 def test_asymptotics_superdiffusive_has_only_shared_columns():
@@ -263,5 +252,5 @@ def test_mean_ratio_dev_matches_the_gamma_form(q, p):
     alpha = params.alpha
     log_ratio = math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1 + alpha) - alpha * math.log(n)
     expected = abs(alpha) / (1 - alpha) * math.exp(log_ratio)
-    diag = sequence_asymptotics(params, n, grid=[n])
+    diag = sequence_asymptotics(params, n, points=2)  # the grid [1, n] less step 1
     assert diag.mean_ratio_dev[0] == pytest.approx(expected, rel=1e-7, abs=0)
