@@ -26,6 +26,7 @@ from .core_process import (
     RngStreamSpec,
     _KernelBuildError,
     classify_regime,
+    simulate_urn,
     simulate_walk,
     walk_checkpoints_batch,
 )
@@ -46,7 +47,7 @@ from .limit_harness import (
     weighted_ks_to_normal,
     weighted_mean_variance,
 )
-from .martingale_sequences import sequence_asymptotics, sequence_checkpoints, sigma_squared
+from .martingale_sequences import sequence_asymptotics, sigma_squared
 
 SCHEMA_VERSION = 1
 
@@ -112,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanism",
         choices=("direct", "lookup"),
         default="direct",
-        help="stepping mechanism of the --trajectory path: direct reads the stream of replica 0, "
-        "lookup draws past indices (lookup needs --trajectory)",
+        help="stepping mechanism of the --trajectory path: direct reads the walk engine's stream of "
+        "replica 0, lookup runs the urn's draw-and-respond chain on it (lookup needs --trajectory)",
     )
     sp.add_argument(
         "--trajectory",
@@ -241,9 +242,13 @@ def _run_simulate(args, params, threads, emitter) -> None:
     if args.trajectory:
         if args.replicas != 1:
             raise ValueError("--trajectory emits the path of replica 0 alone; it needs --replicas 1")
-        path = simulate_walk(params, args.n, RngStreamSpec(args.seed, 0), mechanism=args.mechanism)
-        emitter.table(("k", "S_k"), ((k, int(path.positions[k])) for k in range(args.n + 1)))
-        emitter.results["final_position"] = int(path.positions[-1])
+        rng = RngStreamSpec(args.seed, 0)
+        if args.mechanism == "lookup":
+            positions = simulate_urn(params, args.n, rng).blue
+        else:
+            positions = simulate_walk(params, args.n, rng).positions
+        emitter.table(("k", "S_k"), ((k, int(positions[k])) for k in range(args.n + 1)))
+        emitter.results["final_position"] = int(positions[-1])
         return
     if args.mechanism != "direct":
         raise ValueError(f"--mechanism {args.mechanism} needs --trajectory; final positions read the direct engine stream")
@@ -337,11 +342,8 @@ def _run_superdiffusive(args, params, threads, emitter) -> None:
     ]
     emitter.table(("n", "mean", "mean_se", "variance", "variance_se", "cauchy_rms"), rows)
     last = estimates[-1]
-    alpha = params.alpha
-    # E[S_n] - n q/(1-alpha) = (s - q/(1-alpha))/a_n exactly, so no difference of near-equal doubles is taken.
-    a_n = sequence_checkpoints(params, [last.n])["a"][0]
     emitter.results["final_mean"] = last.mean
-    emitter.results["exact_final_mean"] = last.n ** -alpha * (params.s - params.q / (1.0 - alpha)) / a_n
+    emitter.results["exact_final_mean"] = last.exact_mean
     emitter.results["final_variance"] = last.variance
 
 

@@ -7,14 +7,14 @@ X_k = 1. Averaging over the uniform index gives the equivalent one-step law
 
     P(X_m = 1 | past) = q + alpha * S_{m-1} / (m-1),    alpha := p - q,
 
-which depends on the past only through (m, S_{m-1}). Both mechanisms are
-implemented; their distributional equality is a test target, not an
-assumption.
-
-The same dynamics describe a two-color urn: add a blue ball with probability
-s at step 1; afterwards draw a ball uniformly and add blue with probability
-q after a red draw, p after a blue draw. The blue count after n additions is
-distributed exactly as S_n.
+which depends on the past only through (m, S_{m-1}); the walk engine steps
+by this law. The same dynamics describe a two-color urn: add a blue ball with
+probability s at step 1; afterwards draw a ball uniformly and add blue with
+probability q after a red draw, p after a blue draw. A drawn ball is blue
+with probability S_m/m, the chance that a drawn past step is a 1, so the
+blue count after n additions is distributed exactly as S_n. simulate_urn
+runs this literal draw-and-respond mechanism; the equality of the two laws
+is a test target, not an assumption.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
@@ -219,44 +219,19 @@ class UrnPath:
             raise AssertionError("red + blue must equal the number of additions")
 
 
-Mechanism = Literal["direct", "lookup"]
-
-
-def simulate_walk(
-    params: ModelParams,
-    n: int,
-    rng: RngStreamSpec,
-    mechanism: Mechanism = "direct",
-) -> WalkPath:
+def simulate_walk(params: ModelParams, n: int, rng: RngStreamSpec) -> WalkPath:
     """Simulate one trajectory of length n.
 
-    mechanism="direct" reads the walk engine's stream of rng (one float32
-    uniform per step, see walk_position_chunks), so its positions equal
-    walk_positions_batch(params, n, [rng])[0]. mechanism="lookup" samples the
-    past index explicitly (one integer uniform on {1,...,m-1} plus one float64
-    uniform per step) and responds to the looked-up step. The two mechanisms
-    consume their streams differently and so produce different paths from
-    the same spec, but identical distributions.
+    Reads the walk engine's stream of rng (one float32 uniform per step, see
+    walk_position_chunks), so its positions equal
+    walk_positions_batch(params, n, [rng])[0].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mechanism == "direct":
-        positions = np.zeros(n + 1, dtype=np.int64)
-        for k, values in walk_position_chunks(params, n, rng):
-            positions[k : k + len(values)] = values
-        return WalkPath(steps=np.diff(positions).astype(np.uint8), positions=positions)
-    if mechanism != "lookup":
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    gen = rng.generator()
-    steps = np.zeros(n, dtype=np.uint8)
-    steps[0] = gen.random() < params.s
-    for m in range(1, n):
-        k = int(gen.integers(0, m))  # uniform past index, 0-based
-        prob = params.p if steps[k] else params.q
-        steps[m] = gen.random() < prob
     positions = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(steps, out=positions[1:])
-    return WalkPath(steps=steps, positions=positions)
+    for k, values in walk_position_chunks(params, n, rng):
+        positions[k : k + len(values)] = values
+    return WalkPath(steps=np.diff(positions).astype(np.uint8), positions=positions)
 
 
 def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
@@ -443,6 +418,14 @@ def walk_positions_batch(
     return pos
 
 
+def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
+    """checkpoints as an int64 array, checked to be strictly increasing step indices >= 1."""
+    cps = np.array(checkpoints, dtype=np.int64)
+    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
+        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    return cps
+
+
 def walk_checkpoints_batch(
     params: ModelParams,
     checkpoints: Sequence[int],
@@ -457,9 +440,7 @@ def walk_checkpoints_batch(
     RngStreamSpec). Supports horizons up to 10^8 per replica. threads=None
     runs on one worker per usable CPU; results are the same at any count.
     """
-    cps = [int(c) for c in checkpoints]
-    if not cps or any(c < 1 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    cps = _checkpoint_array(checkpoints).tolist()
     R = len(specs)
     out = np.empty((R, len(cps)), dtype=np.float64)
     keys = _stream_keys(specs)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_process import ModelParams
-from .martingale_sequences import _checkpoint_array, sequence_checkpoints
+from .core_process import ModelParams, _checkpoint_array
+from .martingale_sequences import sequence_checkpoints
 
 __all__ = [
     "DP_BOUND",

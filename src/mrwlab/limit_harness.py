@@ -41,6 +41,7 @@ from .core_process import (
     Regime,
     RegimeError,
     RngStreamSpec,
+    _checkpoint_array,
     _position_tiles,
     _require,
     _run_replica_blocks,
@@ -48,7 +49,7 @@ from .core_process import (
     walk_checkpoints_batch,
 )
 from .exact_oracle import central_moments
-from .martingale_sequences import sigma_squared
+from .martingale_sequences import sequence_checkpoints, sigma_squared
 from .urn_spectral import (
     theoretical_covariance_critical,
     theoretical_covariance_diffusive,
@@ -349,8 +350,8 @@ class PathSkeleton:
 def skeleton_steps(n: int, grid: Sequence[float], regime: Regime) -> np.ndarray:
     """Map grid times to step indices: floor(n t) diffusive, floor(n^t) critical."""
     times = np.asarray(list(grid), dtype=np.float64)
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"grid times must be finite, got grid {times.tolist()}")
+    if not np.all((times > 0) & (times <= 1)):
+        raise ValueError(f"grid times must be finite and lie in (0, 1], got grid {times.tolist()}")
     if len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("grid times must be strictly increasing")
     if regime is Regime.CRITICAL:
@@ -441,7 +442,8 @@ def covariance_grid(
 
 @dataclass
 class LimitEstimate:
-    """Sample of the superdiffusive statistic at one horizon; samples holds one value per replica."""
+    """Sample of the superdiffusive statistic at one horizon; samples holds one
+    value per replica and exact_mean is the statistic's exact expectation."""
 
     n: int
     mean: float
@@ -450,6 +452,7 @@ class LimitEstimate:
     variance_se: float
     cauchy_rms: float
     samples: np.ndarray
+    exact_mean: float
 
 
 def superdiffusive_limit(
@@ -465,16 +468,17 @@ def superdiffusive_limit(
     2*max(n_list), recording each horizon n and its double 2n, so the
     per-horizon statistics are coupled pathwise. cauchy_rms is the across-replica RMS of the statistic
     difference between 2n and n; almost sure convergence makes it shrink as
-    n grows.
+    n grows. variance_se is sqrt(Var((x - mean)^2) / replicas), the
+    standard error of the sample variance.
     """
     _require(params, Regime.SUPERDIFFUSIVE, "the superdiffusive limit sample")
-    ns = [int(x) for x in n_list]
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise ValueError("n_list must be strictly increasing positive horizons")
+    ns = _checkpoint_array(n_list).tolist()
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     alpha = params.alpha
     center = params.q / (1.0 - alpha)
+    # E[S_n] - n q/(1-alpha) = (s - q/(1-alpha))/a_n exactly, so no difference of near-equal doubles is taken.
+    a = sequence_checkpoints(params, ns)["a"]
     checkpoints = sorted(set(ns) | {2 * x for x in ns})
     col = {cp: i for i, cp in enumerate(checkpoints)}
     pos = walk_checkpoints_batch(params, checkpoints, rng.replicas(replicas), threads=threads)
@@ -484,23 +488,21 @@ def superdiffusive_limit(
         return n ** (1.0 - alpha) * (S / n - center)
 
     results = []
-    for n in ns:
+    for n, a_n in zip(ns, a):
         x = stat(n)
         diff = stat(2 * n) - x
         mean = float(x.mean())
         var = float(x.var(ddof=1))
-        m4 = float(np.mean((x - mean) ** 4))
-        mean_se = math.sqrt(var / replicas)
-        var_se = math.sqrt(max(m4 - var**2, 0.0) / replicas)
         results.append(
             LimitEstimate(
                 n=n,
                 mean=mean,
-                mean_se=mean_se,
+                mean_se=math.sqrt(var / replicas),
                 variance=var,
-                variance_se=var_se,
+                variance_se=math.sqrt(float(np.var((x - mean) ** 2)) / replicas),
                 cauchy_rms=float(np.sqrt(np.mean(diff**2))),
                 samples=x,
+                exact_mean=float(n**-alpha * (params.s - center) / a_n),
             )
         )
     return results

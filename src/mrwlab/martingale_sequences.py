@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, WalkPath, classify_regime
+from .core_process import ModelParams, Regime, WalkPath, _checkpoint_array, classify_regime
 
 __all__ = [
     "MartingaleTrack",
@@ -36,18 +36,6 @@ __all__ = [
 ]
 
 _STREAM_CHUNK = 1_000_000
-
-
-def _alpha_of(params_or_alpha) -> float:
-    if isinstance(params_or_alpha, ModelParams):
-        alpha = params_or_alpha.alpha
-    else:
-        alpha = float(params_or_alpha)
-    if alpha == -1.0:
-        raise ValueError(
-            "the weight sequence a_n is undefined at alpha = -1 (q = 1, p = 0): a_2 = 1/(1 + alpha)"
-        )
-    return alpha
 
 
 def _sequence_chunks(alpha: float, horizon: int):
@@ -77,14 +65,7 @@ def _sequence_chunks(alpha: float, horizon: int):
         yield start, seq[:, 1:]
 
 
-def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
-    cps = np.array(checkpoints, dtype=np.int64)
-    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
-    return cps
-
-
-def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
+def sequence_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> dict:
     """Stream the recurrence to large horizons, recording selected steps.
 
     Returns {"n", "a", "A", "v", "f"} arrays over the strictly increasing
@@ -92,7 +73,11 @@ def sequence_checkpoints(params_or_alpha, checkpoints: Sequence[int]) -> dict:
     O(chunk + checkpoints), so horizons of 10^8 and beyond are fine.
     """
     cps = _checkpoint_array(checkpoints)
-    alpha = _alpha_of(params_or_alpha)
+    alpha = params.alpha
+    if alpha == -1.0:
+        raise ValueError(
+            "the weight sequence a_n is undefined at alpha = -1 (q = 1, p = 0): a_2 = 1/(1 + alpha)"
+        )
     out = np.empty((3, len(cps)), dtype=np.float64)
     for start, chunk in _sequence_chunks(alpha, int(cps[-1])):
         lo, hi = np.searchsorted(cps, [start, start + chunk.shape[1]])

@@ -82,8 +82,9 @@ def test_criterion_02_martingale_identity():
     sets = [(0.5, 0.5), (0.25, 0.5), (0.25, 0.75), (0.1, 0.9), (0.6, 0.35)]
     worst = 0.0
     for q, p in sets:
-        alpha = p - q
-        seqs = sequence_checkpoints(alpha, range(1, 202))
+        params = ModelParams(s=0.5, q=q, p=p)
+        alpha = params.alpha
+        seqs = sequence_checkpoints(params, range(1, 202))
         a, A = seqs["a"], seqs["A"]  # entry k - 1 is step k
         for n in range(1, 201):
             states = np.arange(n + 1, dtype=np.float64)
@@ -126,15 +127,16 @@ def test_criterion_03_conditional_moment_formulas():
 def test_criterion_04_sequence_limits():
     """v_n, f_n, and mean-ratio asymptotics at n = 10^6."""
     checks = []
+    diffusive, critical = ModelParams(s=0.5, q=0.5, p=0.75), ModelParams(s=0.5, q=0.25, p=0.75)
     # diffusive, alpha = 0.25
-    diff4 = sequence_checkpoints(0.25, [10**6])
+    diff4 = sequence_checkpoints(diffusive, [10**6])
     ell = math.gamma(1.25) ** 2 / 0.5
     v_dev = abs(diff4["v"][0] / 10**3 - ell) / ell
     f_dev = abs(10**6 * diff4["f"][0] - 0.5)
     checks.append(("diffusive v_n/sqrt(n) rel dev", v_dev, v_dev <= 0.01))
     checks.append(("diffusive |n f_n - 0.5|", f_dev, f_dev <= 0.01))
     # critical
-    crit4 = sequence_checkpoints(0.5, [10**4, 10**6])
+    crit4 = sequence_checkpoints(critical, [10**4, 10**6])
     target = math.pi / 4
     dev_small = abs(crit4["v"][0] / math.log(10**4) - target) / target
     dev_big = abs(crit4["v"][1] / math.log(10**6) - target) / target
@@ -143,8 +145,9 @@ def test_criterion_04_sequence_limits():
     # mean-ratio deviation stays bounded over a log grid for both regimes
     grid = [int(x) for x in np.unique(np.logspace(1, 6, 26).astype(np.int64))]
     bounded = []
-    for alpha in (0.25, 0.5):
-        out = sequence_checkpoints(alpha, grid)
+    for params in (diffusive, critical):
+        alpha = params.alpha
+        out = sequence_checkpoints(params, grid)
         g = np.asarray(grid, dtype=np.float64)
         vals = np.abs(out["A"] / (g * out["a"]) - 1 / (1 - alpha)) * g ** (1 - alpha)
         flat_tail = abs(vals[-1] - vals[-2]) <= 1e-3 * vals[-1]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mrwlab.core_process as cp
-from mrwlab import ModelParams, exact_mean_recursion
+from mrwlab import ModelParams, RngStreamSpec, exact_mean_recursion, simulate_urn
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
 
 
@@ -146,6 +146,13 @@ def test_superdiffusive_rejects_bad_horizon_list(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["0.5,2", "0.5,1e30"])
+def test_fclt_rejects_grid_times_past_the_horizon(tmp_path, capsys, grid):
+    rc, out = run_to_file(tmp_path, "fclt.csv", ["fclt", "--n", "100", "--replicas", "5", "--grid", grid])
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert "grid times must be finite and lie in (0, 1], got grid [0.5, " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf"])
 def test_fclt_rejects_non_finite_grid_times(tmp_path, capsys, grid):
     rc, out = run_to_file(tmp_path, "fclt.csv", ["fclt", "--n", "100", "--replicas", "5", "--grid", grid])
@@ -180,6 +187,16 @@ def test_trajectory_rejects_more_than_one_replica(tmp_path, capsys, replicas):
     rc, out = run_to_file(tmp_path, "traj.csv", ["simulate", "--n", "3", "--trajectory", "--replicas", replicas])
     assert rc == EXIT_CONFIG and not out.exists()
     assert "--trajectory" in capsys.readouterr().err
+
+
+def test_lookup_trajectory_is_the_urn_blue_count(tmp_path):
+    rc, out = run_to_file(tmp_path, "traj.csv", ["simulate", "--n", "60", "--seed", "5", "--q", "0.3",
+                                                  "--p", "0.8", "--trajectory", "--mechanism", "lookup"])
+    assert rc == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == ["k", "S_k"]
+    blue = simulate_urn(ModelParams(0.5, 0.3, 0.8), 60, RngStreamSpec(5, 0)).blue
+    assert rows[1:] == [[str(k), str(b)] for k, b in enumerate(blue)]
 
 
 def test_lookup_mechanism_needs_trajectory(tmp_path, capsys):

@@ -83,31 +83,28 @@ def test_walk_rejects_zero_steps():
     p=st.floats(0.0, 1.0),
     n=st.integers(1, 200),
     seed=st.integers(0, 2**32),
-    mechanism=st.sampled_from(["direct", "lookup"]),
 )
-def test_walk_path_validity(s, q, p, n, seed, mechanism):
+def test_walk_path_validity(s, q, p, n, seed):
     params = ModelParams(s=s, q=q, p=p)
-    path = simulate_walk(params, n, RngStreamSpec(seed), mechanism=mechanism)
+    path = simulate_walk(params, n, RngStreamSpec(seed))
     path.validate()
     assert path.n == n
 
 
-@pytest.mark.parametrize("mechanism", ["direct", "lookup"])
-def test_walk_deterministic_per_stream(mechanism):
+def test_walk_deterministic_per_stream():
     params = ModelParams(s=0.3, q=0.4, p=0.8)
-    a = simulate_walk(params, 300, RngStreamSpec(7, 1), mechanism=mechanism)
-    b = simulate_walk(params, 300, RngStreamSpec(7, 1), mechanism=mechanism)
-    c = simulate_walk(params, 300, RngStreamSpec(7, 2), mechanism=mechanism)
+    a = simulate_walk(params, 300, RngStreamSpec(7, 1))
+    b = simulate_walk(params, 300, RngStreamSpec(7, 1))
+    c = simulate_walk(params, 300, RngStreamSpec(7, 2))
     assert np.array_equal(a.steps, b.steps)
     assert not np.array_equal(a.steps, c.steps)
 
 
-@pytest.mark.parametrize("mechanism", ["direct", "lookup"])
-def test_all_ones_when_q_and_p_are_one(mechanism):
+def test_all_ones_when_q_and_p_are_one():
     # Every conditional probability equals 1, so S_n = X_1 + n - 1.
     params = ModelParams(s=0.5, q=1.0, p=1.0)
     for seed in range(5):
-        path = simulate_walk(params, 100, RngStreamSpec(seed), mechanism=mechanism)
+        path = simulate_walk(params, 100, RngStreamSpec(seed))
         assert path.positions[-1] == path.steps[0] + 99
 
 
@@ -132,16 +129,17 @@ def test_two_step_mean_matches_enumeration():
 
 
 def test_lookup_mechanism_conditional_law():
-    # Among replicas sharing S_5 = j, the frequency of a 1 at step 6 must
-    # approach q + alpha * j / 5.
+    # The urn's draw-and-respond step is the walk's memory lookup: among
+    # replicas with j blue balls after 5 additions, the frequency of a blue
+    # addition at step 6 must approach q + alpha * j / 5.
     params = ModelParams(s=0.5, q=0.3, p=0.9)
     reps = 20000
     s5 = np.empty(reps)
     x6 = np.empty(reps)
     for i in range(reps):
-        path = simulate_walk(params, 6, RngStreamSpec(99, i), mechanism="lookup")
-        s5[i] = path.positions[5]
-        x6[i] = path.steps[5]
+        blue = simulate_urn(params, 6, RngStreamSpec(99, i)).blue
+        s5[i] = blue[5]
+        x6[i] = blue[6] - blue[5]
     for j in range(6):
         mask = s5 == j
         count = int(mask.sum())
@@ -153,17 +151,17 @@ def test_lookup_mechanism_conditional_law():
 
 
 def test_mechanisms_share_one_distribution():
-    # Exact DP law vs the empirical law of each mechanism at n = 12.
+    # Exact DP law vs the empirical laws of the walk engine and of the
+    # urn's draw-and-respond mechanism at n = 12.
     params = ModelParams(s=0.5, q=0.3, p=0.8)
     n = 12
     exact = exact_distribution(params, n).probs
-    for mechanism in ("direct", "lookup"):
-        finals = np.array(
-            [
-                simulate_walk(params, n, RngStreamSpec(5, i), mechanism=mechanism).positions[-1]
-                for i in range(4000)
-            ]
-        )
+    steppers = (
+        lambda spec: simulate_walk(params, n, spec).positions[-1],
+        lambda spec: simulate_urn(params, n, spec).blue[-1],
+    )
+    for final in steppers:
+        finals = np.array([final(RngStreamSpec(5, i)) for i in range(4000)])
         emp = np.bincount(finals, minlength=n + 1) / len(finals)
         assert total_variation(emp, exact) < 0.03
 

@@ -358,8 +358,11 @@ def test_skeleton_step_errors():
         skeleton_steps(1000, (), Regime.DIFFUSIVE)
     for regime in (Regime.DIFFUSIVE, Regime.CRITICAL):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=r"finite, got grid \[0\.5, "):
+            with pytest.raises(ValueError, match=r"finite and lie in \(0, 1\], got grid \[0\.5, "):
                 skeleton_steps(1000, (0.5, bad), regime)
+        for grid in ((0.5, 2.0), (0.5, 1e30), (0.0, 0.5), (-0.5, 0.5), (0.5, 1.0000000000000002)):
+            with pytest.raises(ValueError, match=r"finite and lie in \(0, 1\], got grid \["):
+                skeleton_steps(100, grid, regime)
 
 
 def test_skeleton_endpoint_is_clt_statistic():
@@ -443,6 +446,26 @@ def test_superdiffusive_keep_samples_consistency():
     assert abs(results[0].mean - x.mean()) < 1e-12
     assert abs(results[0].variance - x.var(ddof=1)) < 1e-12
     assert abs(results[0].mean_se - math.sqrt(x.var(ddof=1) / 500)) < 1e-12
+
+
+def test_superdiffusive_variance_se_at_ten_replicas():
+    # Var((x - mean)^2) / R with population moments: positive, where m4 less
+    # the square of the ddof=1 variance is negative at this replica count.
+    params = ModelParams(s=0.5, q=0.1, p=1.0)
+    res = superdiffusive_limit(params, [100], 10, RngStreamSpec(42))[0]
+    d = res.samples - res.samples.mean()
+    assert np.mean(d**4) - res.variance**2 < 0
+    expected = math.sqrt((np.mean(d**4) - np.mean(d**2) ** 2) / 10)
+    assert res.variance_se > 0
+    assert res.variance_se == pytest.approx(expected, rel=1e-12)
+
+
+def test_superdiffusive_exact_mean_matches_the_recursion():
+    ns = [10, 200, 2000]
+    means = exact_mean_recursion(SUPER, 2000)
+    c = SUPER.q / (1 - SUPER.alpha)
+    for res, n in zip(superdiffusive_limit(SUPER, ns, 2, RngStreamSpec(3)), ns):
+        assert res.exact_mean == pytest.approx(n ** (1 - SUPER.alpha) * (means[n] / n - c), rel=1e-9, abs=1e-12)
 
 
 def test_superdiffusive_argument_checks():

@@ -166,7 +166,7 @@ def library_digest(name: str) -> str:
 DIGESTS = {
     "cli:simulate": "fdd352f2af18a028a658a0df15af47b8dfac8331bd80322ecb5f091fc2a4f8b8",
     "cli:simulate-critical-json": "477e42f55dfb0d6e9dcd375836023a81aac6c7f2e88716b7598720b9f0210fb5",
-    "cli:simulate-trajectory": "f74b59f8e5dbcbbf1b56eee4e0b73011df4b6e6895abae79e2ddb41d6c056100",
+    "cli:simulate-trajectory": "6183d96c361f543c46d66c4b5ab93737e053448d9d6bc4b40ad9180cc640f331",
     "cli:simulate-trajectory-direct": "e57ba8b38147be96d4569af17cb2372550147c4ec56c3bc78f50b815c1fcc096",
     "cli:simulate-alpha-minus-one": "568da456ef90273457c41ff3e8c1d4b1f9fe3ae179a7213d60e730154b968d2b",
     "cli:exact-critical": "3c36754931c9bd5c82a0aeef086a9994db19d1e7d40968392a5679675e9a5247",
@@ -188,8 +188,8 @@ DIGESTS = {
     "cli:fclt-superdiffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:urn-compare": "413ef32e22deb2e1db51513f9dd8baa93211d02155c3342b919dad8692eaaa9b",
     "cli:urn-compare-critical-json": "05ee98b698c51b4ae0bda272567c25a45d3bd2dadc5464df8ea2ddbf5b7427f4",
-    "cli:superdiffusive": "38ae55d2341005950373a8c1e06fd60bfa34a612c84ed7e5058fa26c5dfa052f",
-    "cli:superdiffusive-s-json": "0ae81370711551d8f4dd40e10acdfc298fd5969f24e282ab8436e4b6029ef4f6",
+    "cli:superdiffusive": "e21a4c4b6f11d501b9510381b737a4082af1584de46a1119d0b6092fbac49a9a",
+    "cli:superdiffusive-s-json": "fa09b577b83495365bb5659f8f6bfb4a355eee752bb5b2921673d2fcd4c746f7",
     "cli:superdiffusive-diffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:sequences-critical": "65a2d0803d18f97cc50505b2e87e5081baea7d34afb7d13f4c4a9a3a2204c40a",
     "cli:sequences-negative-alpha-json": "deddb8b6eb8162c73764e65be4135c9faeba663363387e7cf3a8a52983b61a10",
@@ -203,7 +203,7 @@ DIGESTS = {
     "lib:skeletons": "7eac5b7c4f109491440df976a57f2f4b58112ad5bf3290b0055a3a072c9d934c",
     "lib:covariance-diffusive": "f67e3a391e70a7994eb59bdf159f974b2682d95c7a985663ac46e3d3cac03634",
     "lib:covariance-critical": "a74357f09499f24eef630c3449d2afce87af47ebda347b4d1250ecce95ea4158",
-    "lib:superdiffusive-limit": "733e8cebb0e488da8242e32dd0828c785a37db7e43fb4b1bdba3d38fc3136231",
+    "lib:superdiffusive-limit": "00ae55d46b37a2f9dd9e2206454a4f3d8ec1b26355422814f85d139e0894d7fc",
     "lib:sequence-asymptotics": "eebcb0d92c6d20fc297690d45f139e5612910de512ca319fd49ef51b4b870f20",
 }
 
