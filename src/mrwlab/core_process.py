@@ -369,18 +369,16 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
 
 def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
     """Yield (k, tile) over the walks of specs to step n, where tile[j, i] =
-    S_{k+j} of specs[i] in float64: first [S_1] alone, then tiles ending at
-    multiples of rows steps (_TILE_VALUES // len(specs), rounded down to a
-    multiple of 8, at least 8), so that no kernel call after the second starts
-    inside a Philox block of 8 draws, whose uniforms it would compute again."""
+    S_{k+j} of specs[i] in float64. Tiles are rows steps tall (_TILE_VALUES //
+    len(specs), rounded down to a multiple of 8, at least 8) but the last, so
+    every tile starts at a step k = 1 (mod 8) and no kernel call starts inside
+    a Philox block of 8 draws, whose uniforms it would compute again."""
     keys, S = _stream_keys(specs), np.zeros(len(specs))
     rows = max(8, _TILE_VALUES // len(specs) // 8 * 8)
-    m = 0
-    while m < n:
-        tile = np.empty((min(rows - m % rows, n - m) if m else 1, len(specs)))
+    for m in range(0, n, rows):
+        tile = np.empty((min(rows, n - m), len(specs)))
         _advance(params, keys, S, m, len(tile), tile)
-        m += len(tile)
-        yield m + 1 - len(tile), tile
+        yield m + 1, tile
 
 
 def walk_positions_batch(
@@ -419,10 +417,12 @@ def walk_positions_batch(
 
 
 def _checkpoint_array(checkpoints: Sequence[int]) -> np.ndarray:
-    """checkpoints as an int64 array, checked to be strictly increasing step indices >= 1."""
-    cps = np.array(checkpoints, dtype=np.int64)
-    if cps.ndim != 1 or cps.size == 0 or cps[0] < 1 or np.any(np.diff(cps) <= 0):
-        raise ValueError("checkpoints must be strictly increasing and >= 1")
+    """checkpoints as an int64 array, checked to be integral, strictly increasing step indices >= 1."""
+    raw = np.asarray(checkpoints)
+    with np.errstate(invalid="ignore"):
+        cps = raw.astype(np.int64)
+    if cps.ndim != 1 or cps.size == 0 or np.any(cps != raw) or cps[0] < 1 or np.any(np.diff(cps) <= 0):
+        raise ValueError("checkpoints must be integral, strictly increasing and >= 1")
     return cps
 
 
@@ -460,8 +460,9 @@ def walk_position_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream one replica's positions S_1..S_n in chunks.
 
-    Yields (k_start, values) where values[j] = S_{k_start + j}; the first
-    chunk is (1, [S_1]). This is the batch engine run on the one replica
+    Yields (k_start, values) where values[j] = S_{k_start + j}; the chunks
+    start at steps 1, 1 + rows, 1 + 2 rows, ..., rows a multiple of 8 (see
+    _position_tiles). This is the batch engine run on the one replica
     [rng], so the values equal walk_positions_batch(params, n, [rng])[0, 1:].
     """
     if n < 1:

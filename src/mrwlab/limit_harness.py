@@ -50,10 +50,6 @@ from .core_process import (
 )
 from .exact_oracle import central_moments
 from .martingale_sequences import sequence_checkpoints, sigma_squared
-from .urn_spectral import (
-    theoretical_covariance_critical,
-    theoretical_covariance_diffusive,
-)
 
 __all__ = [
     "LimitLaw",
@@ -101,8 +97,9 @@ class LimitLaw:
     is N(0, variance) with variance = noise/damping: sigma^2/(1-2 alpha)
     diffusive, 4q(1-p)/1 critical. skeleton_scale(n, m) rescales
     S_m/m - centre at the skeleton step m (sqrt(n), resp. sqrt(m/log n)),
-    and kernel(params, s, t) is the limit covariance of the skeleton values
-    at grid times s <= t. min_horizon is the smallest n the weighted
+    and kernel(s, t) is the limit covariance of the skeleton values at grid
+    times s <= t: noise/(damping t) (t/s)^alpha diffusive, noise s critical
+    (on the n^t time change). min_horizon is the smallest n the weighted
     measure accepts.
     """
 
@@ -116,7 +113,7 @@ class LimitLaw:
     L: Callable[[np.ndarray], np.ndarray | float]
     normalizer: Callable[[int], float]
     skeleton_scale: Callable[[int, np.ndarray], np.ndarray]
-    kernel: Callable[[ModelParams, float, float], float]
+    kernel: Callable[[float, float], float]
 
     @property
     def variance(self) -> float:
@@ -137,20 +134,23 @@ def limit_law(params: ModelParams) -> LimitLaw:
     regime = classify_regime(params)
     centre = params.q / (1.0 - params.alpha)
     if regime is Regime.DIFFUSIVE:
+        alpha = params.alpha
+        noise, damping = sigma_squared(params), 1.0 - 2.0 * alpha
         return LimitLaw(
-            regime, centre, noise=sigma_squared(params), damping=1.0 - 2.0 * params.alpha,
+            regime, centre, noise, damping,
             first_step=1, min_horizon=10, default_grid=DEFAULT_GRID_DIFFUSIVE,
             L=lambda k: 1.0, normalizer=math.log,
             skeleton_scale=lambda n, m: np.full_like(m, math.sqrt(n)),
-            kernel=theoretical_covariance_diffusive,
+            kernel=lambda s, t: noise / (damping * t) * (t / s) ** alpha,
         )
     if regime is Regime.CRITICAL:
+        noise = 4.0 * params.q * (1.0 - params.p)
         return LimitLaw(
-            regime, centre, noise=4.0 * params.q * (1.0 - params.p), damping=1.0,
+            regime, centre, noise, damping=1.0,
             first_step=2, min_horizon=3, default_grid=DEFAULT_GRID_CRITICAL,
             L=np.log, normalizer=lambda n: math.log(math.log(n)),
             skeleton_scale=lambda n, m: np.sqrt(m / math.log(n)),
-            kernel=theoretical_covariance_critical,
+            kernel=lambda s, t: noise * s,
         )
     raise RegimeError(
         f"the Gaussian limit laws require alpha <= 1/2; got alpha = {params.alpha} ({regime.value})"
@@ -208,8 +208,9 @@ def _measure_tiles(law: LimitLaw, params: ModelParams, n: int, specs: Sequence[R
     points[j, i] and weights[j, 0] belong to step k + j of specs[i], for the
     steps from law.first_step to n."""
     for k, S in _position_tiles(params, specs, n):
-        if k >= law.first_step:
-            yield law.measure(np.arange(k, k + len(S), dtype=np.float64)[:, None], S)
+        if k < law.first_step:
+            S, k = S[law.first_step - k :], law.first_step
+        yield law.measure(np.arange(k, k + len(S), dtype=np.float64)[:, None], S)
 
 
 def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
@@ -425,7 +426,7 @@ def covariance_grid(
     times = skel.grid
     centered = values - values.mean(axis=0, keepdims=True)
     empirical = centered.T @ centered / (replicas - 1)
-    theoretical = np.array([[law.kernel(params, min(s, t), max(s, t)) for t in times] for s in times])
+    theoretical = np.array([[law.kernel(min(s, t), max(s, t)) for t in times] for s in times])
     bounds = np.linspace(0, replicas, COVARIANCE_BATCHES + 1, dtype=np.int64)
     batch_vals = []
     for b in range(COVARIANCE_BATCHES):

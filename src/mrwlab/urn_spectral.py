@@ -8,19 +8,18 @@ mean replacement matrix
          [q,   p  ]]
 
 has columns summing to 1 and eigenvalues 1 and alpha = p - q. The limit
-kernels are implemented directly from their closed forms; the matrix
-exponential route they compress is kept as a numerical cross-check.
+kernels are those of limit_law; the urn route rebuilds the diffusive one from
+A's closed-form eigenpairs as a numerical cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_process import ModelParams, Regime, _require, classify_regime
-from .martingale_sequences import sigma_squared
+from .limit_harness import limit_law
 
 __all__ = [
     "SpectralData",
@@ -36,11 +35,12 @@ class SpectralData:
     """Spectral decomposition of the mean replacement matrix.
 
     v1, v2 are right eigenvectors and u1, u2 left eigenvectors, normalized
-    biorthogonally (u_i . v_j = delta_ij). u2 is None at p = 1, where its
-    closed form degenerates. sigma_i is the integrated noise covariance of
-    the fluctuation field and is None at alpha = 1/2, where its closed form
-    has a pole. p_proj is the projection I - v1 u1^T onto the fluctuation
-    direction.
+    biorthogonally (u_i . v_j = delta_ij), so that I = v1 u1^T + v2 u2^T and
+    A = v1 u1^T + alpha v2 u2^T. sigma_i is the integrated noise covariance
+    of the fluctuation field: the urn's noise (u2 B u2^T) v2_blue^2, with
+    replacement second moments B = diag(v1), over limit_law's damping, times
+    [[1, -1], [-1, 1]]. It is sigma^2/(1-2 alpha) diffusive, 4q(1-p) (per log
+    n) critical, and None for alpha > 1/2, where no Gaussian law holds.
     """
 
     a_matrix: np.ndarray
@@ -49,9 +49,8 @@ class SpectralData:
     v1: np.ndarray
     v2: np.ndarray
     u1: np.ndarray
-    u2: np.ndarray | None
+    u2: np.ndarray
     sigma_i: np.ndarray | None
-    p_proj: np.ndarray
 
     def validate(self, tol: float = 1e-12) -> None:
         col_sums = self.a_matrix.sum(axis=0)
@@ -60,17 +59,13 @@ class SpectralData:
         for lam, vec in ((self.lambda1, self.v1), (self.lambda2, self.v2)):
             if np.max(np.abs(self.a_matrix @ vec - lam * vec)) > tol:
                 raise AssertionError(f"right eigenvector check failed for lambda={lam}")
-        pairs = [(self.lambda1, self.u1)]
-        if self.u2 is not None:
-            pairs.append((self.lambda2, self.u2))
-        for lam, vec in pairs:
+        for lam, vec in ((self.lambda1, self.u1), (self.lambda2, self.u2)):
             if np.max(np.abs(vec @ self.a_matrix - lam * vec)) > tol:
                 raise AssertionError(f"left eigenvector check failed for lambda={lam}")
         if abs(self.u1 @ self.v1 - 1.0) > tol or abs(self.u1 @ self.v2) > tol:
             raise AssertionError("u1 biorthogonality failed")
-        if self.u2 is not None:
-            if abs(self.u2 @ self.v2 - 1.0) > tol or abs(self.u2 @ self.v1) > tol:
-                raise AssertionError("u2 biorthogonality failed")
+        if abs(self.u2 @ self.v2 - 1.0) > tol or abs(self.u2 @ self.v1) > tol:
+            raise AssertionError("u2 biorthogonality failed")
 
 
 def build_spectral(params: ModelParams) -> SpectralData:
@@ -81,14 +76,11 @@ def build_spectral(params: ModelParams) -> SpectralData:
     v1 = np.array([(1.0 - p) / one_minus, q / one_minus])
     v2 = np.array([-0.5, 0.5])
     u1 = np.array([1.0, 1.0])
-    u2 = None
-    if p != 1.0:
-        u2 = np.array([-2.0 * q / one_minus, 2.0 * (1.0 - p) / one_minus])
+    u2 = np.array([-2.0 * q / one_minus, 2.0 * (1.0 - p) / one_minus])
     sigma_i = None
-    if classify_regime(params) is not Regime.CRITICAL:
-        scale = q * (1.0 - p) / ((1.0 - 2.0 * alpha) * one_minus**2)
-        sigma_i = scale * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    p_proj = np.eye(2) - np.outer(v1, u1)
+    if classify_regime(params) is not Regime.SUPERDIFFUSIVE:
+        noise = (u2 @ np.diag(v1) @ u2) * v2[1] ** 2
+        sigma_i = noise / limit_law(params).damping * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return SpectralData(
         a_matrix=a_matrix,
         lambda1=1.0,
@@ -98,7 +90,6 @@ def build_spectral(params: ModelParams) -> SpectralData:
         u1=u1,
         u2=u2,
         sigma_i=sigma_i,
-        p_proj=p_proj,
     )
 
 
@@ -114,15 +105,14 @@ def theoretical_covariance_diffusive(params: ModelParams, s: float, t: float) ->
     """
     _check_times(s, t)
     _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
-    alpha = params.alpha
-    return sigma_squared(params) / ((1.0 - 2.0 * alpha) * t) * (t / s) ** alpha
+    return limit_law(params).kernel(s, t)
 
 
 def theoretical_covariance_critical(params: ModelParams, s: float, t: float) -> float:
     """Limit covariance 4 q (1-p) s of the critical time-changed process."""
     _check_times(s, t)
     _require(params, Regime.CRITICAL, "the critical kernel")
-    return 4.0 * params.q * (1.0 - params.p) * s
+    return limit_law(params).kernel(s, t)
 
 
 def matrix_exponential_kernel(params: ModelParams, s: float, t: float) -> float:
@@ -131,16 +121,14 @@ def matrix_exponential_kernel(params: ModelParams, s: float, t: float) -> float:
     The urn fluctuation covariance at times (s, t) is s * Sigma_I *
     exp(log(t/s) A^T); its (blue, blue) entry, rescaled by 1/(s t) to match
     the position-ratio normalization, must equal the closed-form diffusive
-    kernel. Uses an eigendecomposition of the 2x2 matrix (scipy's expm gives
-    the same numbers; this avoids importing it for a 2x2 case). Kept as a
-    guard against transcription errors in the closed form.
+    kernel. The exponential comes from A's eigenpairs, exp(log(t/s) A^T) =
+    (t/s) u1 v1^T + (t/s)^alpha u2 v2^T. Kept as a guard against
+    transcription errors in the closed form.
     """
     _check_times(s, t)
     _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
-    spectral = build_spectral(params)
-    log_ratio = math.log(t / s)
-    eigvals, eigvecs = np.linalg.eig(spectral.a_matrix.T)
-    exp_at = eigvecs @ np.diag(np.exp(log_ratio * eigvals)) @ np.linalg.inv(eigvecs)
-    cov = s * spectral.sigma_i @ exp_at
+    sp = build_spectral(params)
+    ratio = t / s
+    exp_at = ratio * np.outer(sp.u1, sp.v1) + ratio**sp.lambda2 * np.outer(sp.u2, sp.v2)
+    cov = s * sp.sigma_i @ exp_at
     return float(cov[1, 1]) / (s * t)
-

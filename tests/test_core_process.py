@@ -449,8 +449,10 @@ def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, 
     position_tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
 )
 def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, position_tile):
-    # Small position tiles split the walk into many kernel calls; the one
-    # after [S_1] starts inside a Philox block of 8 draws.
+    # Small position tiles split the walk into many kernel calls, each
+    # starting on the edge of a Philox block of 8 draws. Starts inside a
+    # block are covered by the checkpoint engines and by
+    # test_kernel_starts_each_stream_at_its_offset.
     spec = RngStreamSpec(seed, replica)
     params = ModelParams(s=s, q=q, p=p)
     ref = _reference_positions(params, n, [spec])[0, 1:]
@@ -458,7 +460,7 @@ def test_position_chunks_match_step_loop(s, q, p, seed, replica, n, position_til
         mp.setattr(cp, "_TILE_VALUES", position_tile)
         chunks = list(walk_position_chunks(params, n, spec))
         path = simulate_walk(params, n, spec)
-    assert chunks[0][0] == 1 and len(chunks[0][1]) == 1
+    assert all(k % 8 == 1 for k, _ in chunks)
     assert [k for k, _ in chunks] == list(np.cumsum([1] + [len(v) for _, v in chunks[:-1]]))
     assert np.array_equal(np.concatenate([v for _, v in chunks]), ref)
     assert np.array_equal(path.positions[1:], ref) and np.array_equal(path.steps, np.diff(path.positions))
@@ -568,6 +570,18 @@ def test_checkpoint_validation():
         walk_checkpoints_batch(params, [5, 5], [RngStreamSpec(1)])
     with pytest.raises(ValueError):
         walk_checkpoints_batch(params, [0, 3], [RngStreamSpec(1)])
+    # A cast to int64 would truncate 2.5 to step 2, and overflow on inf.
+    for checkpoints in ([2.5], [3, 4.5], [float("inf")], [float("nan")], [1, 2**63]):
+        with pytest.raises(ValueError, match="integral"):
+            walk_checkpoints_batch(params, checkpoints, [RngStreamSpec(1)])
+
+
+def test_integral_checkpoints_of_any_type_agree():
+    params = ModelParams(s=0.5, q=0.5, p=0.5)
+    specs = [RngStreamSpec(1, i) for i in range(3)]
+    ref = walk_checkpoints_batch(params, [2, 5, 9], specs)
+    for cps in ([2.0, 5.0, 9.0], np.array([2, 5, 9], dtype=np.uint32), np.array([2.0, 5.0, 9.0])):
+        assert np.array_equal(walk_checkpoints_batch(params, cps, specs), ref)
 
 
 # ---------------------------------------------------------------- public surface

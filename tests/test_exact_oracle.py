@@ -155,6 +155,13 @@ def test_mean_checkpoints_at_alpha_minus_one_match_dp(s):
     assert np.allclose(exact_mean_checkpoints(params, steps), dp, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("q,p", [(1.0, 0.0), (0.25, 0.5)])
+def test_mean_checkpoints_refuse_non_integral_steps(q, p):
+    # At alpha = -1 the closed form m/2 would give a mean at step 2.5.
+    with pytest.raises(ValueError, match="integral"):
+        exact_mean_checkpoints(ModelParams(s=0.5, q=q, p=p), [2.5, 3.7])
+
+
 # ---------------------------------------------------------------- moments
 
 

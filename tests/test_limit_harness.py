@@ -475,6 +475,9 @@ def test_superdiffusive_argument_checks():
         superdiffusive_limit(SUPER, [], 100, RngStreamSpec(1))
     with pytest.raises(ValueError):
         superdiffusive_limit(SUPER, [100], 1, RngStreamSpec(1))
+    # A non-integral horizon is refused, not truncated.
+    with pytest.raises(ValueError, match="integral"):
+        superdiffusive_limit(SUPER, [100.5], 100, RngStreamSpec(1))
 
 
 # ---------------------------------------------------------------- threading

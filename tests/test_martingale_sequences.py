@@ -102,6 +102,8 @@ def test_horizon_limits():
         sequence_checkpoints(with_alpha(0.25), [0])
     with pytest.raises(ValueError):
         steps_to(with_alpha(0.25), 0)
+    with pytest.raises(ValueError, match="integral"):
+        sequence_checkpoints(with_alpha(0.25), [1, 2.5])
 
 
 def test_streaming_checkpoints_match_materialized():

@@ -1,12 +1,17 @@
-import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrwlab
 from mrwlab import (
     ModelParams,
+    Regime,
     RegimeError,
     build_spectral,
+    limit_law,
     matrix_exponential_kernel,
     sigma_squared,
     theoretical_covariance_critical,
@@ -45,15 +50,14 @@ def test_drift_eigenvector_is_attracting_composition():
 
 
 def test_projection_matches_rank_one_form():
-    # For p < 1 the fluctuation projection equals v2 u2^T.
+    # The fluctuation projection I - v1 u1^T equals v2 u2^T, and A splits over
+    # the two eigenprojections, at every p including p = 1.
     for params in PARAM_GRID:
-        if params.p == 1.0:
-            continue
         spectral = build_spectral(params)
-        rank_one = np.outer(spectral.v2, spectral.u2)
-        assert np.allclose(spectral.p_proj, rank_one, atol=1e-13)
-        # and it is idempotent
-        assert np.allclose(spectral.p_proj @ spectral.p_proj, spectral.p_proj, atol=1e-13)
+        drift = np.outer(spectral.v1, spectral.u1)
+        fluctuation = np.outer(spectral.v2, spectral.u2)
+        assert np.allclose(drift + fluctuation, np.eye(2), rtol=0.0, atol=1e-13)
+        assert np.allclose(drift + params.alpha * fluctuation, spectral.a_matrix, rtol=0.0, atol=1e-13)
 
 
 def test_integrated_covariance_scale():
@@ -70,18 +74,22 @@ def test_degenerate_p_one():
     params = ModelParams(s=0.5, q=0.7, p=1.0)
     spectral = build_spectral(params)
     spectral.validate()
-    assert spectral.u2 is None
-    assert spectral.sigma_i is not None
+    assert np.allclose(spectral.u2, [-2.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(spectral.sigma_i, np.zeros((2, 2)))
     assert theoretical_covariance_diffusive(params, 0.5, 1.0) == 0.0
 
 
 def test_degenerate_alpha_half():
-    spectral = build_spectral(ModelParams(s=0.5, q=0.25, p=0.75))
-    spectral.validate()
-    assert spectral.sigma_i is None
-    assert spectral.u2 is not None
+    # The urn's noise over the critical damping 1 is 4q(1-p), per log n.
     # 0.7 - 0.2 is 0.49999999999999994 in floats, but the point is critical.
-    assert build_spectral(ModelParams(s=0.5, q=0.2, p=0.7)).sigma_i is None
+    for q, p in [(0.25, 0.75), (0.2, 0.7)]:
+        spectral = build_spectral(ModelParams(s=0.5, q=q, p=p))
+        spectral.validate()
+        assert abs(spectral.sigma_i[1, 1] - 4.0 * q * (1.0 - p)) < 1e-12
+
+
+def test_no_integrated_covariance_when_superdiffusive():
+    assert build_spectral(ModelParams(s=0.5, q=0.1, p=0.9)).sigma_i is None
 
 
 def test_diffusive_kernel_values():
@@ -101,7 +109,7 @@ def test_critical_kernel_values():
     assert abs(theoretical_covariance_critical(params, 1.0, 1.0) - 0.25) < 1e-15
 
 
-@pytest.mark.parametrize("q,p", [(0.5, 0.5), (0.25, 0.5), (0.4, 0.1), (0.9, 0.2)])
+@pytest.mark.parametrize("q,p", [(0.5, 0.5), (0.25, 0.5), (0.4, 0.1), (0.9, 0.2), (0.7, 1.0)])
 def test_matrix_exponential_route_matches_closed_form(q, p):
     params = ModelParams(s=0.5, q=q, p=p)
     for s, t in [(0.25, 0.25), (0.25, 0.75), (0.5, 1.0), (1.0, 1.0), (0.1, 0.9)]:
@@ -123,3 +131,25 @@ def test_kernel_regime_and_time_guards():
         theoretical_covariance_diffusive(diffusive, 0.0, 1.0)
     with pytest.raises(ValueError):
         theoretical_covariance_diffusive(diffusive, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("q,p", [(0.5, 0.5), (0.25, 0.5), (0.3, 0.0), (0.7, 1.0), (0.25, 0.75), (0.2, 0.7), (0.5, 1.0)])
+def test_law_kernel_is_the_theoretical_covariance(q, p):
+    params = ModelParams(s=0.5, q=q, p=p)
+    law = limit_law(params)
+    named = theoretical_covariance_critical if law.regime is Regime.CRITICAL else theoretical_covariance_diffusive
+    for s, t in [(0.25, 0.25), (0.25, 0.75), (0.5, 1.0), (0.1, 0.9), (1.0, 1.0)]:
+        assert law.kernel(s, t) == named(params, s, t)
+
+
+def test_limit_harness_does_not_import_urn_spectral():
+    # The limit law owns its kernels; the urn route builds on it, not the reverse.
+    # The package is stubbed so that its __init__ does not import every module.
+    code = (
+        "import sys, types; pkg = types.ModuleType('mrwlab'); pkg.__path__ = [sys.argv[1]]; "
+        "sys.modules['mrwlab'] = pkg; import mrwlab.limit_harness; print('mrwlab.urn_spectral' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(Path(mrwlab.__file__).parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
