@@ -381,6 +381,14 @@ def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int)
         yield m + 1, tile
 
 
+def _refuse_beyond_memory(need: int, what: str, hint: str = "") -> None:
+    """Raise a ValueError naming what and its need bytes, before anything is
+    allocated, when need exceeds the machine's physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} need {need} bytes, more than the {have} bytes of physical memory{hint}")
+
+
 def walk_positions_batch(
     params: ModelParams,
     n: int,
@@ -399,13 +407,7 @@ def walk_positions_batch(
     if n < 1:
         raise ValueError("n must be at least 1")
     R = len(specs)
-    need = R * (n + 1) * 4
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"{R} replicas x {n + 1} positions need {need} bytes, more than the "
-            f"{have} bytes of physical memory; use walk_checkpoints_batch"
-        )
+    _refuse_beyond_memory(R * (n + 1) * 4, f"{R} replicas x {n + 1} positions", "; use walk_checkpoints_batch")
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
@@ -437,11 +439,15 @@ def walk_checkpoints_batch(
     checkpoints must be strictly increasing positive step indices. Returns a
     float64 array of shape (len(specs), len(checkpoints)) whose column t
     holds S at checkpoints[t]; row i reads the stream of specs[i] (see
-    RngStreamSpec). Supports horizons up to 10^8 per replica. threads=None
-    runs on one worker per usable CPU; results are the same at any count.
+    RngStreamSpec). Supports horizons up to 10^8 per replica. Memory is
+    replicas * (16 + 8 * len(checkpoints)) bytes (stream keys and the
+    result), and a request beyond the machine's physical memory is refused
+    with a ValueError before anything is allocated. threads=None runs on one
+    worker per usable CPU; results are the same at any count.
     """
     cps = _checkpoint_array(checkpoints).tolist()
     R = len(specs)
+    _refuse_beyond_memory(R * (16 + 8 * len(cps)), f"{R} replicas x {len(cps)} checkpoints")
     out = np.empty((R, len(cps)), dtype=np.float64)
     keys = _stream_keys(specs)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core_process import (
     ModelParams,
@@ -182,6 +181,10 @@ class WeightedSample:
 
 def weighted_ks_to_normal(sample: WeightedSample) -> float:
     """Sup distance between the weighted empirical CDF and N(0, sample.target_variance)."""
+    # Imported here, not at module load: scipy.special is most of the
+    # package's import time, and only this function needs it.
+    from scipy.special import ndtr
+
     var = sample.target_variance
     if var <= 0:
         raise ValueError("KS comparison needs a positive target variance")

@@ -14,6 +14,20 @@
  * U < q + (alpha / t) * S_t, evaluated in double in exactly that order, as
  * numpy does. Compile without floating-point contraction (-ffp-contract=off)
  * so that no fused multiply-add changes a comparison.
+ *
+ * Two paths give the same bytes. advance_group, the scalar path, is the
+ * reference and runs on any CPU. When the library loads it asks the CPU
+ * (__builtin_cpu_supports) for AVX-512 F and DQ; with them, mrw_advance runs
+ * each whole set of 16 replicas on the AVX-512 path and the rest on
+ * advance_group. The build flags name no instruction set, so one cached
+ * library serves every x86-64 machine. The bytes do not depend on the path:
+ *   - a draw (bits >> 8) < 2^24 converts to double exactly, and scaling it
+ *     by 2^-24 is exact, so it equals the float32 draw widened to double;
+ *   - the bound q + c * x is a multiply, then an add, with no contraction;
+ *   - an ordered quiet less-than compare is C's `<` on these operands,
+ *     none of which is a NaN.
+ * An AVX2 path (four lanes per register) for CPUs without AVX-512 is not
+ * written; they run the scalar path.
  */
 #include <stdint.h>
 #include <stddef.h>
@@ -97,15 +111,144 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
     }
 }
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The AVX-512 path: one replica per 64-bit lane, eight per register, and
+ * GROUPS such groups of eight interleaved, so that their Philox rounds and
+ * step dependency chains overlap. It computes the Philox words of
+ * philox_draws and takes the IEEE operations of advance_group in the same
+ * order. */
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
+#define GROUPS 2
+
+/* The 128-bit products of the 64-bit lanes of a with the constant whose
+ * 32-bit halves are broadcast in m_lo and m_hi, from four 32 x 32 -> 64-bit
+ * products. */
+static inline __attribute__((always_inline)) AVX512 void
+mulhilo_x8(__m512i a, __m512i m_lo, __m512i m_hi, __m512i *lo, __m512i *hi)
+{
+    const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF);
+    __m512i a_hi = _mm512_srli_epi64(a, 32);
+    __m512i ll = _mm512_mul_epu32(a, m_lo), lh = _mm512_mul_epu32(a, m_hi);
+    __m512i hl = _mm512_mul_epu32(a_hi, m_lo), hh = _mm512_mul_epu32(a_hi, m_hi);
+    __m512i mid = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(lh, low32)),
+                                   _mm512_and_si512(hl, low32));
+    *lo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(ll, low32));
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(lh, 32)),
+                           _mm512_add_epi64(_mm512_srli_epi64(hl, 32), _mm512_srli_epi64(mid, 32)));
+}
+
+/* philox_draws for GROUPS groups of eight lanes: u[g][d] holds draw
+ * 8 * (ctr - 1) + d of the lanes of group g, whose round keys are
+ * k0[g][round] and k1[g][round]. */
+static inline __attribute__((always_inline)) AVX512 void
+philox_draws_x8(uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __m512d u[GROUPS][8])
+{
+    const __m512i m0_lo = _mm512_set1_epi64(PHILOX_M0 & 0xFFFFFFFF), m0_hi = _mm512_set1_epi64(PHILOX_M0 >> 32);
+    const __m512i m1_lo = _mm512_set1_epi64(PHILOX_M1 & 0xFFFFFFFF), m1_hi = _mm512_set1_epi64(PHILOX_M1 >> 32);
+    const __m512i low24 = _mm512_set1_epi64(0xFFFFFF);
+    const __m512d scale = _mm512_set1_pd(1.0 / 16777216.0);
+    __m512i c0[GROUPS], c1[GROUPS], c2[GROUPS], c3[GROUPS];
+    for (int g = 0; g < GROUPS; g++) {
+        c0[g] = _mm512_set1_epi64((long long)ctr);
+        c1[g] = c2[g] = c3[g] = _mm512_setzero_si512();
+    }
+    for (int round = 0; round < 10; round++) {
+        for (int g = 0; g < GROUPS; g++) {
+            __m512i lo0, hi0, lo1, hi1;
+            mulhilo_x8(c0[g], m0_lo, m0_hi, &lo0, &hi0);
+            mulhilo_x8(c2[g], m1_lo, m1_hi, &lo1, &hi1);
+            c0[g] = _mm512_xor_si512(_mm512_xor_si512(hi1, c1[g]), k0[g][round]);
+            c2[g] = _mm512_xor_si512(_mm512_xor_si512(hi0, c3[g]), k1[g][round]);
+            c1[g] = lo1;
+            c3[g] = lo0;
+        }
+    }
+    for (int g = 0; g < GROUPS; g++) {
+        __m512i w[4] = {c0[g], c1[g], c2[g], c3[g]};
+        for (int d = 0; d < 8; d++) {
+            __m512i bits = d % 2 ? _mm512_srli_epi64(w[d / 2], 40)
+                                 : _mm512_and_si512(_mm512_srli_epi64(w[d / 2], 8), low24);
+            u[g][d] = _mm512_mul_pd(_mm512_cvtepi64_pd(bits), scale);
+        }
+    }
+}
+
+/* advance_group for the GROUPS * LANES replicas whose (seed, replica) keys
+ * are keys[0 .. 2 * GROUPS * LANES - 1] and whose positions are x; out, when
+ * not NULL, points at their first column of the tile. */
+static AVX512 void
+advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps,
+                  double s, double q, double alpha, double *out, int64_t stride)
+{
+    const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    const __m512d one = _mm512_set1_pd(1.0), sv = _mm512_set1_pd(s), qv = _mm512_set1_pd(q);
+    __m512i k0[GROUPS][10], k1[GROUPS][10];
+    __m512d xv[GROUPS], u[GROUPS][8];
+    for (int g = 0; g < GROUPS; g++) {
+        __m512i a = _mm512_loadu_si512(keys + 2 * LANES * g), b = _mm512_loadu_si512(keys + 2 * LANES * g + LANES);
+        k0[g][0] = _mm512_permutex2var_epi64(a, even, b);
+        k1[g][0] = _mm512_permutex2var_epi64(a, odd, b);
+        for (int round = 1; round < 10; round++) {
+            k0[g][round] = _mm512_add_epi64(k0[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W0));
+            k1[g][round] = _mm512_add_epi64(k1[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W1));
+        }
+        xv[g] = _mm512_loadu_pd(x + LANES * g);
+    }
+    for (int64_t t = m, end = m + steps; t < end;) {
+        philox_draws_x8((uint64_t)(t / 8) + 1, k0, k1, u);
+        int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
+        if (t == 0) {
+            for (int g = 0; g < GROUPS; g++) {
+                xv[g] = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(u[g][0], sv, _CMP_LT_OQ), one);
+                if (out)
+                    _mm512_storeu_pd(out + LANES * g, xv[g]);
+            }
+            t++;
+        }
+        for (; t < stop; t++) {
+            const __m512d c = _mm512_set1_pd(alpha / (double)t);
+            for (int g = 0; g < GROUPS; g++) {
+                __m512d bound = _mm512_add_pd(qv, _mm512_mul_pd(c, xv[g]));
+                xv[g] = _mm512_mask_add_pd(xv[g], _mm512_cmp_pd_mask(u[g][t % 8], bound, _CMP_LT_OQ), xv[g], one);
+                if (out)
+                    _mm512_storeu_pd(out + (t - m) * stride + LANES * g, xv[g]);
+            }
+        }
+    }
+    for (int g = 0; g < GROUPS; g++)
+        _mm512_storeu_pd(x + LANES * g, xv[g]);
+}
+
+/* Whether this CPU runs the AVX-512 path, settled when the library loads. */
+static int use_avx512;
+
+__attribute__((constructor)) static void pick_path(void)
+{
+    __builtin_cpu_init();
+    use_avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+#endif
+
 /* Advance replicas 0 .. R-1 from step m through step m + steps.
  *
  * keys holds (seed, replica) per replica, R x 2; S holds S_m per replica and
  * is updated in place (S_0 = 0). When out is not NULL, out[j * R + i]
- * receives S_{m+1+j} of replica i, a steps x R row-major tile. */
+ * receives S_{m+1+j} of replica i, a steps x R row-major tile. On a CPU
+ * with AVX-512 F and DQ the AVX-512 path runs whole sets of 16 replicas and
+ * advance_group the rest; elsewhere advance_group runs them all. */
 void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
                  double s, double q, double alpha, double *out)
 {
-    for (int64_t i0 = 0; i0 < R; i0 += LANES) {
+    int64_t i0 = 0;
+#if defined(__x86_64__)
+    if (use_avx512)
+        for (; i0 + GROUPS * LANES <= R; i0 += GROUPS * LANES)
+            advance_groups_x8(keys + 2 * i0, S + i0, m, steps, s, q, alpha, out ? out + i0 : NULL, R);
+#endif
+    for (; i0 < R; i0 += LANES) {
         int width = R - i0 < LANES ? (int)(R - i0) : LANES;
         uint64_t k0[LANES], k1[LANES];
         double x[LANES];

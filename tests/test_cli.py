@@ -340,9 +340,11 @@ def test_run_beyond_memory_exits_with_config_error():
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second to import, and every CLI call would pay it.
-    code = "import sys, mrwlab, mrwlab.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats costs about a second to import, and every CLI call would pay
+    # it; scipy.special is most of the rest of the package's import time, and
+    # only the weighted KS distance needs it.
+    code = "import sys, mrwlab, mrwlab.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

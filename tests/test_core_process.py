@@ -401,7 +401,7 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     q=_unit.filter(lambda q: q > 0.0),
     p=_unit,
     seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
-    replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=17),
+    replicas=st.lists(st.one_of(st.just(2**63), st.integers(0, 2**63)), min_size=1, max_size=33),
     n=st.integers(1, 130),
     width=st.sampled_from([1, 3, 8, 9, 8192]),
     tile=st.sampled_from([1, 16, 40, 136, cp._TILE_VALUES]),
@@ -409,14 +409,15 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     data=st.data(),
 )
 def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, width, tile, threads, data):
-    # Up to 17 replicas leave the kernel's last group of 8 partial; small
-    # position tiles split the walk into many kernel calls, and checkpoint
-    # gaps start calls inside a Philox block of 8 draws.
+    # Up to 33 replicas fill the kernel's vector set of 16 lanes and leave a
+    # tail to its groups of 8, the last of them partial; small position tiles
+    # split the walk into many kernel calls, and checkpoint gaps start calls
+    # inside a Philox block of 8 draws.
     specs = [RngStreamSpec(seed, i) for i in replicas]
     if data.draw(st.booleans()):
         # A ReplicaRange, or a slice of it, in place of a list: the engines
         # key its streams from its fields, and give the bytes of its specs.
-        count = data.draw(st.integers(1, 17))
+        count = data.draw(st.integers(1, 33))
         start = data.draw(st.one_of(st.integers(2**63 - 20, 2**63 + 20), st.just(2**64 - count)))
         whole = RngStreamSpec(seed, start).replicas(count)
         cut = data.draw(st.slices(count).filter(lambda cut: len(range(count)[cut]) > 0))
@@ -472,6 +473,46 @@ def test_positions_beyond_physical_memory_are_refused():
     specs = [RngStreamSpec(1, i) for i in range(10**5)]
     with pytest.raises(ValueError, match="walk_checkpoints_batch"):
         walk_positions_batch(params, 10**8, specs)
+
+
+def test_checkpoints_beyond_physical_memory_are_refused():
+    # 10^12 replicas x (16 + 8 * 2) bytes is 32 TB: a ValueError naming the
+    # size, raised before the keys or the result are allocated.
+    params = ModelParams(s=0.5, q=0.5, p=0.5)
+    with pytest.raises(ValueError, match="1000000000000 replicas x 2 checkpoints need 32000000000000 bytes"):
+        walk_checkpoints_batch(params, [10, 20], RngStreamSpec(0).replicas(10**12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s=st.floats(0.01, 0.99),
+    # q = 1, p = 0 is alpha = -1; _unit holds p = 1; q may be subnormal.
+    qp=st.one_of(st.just((1.0, 0.0)),
+                 st.tuples(st.one_of(st.floats(5e-324, 2.0**-1022), _unit.filter(lambda q: q > 0.0)), _unit)),
+    seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 33]),
+    m=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 1023]), st.integers(0, 1100)),
+    steps=st.integers(1, 40),
+    tile=st.booleans(),
+    data=st.data(),
+)
+def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, tile, data):
+    # On a CPU with AVX-512 the kernel runs each whole set of 16 replicas on
+    # its vector path and the rest in groups of 8, so widths 16 .. 33 reach
+    # the vector path and the tail behind it, and widths 1 .. 15 the scalar
+    # groups alone, full (8 .. 15) and partial. Elsewhere every width runs
+    # the scalar groups. Either way each byte must equal numpy's stream.
+    first = data.draw(st.one_of(st.integers(2**63 - 40, 2**63 + 40), st.just(2**64 - width),
+                                st.integers(0, 2**64 - width)))
+    specs = RngStreamSpec(seed, first).replicas(width)
+    params = ModelParams(s=s, q=qp[0], p=qp[1])
+    ref = _reference_positions(params, m + steps, list(specs))
+    S = ref[:, m].copy()
+    out = np.full((steps, width), np.nan) if tile else None
+    cp._advance(params, cp._stream_keys(specs), S, m, steps, out)
+    assert S.tobytes() == ref[:, m + steps].tobytes()
+    if tile:
+        assert out.tobytes() == np.ascontiguousarray(ref[:, m + 1 : m + steps + 1].T).tobytes()
 
 
 def test_kernel_starts_each_stream_at_its_offset():
