@@ -290,10 +290,11 @@ def _run_asclt(args, params, threads, emitter) -> None:
 
 
 def _run_qsl(args, params, threads, emitter) -> None:
+    target = limit_law(params).moment(args.r_order)  # a refused order exits before simulating
     specs = RngStreamSpec(args.seed).replicas(args.replicas)
     values = qsl_functional_batch(params, args.n, args.r_order, specs, threads=threads)
     emitter.table(("replica", "value"), ((i, float(v)) for i, v in enumerate(values)))
-    emitter.results["target"] = limit_law(params).moment(args.r_order)
+    emitter.results["target"] = target
     emitter.results["mean"] = float(values.mean())
     if args.replicas > 1:
         emitter.results["standard_error"] = float(values.std(ddof=1) / math.sqrt(args.replicas))

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 __all__ = [
     "ModelParams",
@@ -304,11 +303,10 @@ def _compile_kernel(target: Path) -> Path:
 
 def _bind_kernel(path: Path):
     fn = ctypes.CDLL(str(path)).mrw_advance
-    f64 = ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    # The output tile may be None, which the kernel reads as NULL: no tile.
-    tile = type("tile", (f64,), {"from_param": classmethod(lambda cls, a: a if a is None else f64.from_param(a))})
-    fn.argtypes = [ndpointer(np.uint64, 2, flags="C_CONTIGUOUS"), f64, *[ctypes.c_int64] * 3,
-                   *[ctypes.c_double] * 3, tile]
+    # Arrays go as raw addresses, checked by _advance: numpy's ndpointer
+    # conversion leaves cyclic garbage on every call.
+    fn.argtypes = [*[ctypes.c_void_p] * 2, *[ctypes.c_int64] * 3, *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 4,
+                   ctypes.c_double, *[ctypes.c_int64] * 2]
     fn.restype = None
     return fn
 
@@ -354,30 +352,57 @@ def _stream_keys(specs: Sequence[RngStreamSpec]) -> np.ndarray:
     return keys
 
 
-def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps: int, out=None) -> None:
+def _address(a: np.ndarray | None, dtype, shape: tuple[int, ...], writeable: bool = False) -> int | None:
+    """The data address of a, checked to be a C-contiguous array of dtype and
+    shape (writeable, when asked), for the walk kernel; None (NULL) for None."""
+    if a is None:
+        return None
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous or (writeable and not a.flags.writeable):
+        raise ValueError("walk kernel arguments disagree in type, shape or layout")
+    return a.__array_interface__["data"][0]
+
+
+def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps: int, out=None, qsl=None) -> None:
     """Advance the replicas whose stream keys are the rows of keys through
     steps m+1 .. m+steps. S holds S_m per replica (zeros at m = 0) and is
-    updated in place; out, when given, receives S_{m+1+j} in row j."""
+    updated in place; out, when given, receives S_{m+1+j} in row j. qsl, when
+    given, is (scale, weight, centre, r, acc): at each of the last len(scale)
+    steps k, in order, acc gains weight_k * (point^2)^r with point = scale_k *
+    (S_k / k - centre), scale_k and weight_k being the entries of scale and
+    weight for step k (see walk_kernel.c)."""
     global _kernel
-    if keys.shape != (len(S), 2) or (out is not None and out.shape != (steps, len(S))):
-        raise ValueError("walk kernel arguments disagree in shape")
+    R = len(S)
+    scale, weight, centre, r, acc = qsl or (None, None, 0.0, 0, None)
+    summed = 0 if qsl is None else len(scale)
+    if summed > steps:
+        raise ValueError("walk kernel arguments disagree in type, shape or layout")
+    args = (_address(keys, np.uint64, (R, 2)), _address(S, np.float64, (R,), True), R, m, steps,
+            params.s, params.q, params.alpha, _address(out, np.float64, (steps, R), True),
+            _address(acc, np.float64, (R,), True), _address(scale, np.float64, (summed,)),
+            _address(weight, np.float64, (summed,)), centre, r, m + steps + 1 - summed)
     with _kernel_lock:
         if _kernel is None:
             _kernel = _load_kernel()
-    _kernel(keys, S, len(S), m, steps, params.s, params.q, params.alpha, out)
+    _kernel(*args)
+
+
+def _step_chunks(R: int, n: int) -> Iterator[tuple[int, int]]:
+    """The (m, steps) of the kernel calls that walk R replicas to step n: rows
+    steps each (_TILE_VALUES // R, rounded down to a multiple of 8, at least
+    8) but the last, so no call starts inside a Philox block of 8 draws,
+    whose uniforms it would compute again."""
+    rows = max(8, _TILE_VALUES // R // 8 * 8)
+    for m in range(0, n, rows):
+        yield m, min(rows, n - m)
 
 
 def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
     """Yield (k, tile) over the walks of specs to step n, where tile[j, i] =
-    S_{k+j} of specs[i] in float64. Tiles are rows steps tall (_TILE_VALUES //
-    len(specs), rounded down to a multiple of 8, at least 8) but the last, so
-    every tile starts at a step k = 1 (mod 8) and no kernel call starts inside
-    a Philox block of 8 draws, whose uniforms it would compute again."""
+    S_{k+j} of specs[i] in float64, one tile per call of _step_chunks."""
     keys, S = _stream_keys(specs), np.zeros(len(specs))
-    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8)
-    for m in range(0, n, rows):
-        tile = np.empty((min(rows, n - m), len(specs)))
-        _advance(params, keys, S, m, len(tile), tile)
+    for m, steps in _step_chunks(len(specs), n):
+        tile = np.empty((steps, len(specs)))
+        _advance(params, keys, S, m, steps, tile)
         yield m + 1, tile
 
 
@@ -479,13 +504,13 @@ def walk_position_chunks(
 
 def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     """Split replicas 0 .. R-1 into contiguous ranges (lo, hi), as even as the
-    kernel's groups of 8 lanes allow: at least min(threads, ceil(R/8)) of
-    them, each a multiple of 8 wide but the last, and none wider than
-    _TILE_VALUES // 8, so that an 8-row position tile holds at most
-    _TILE_VALUES values."""
-    groups = -(-R // 8)
-    parts = max(min(threads, groups), -(-groups // (_TILE_VALUES // 64)))
-    bounds = [0] + [min(8 * (i * groups // parts), R) for i in range(1, parts + 1)]
+    kernel's sets of 16 replicas (its AVX-512 unit) allow: at least
+    min(threads, ceil(R/16)) of them, each a multiple of 16 wide but the
+    last, and none wider than _TILE_VALUES // 8, so that an 8-row position
+    tile holds at most _TILE_VALUES values."""
+    sets = -(-R // 16)
+    parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
+    bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
 

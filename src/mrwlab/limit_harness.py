@@ -5,9 +5,10 @@ measure: mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)), with L = 1
 when diffusive and L = log when critical, normalized by log n respectively
 log log n. limit_law resolves the regime once into a LimitLaw that holds
 that measure's ingredients, its Gaussian limit and the skeletons' grid, scale
-and kernel, and every harness reads it. The ASCLT and QSL harnesses apply
-LimitLaw.measure to the walk engine's position tiles and hold no trajectory
-matrix. Four families of checks:
+and kernel, and every harness reads it. The ASCLT harness maps the walk
+engine's position tiles through LimitLaw.measure, and the QSL harness has the
+walk kernel sum its moments; neither holds a trajectory matrix. Four families
+of checks:
 
 * Log-averaged weighted empirical measures of the rescaled position along a
   single path, compared to their Gaussian targets by weighted KS distance.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,10 +42,13 @@ from .core_process import (
     Regime,
     RegimeError,
     RngStreamSpec,
+    _advance,
     _checkpoint_array,
     _position_tiles,
     _require,
     _run_replica_blocks,
+    _step_chunks,
+    _stream_keys,
     classify_regime,
     walk_checkpoints_batch,
 )
@@ -78,6 +83,9 @@ __all__ = [
 RAW_POINT_LIMIT = 10**6
 HISTOGRAM_BINS = 10_000
 HISTOGRAM_SPAN_SDS = 8.0
+
+# Natural logs of 2^1024, past the largest double, and of 2^-1075, below which a double rounds to 0.
+_LOG_DOUBLE_MAX, _LOG_DOUBLE_MIN = 1024 * math.log(2), -1075 * math.log(2)
 
 # Replica-index batches behind covariance_grid's standard errors.
 COVARIANCE_BATCHES = 20
@@ -118,14 +126,34 @@ class LimitLaw:
     def variance(self) -> float:
         return self.noise / self.damping
 
+    def scale_weight(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The measure's point scales sqrt(k/L(k)) and weights 1/(k L(k)) at steps k."""
+        L = self.L(k)
+        return np.sqrt(k / L), 1.0 / (k * L)
+
     def measure(self, k: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The measure's points sqrt(k/L(k))(S/k - centre) and weights 1/(k L(k)) at steps k."""
-        L = self.L(k)
-        return np.sqrt(k / L) * (S / k - self.centre), 1.0 / (k * L)
+        scale, weight = self.scale_weight(k)
+        return scale * (S / k - self.centre), weight
 
     def moment(self, r: int) -> float:
-        """The limit's 2r-th moment, noise^r (2r)!/(2^r r! damping^r)."""
-        return self.noise**r * math.factorial(2 * r) / (2**r * math.factorial(r) * self.damping**r)
+        """The limit's 2r-th moment, noise^r (2r)!/(2^r r! damping^r): that float
+        expression up to r = 85, and above, where (2r)! leaves the double range,
+        (2r-1)!! (noise/damping)^r in exact rationals, rounded once. A moment
+        past the double range, found from lgamma first, is a ValueError."""
+        if r < 1:
+            raise ValueError("moment order r must be at least 1")
+        if self.noise == 0.0:
+            return 0.0
+        log_ratio = math.log(self.noise) - math.log(2 * self.damping)
+        log_moment = r * log_ratio + math.lgamma(2 * r + 1) - math.lgamma(r + 1)
+        if log_moment > _LOG_DOUBLE_MAX:
+            raise ValueError(f"the limit's moment of order 2r = {2 * r} (r = {r}) exceeds the double range")
+        if r <= 85:
+            return self.noise**r * math.factorial(2 * r) / (2**r * math.factorial(r) * self.damping**r)
+        if log_moment < _LOG_DOUBLE_MIN:
+            return 0.0
+        return float(math.prod(range(1, 2 * r, 2)) * (Fraction(self.noise) / Fraction(self.damping)) ** r)
 
 
 def limit_law(params: ModelParams) -> LimitLaw:
@@ -298,9 +326,10 @@ def qsl_functional(params: ModelParams, n: int, r: int, rng: RngStreamSpec) -> M
     Critical: (1/log log n) sum_{2<=k<=n} k^(r-1) (log k)^-(r+1) (S_k/k - 2q)^(2r).
     The value is qsl_functional_batch(params, n, r, [rng])[0].
     """
-    value = float(qsl_functional_batch(params, n, r, [rng])[0])
     law = limit_law(params)
-    return MomentFunctionalResult(r=r, value=value, target=law.moment(r), n=n, regime=law.regime)
+    target = law.moment(r)
+    value = float(qsl_functional_batch(params, n, r, [rng])[0])
+    return MomentFunctionalResult(r=r, value=value, target=target, n=n, regime=law.regime)
 
 
 def qsl_functional_batch(
@@ -314,11 +343,11 @@ def qsl_functional_batch(
 
     It is the 2r-th moment of the LimitLaw's weighted measure: each step k
     adds weight * (point^2)^r, that is k^(r-1) L(k)^-(r+1) (S_k/k -
-    centre)^(2r), and the sum is divided by the law's normalizer. Each
-    replica's terms are added one step at a time in step order, so a value
-    depends only on its stream, never on tiles, replica ranges or threads.
-    Returns one value per spec, in spec order; horizons up to 10^8 are
-    supported.
+    centre)^(2r), and the sum is divided by the law's normalizer. The walk
+    kernel adds each replica's terms in step order as it steps, so a value
+    depends only on its stream, never on kernel calls, replica ranges or
+    threads. Returns one value per spec, in spec order; horizons up to 10^8
+    are supported.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
@@ -328,14 +357,10 @@ def qsl_functional_batch(
     values = np.zeros(len(specs), dtype=np.float64)
 
     def run_block(lo: int, hi: int) -> None:
-        for point, weight in _measure_tiles(law, params, n, specs[lo:hi]):
-            point *= point
-            terms = weight * point
-            for _ in range(r - 1):
-                terms *= point
-            # A running sum per replica: row j of the cumsum is the sum through that step.
-            terms[0] += values[lo:hi]
-            values[lo:hi] = np.cumsum(terms, axis=0, out=terms)[-1]
+        keys, S = _stream_keys(specs[lo:hi]), np.zeros(hi - lo)
+        for m, steps in _step_chunks(hi - lo, n):
+            k = np.arange(max(m + 1, law.first_step), m + steps + 1, dtype=np.float64)
+            _advance(params, keys, S, m, steps, qsl=(*law.scale_weight(k), law.centre, r, values[lo:hi]))
 
     _run_replica_blocks(len(specs), run_block, threads)
     return values / law.normalizer(n)

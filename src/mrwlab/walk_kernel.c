@@ -28,6 +28,18 @@
  *     none of which is a NaN.
  * An AVX2 path (four lanes per register) for CPUs without AVX-512 is not
  * written; they run the scalar path.
+ *
+ * A call may also reduce the positions it steps through, in place of (or
+ * besides) writing them out: the QSL reducer adds, per replica and step k
+ * from its first step k0 on,
+ *     point = scale_k * (S_k / k - centre),  p2 = point * point,
+ *     term = weight_k * p2,  then term *= p2 r - 1 times,  acc += term,
+ * the IEEE operations of the numpy reducer it replaces, in its order, with
+ * S_k / k a true division (a multiply by 1/k would round differently).
+ * scale_k and weight_k come from the caller, so no libm function runs here.
+ * Both paths take these operations lane by lane on the same doubles, each
+ * vector operation being the correctly rounded scalar one, so the sums do
+ * not depend on the path either.
  */
 #include <stdint.h>
 #include <stddef.h>
@@ -42,6 +54,13 @@
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
 typedef unsigned __int128 u128;
+
+/* The QSL reducer of a call; see mrw_advance. */
+struct qsl {
+    const double *scale, *weight;
+    double centre;
+    int64_t r, k0;
+};
 
 /* Philox4x64-10 at counter (ctr, 0, 0, 0) for each of the first `lanes`
  * lanes, turned into the eight float32 draws of that block, as doubles:
@@ -81,11 +100,28 @@ philox_draws(int lanes, uint64_t ctr, const uint64_t *k0, const uint64_t *k1, do
     }
 }
 
-/* Advance `lanes` replicas, whose keys are k0, k1 and positions x, from
- * step m through step m + steps; see mrw_advance. */
+/* Add the QSL terms of step k at the positions x of `lanes` replicas to
+ * their sums acc. */
+static inline __attribute__((always_inline)) void
+qsl_terms(int lanes, const struct qsl *sum, int64_t k, const double *x, double *acc)
+{
+    if (k < sum->k0)
+        return;
+    double scale = sum->scale[k - sum->k0], weight = sum->weight[k - sum->k0];
+    for (int l = 0; l < lanes; l++) {
+        double point = scale * (x[l] / (double)k - sum->centre);
+        double p2 = point * point, term = weight * p2;
+        for (int64_t i = 1; i < sum->r; i++)
+            term *= p2;
+        acc[l] += term;
+    }
+}
+
+/* Advance `lanes` replicas, whose keys are k0, k1, positions x and QSL sums
+ * acc, from step m through step m + steps; see mrw_advance. */
 static inline __attribute__((always_inline)) void
 advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int64_t m, int64_t steps,
-              double s, double q, double alpha, double *out, int64_t stride)
+              double s, double q, double alpha, double *out, int64_t stride, const struct qsl *sum, double *acc)
 {
     double u[8][LANES];
     for (int64_t t = m, end = m + steps; t < end;) {
@@ -97,6 +133,8 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
             if (out)
                 for (int l = 0; l < lanes; l++)
                     out[l] = x[l];
+            if (sum)
+                qsl_terms(lanes, sum, 1, x, acc);
             t++;
         }
         for (; t < stop; t++) {
@@ -107,6 +145,8 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
             if (out)
                 for (int l = 0; l < lanes; l++)
                     out[(t - m) * stride + l] = x[l];
+            if (sum)
+                qsl_terms(lanes, sum, t + 1, x, acc);
         }
     }
 }
@@ -175,18 +215,40 @@ philox_draws_x8(uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __
     }
 }
 
+/* qsl_terms for GROUPS groups of eight lanes. */
+static inline __attribute__((always_inline)) AVX512 void
+qsl_terms_x8(const struct qsl *sum, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
+{
+    if (k < sum->k0)
+        return;
+    const __m512d kv = _mm512_set1_pd((double)k), centre = _mm512_set1_pd(sum->centre);
+    const __m512d scale = _mm512_set1_pd(sum->scale[k - sum->k0]), weight = _mm512_set1_pd(sum->weight[k - sum->k0]);
+    __m512d p2[GROUPS], term[GROUPS];
+    for (int g = 0; g < GROUPS; g++) {
+        __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(_mm512_div_pd(xv[g], kv), centre));
+        p2[g] = _mm512_mul_pd(point, point);
+        term[g] = _mm512_mul_pd(weight, p2[g]);
+    }
+    for (int64_t i = 1; i < sum->r; i++)
+        for (int g = 0; g < GROUPS; g++)
+            term[g] = _mm512_mul_pd(term[g], p2[g]);
+    for (int g = 0; g < GROUPS; g++)
+        acc[g] = _mm512_add_pd(acc[g], term[g]);
+}
+
 /* advance_group for the GROUPS * LANES replicas whose (seed, replica) keys
- * are keys[0 .. 2 * GROUPS * LANES - 1] and whose positions are x; out, when
- * not NULL, points at their first column of the tile. */
+ * are keys[0 .. 2 * GROUPS * LANES - 1], whose positions are x and, when sum
+ * is not NULL, whose QSL sums are acc; out, when not NULL, points at their
+ * first column of the tile. */
 static AVX512 void
-advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps,
-                  double s, double q, double alpha, double *out, int64_t stride)
+advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps, double s, double q, double alpha,
+                  double *out, int64_t stride, const struct qsl *sum, double *acc)
 {
     const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
     const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
     const __m512d one = _mm512_set1_pd(1.0), sv = _mm512_set1_pd(s), qv = _mm512_set1_pd(q);
     __m512i k0[GROUPS][10], k1[GROUPS][10];
-    __m512d xv[GROUPS], u[GROUPS][8];
+    __m512d xv[GROUPS], av[GROUPS], u[GROUPS][8];
     for (int g = 0; g < GROUPS; g++) {
         __m512i a = _mm512_loadu_si512(keys + 2 * LANES * g), b = _mm512_loadu_si512(keys + 2 * LANES * g + LANES);
         k0[g][0] = _mm512_permutex2var_epi64(a, even, b);
@@ -196,6 +258,8 @@ advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps,
             k1[g][round] = _mm512_add_epi64(k1[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W1));
         }
         xv[g] = _mm512_loadu_pd(x + LANES * g);
+        if (sum)
+            av[g] = _mm512_loadu_pd(acc + LANES * g);
     }
     for (int64_t t = m, end = m + steps; t < end;) {
         philox_draws_x8((uint64_t)(t / 8) + 1, k0, k1, u);
@@ -206,6 +270,8 @@ advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps,
                 if (out)
                     _mm512_storeu_pd(out + LANES * g, xv[g]);
             }
+            if (sum)
+                qsl_terms_x8(sum, 1, xv, av);
             t++;
         }
         for (; t < stop; t++) {
@@ -216,10 +282,15 @@ advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps,
                 if (out)
                     _mm512_storeu_pd(out + (t - m) * stride + LANES * g, xv[g]);
             }
+            if (sum)
+                qsl_terms_x8(sum, t + 1, xv, av);
         }
     }
-    for (int g = 0; g < GROUPS; g++)
+    for (int g = 0; g < GROUPS; g++) {
         _mm512_storeu_pd(x + LANES * g, xv[g]);
+        if (sum)
+            _mm512_storeu_pd(acc + LANES * g, av[g]);
+    }
 }
 
 /* Whether this CPU runs the AVX-512 path, settled when the library loads. */
@@ -236,33 +307,43 @@ __attribute__((constructor)) static void pick_path(void)
  *
  * keys holds (seed, replica) per replica, R x 2; S holds S_m per replica and
  * is updated in place (S_0 = 0). When out is not NULL, out[j * R + i]
- * receives S_{m+1+j} of replica i, a steps x R row-major tile. On a CPU
- * with AVX-512 F and DQ the AVX-512 path runs whole sets of 16 replicas and
- * advance_group the rest; elsewhere advance_group runs them all. */
+ * receives S_{m+1+j} of replica i, a steps x R row-major tile. When acc is
+ * not NULL, acc[i] gains the QSL term of replica i at each step k from k0 to
+ * m + steps, in step order, with scale[k - k0] and weight[k - k0] as scale_k
+ * and weight_k (see the top of this file). On a CPU with AVX-512 F and DQ
+ * the AVX-512 path runs whole sets of 16 replicas and advance_group the
+ * rest; elsewhere advance_group runs them all. */
 void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
-                 double s, double q, double alpha, double *out)
+                 double s, double q, double alpha, double *out,
+                 double *acc, const double *scale, const double *weight, double centre, int64_t r, int64_t k0)
 {
+    const struct qsl terms = {scale, weight, centre, r, k0}, *sum = acc ? &terms : NULL;
     int64_t i0 = 0;
 #if defined(__x86_64__)
     if (use_avx512)
         for (; i0 + GROUPS * LANES <= R; i0 += GROUPS * LANES)
-            advance_groups_x8(keys + 2 * i0, S + i0, m, steps, s, q, alpha, out ? out + i0 : NULL, R);
+            advance_groups_x8(keys + 2 * i0, S + i0, m, steps, s, q, alpha, out ? out + i0 : NULL, R,
+                              sum, acc ? acc + i0 : NULL);
 #endif
     for (; i0 < R; i0 += LANES) {
         int width = R - i0 < LANES ? (int)(R - i0) : LANES;
-        uint64_t k0[LANES], k1[LANES];
-        double x[LANES];
+        uint64_t key0[LANES], key1[LANES];
+        double x[LANES], a[LANES];
         for (int l = 0; l < width; l++) {
-            k0[l] = keys[2 * (i0 + l)];
-            k1[l] = keys[2 * (i0 + l) + 1];
+            key0[l] = keys[2 * (i0 + l)];
+            key1[l] = keys[2 * (i0 + l) + 1];
             x[l] = S[i0 + l];
+            a[l] = acc ? acc[i0 + l] : 0.0;
         }
         double *o = out ? out + i0 : NULL;
         if (width == LANES)
-            advance_group(LANES, k0, k1, x, m, steps, s, q, alpha, o, R);
+            advance_group(LANES, key0, key1, x, m, steps, s, q, alpha, o, R, sum, a);
         else
-            advance_group(width, k0, k1, x, m, steps, s, q, alpha, o, R);
-        for (int l = 0; l < width; l++)
+            advance_group(width, key0, key1, x, m, steps, s, q, alpha, o, R, sum, a);
+        for (int l = 0; l < width; l++) {
             S[i0 + l] = x[l];
+            if (acc)
+                acc[i0 + l] = a[l];
+        }
     }
 }

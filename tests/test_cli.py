@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mrwlab.cli
 import mrwlab.core_process as cp
 from mrwlab import ModelParams, RngStreamSpec, exact_mean_recursion, simulate_urn
 from mrwlab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_REGIME, main
@@ -173,6 +174,22 @@ def test_fclt_rejects_non_finite_grid_times(tmp_path, capsys, grid):
 def test_nonpositive_replicas_exit(capsys, argv):
     assert main(argv) == EXIT_CONFIG
     assert "--replicas must be at least 1" in capsys.readouterr().err
+
+
+def test_qsl_refuses_a_moment_beyond_the_double_range_before_simulating(monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("qsl simulated before its target was resolved")
+
+    monkeypatch.setattr(mrwlab.cli, "qsl_functional_batch", no_simulation)
+    assert main(["qsl", "--n", "300", "--r-order", "198", "--replicas", "2"]) == EXIT_CONFIG
+    assert "r = 198" in capsys.readouterr().err
+
+
+def test_qsl_runs_past_the_factorial_range(tmp_path):
+    argv = ["qsl", "--n", "300", "--r-order", "86", "--replicas", "2", "--out", "json"]
+    rc, out = run_to_file(tmp_path, "qsl.json", argv)
+    assert rc == EXIT_OK
+    assert 1.90e103 < json.loads(out.read_text())["results"]["target"] < 1.91e103
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

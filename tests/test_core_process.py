@@ -241,8 +241,8 @@ def test_replica_ranges_split_by_lanes_and_threads(R, threads):
     bounds = [lo for lo, _ in ranges] + [R]
     assert ranges == list(zip(bounds, bounds[1:])) and bounds[0] == 0
     assert all(lo < hi for lo, hi in ranges)
-    assert len(ranges) >= min(threads, -(-R // 8))
-    assert all(lo % 8 == 0 for lo, _ in ranges)
+    assert len(ranges) >= min(threads, -(-R // 16))
+    assert all(lo % 16 == 0 for lo, _ in ranges)
     assert all(hi - lo <= cp._TILE_VALUES // 8 for lo, hi in ranges)
 
 
@@ -306,7 +306,7 @@ def test_block_partition_does_not_affect_results(monkeypatch):
 
 def test_thread_count_does_not_affect_results():
     params = ModelParams(s=0.5, q=0.25, p=0.75)
-    specs = [RngStreamSpec(13, i) for i in range(40)]
+    specs = [RngStreamSpec(13, i) for i in range(72)]
     assert len(cp._replica_ranges(len(specs), 1)) == 1 and len(cp._replica_ranges(len(specs), 4)) == 4
     one = walk_checkpoints_batch(params, [50, 400], specs, threads=1)
     four = walk_checkpoints_batch(params, [50, 400], specs, threads=4)
@@ -494,14 +494,16 @@ def test_checkpoints_beyond_physical_memory_are_refused():
     m=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 1023]), st.integers(0, 1100)),
     steps=st.integers(1, 40),
     tile=st.booleans(),
+    r=st.sampled_from([None, 1, 2, 3]),
     data=st.data(),
 )
-def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, tile, data):
+def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, tile, r, data):
     # On a CPU with AVX-512 the kernel runs each whole set of 16 replicas on
     # its vector path and the rest in groups of 8, so widths 16 .. 33 reach
     # the vector path and the tail behind it, and widths 1 .. 15 the scalar
     # groups alone, full (8 .. 15) and partial. Elsewhere every width runs
-    # the scalar groups. Either way each byte must equal numpy's stream.
+    # the scalar groups. Either way each byte must equal numpy's stream, and
+    # each QSL sum (r not None) the step-order sum of the same doubles.
     first = data.draw(st.one_of(st.integers(2**63 - 40, 2**63 + 40), st.just(2**64 - width),
                                 st.integers(0, 2**64 - width)))
     specs = RngStreamSpec(seed, first).replicas(width)
@@ -509,10 +511,30 @@ def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps,
     ref = _reference_positions(params, m + steps, list(specs))
     S = ref[:, m].copy()
     out = np.full((steps, width), np.nan) if tile else None
-    cp._advance(params, cp._stream_keys(specs), S, m, steps, out)
+    qsl = None
+    if r is not None:
+        # The sums start at any step of the call, on or off a Philox block
+        # edge. NaNs sit just before scale and weight, so a read of a step
+        # before the first summed one shows.
+        k = np.arange(m + 1 + data.draw(st.integers(0, steps)), m + steps + 1, dtype=np.float64)
+        centre = data.draw(st.floats(0.0, 2.0))
+        acc = np.linspace(0.0, 1.0, width)
+        scale, weight = np.full((2, len(k) + 1), np.nan)
+        scale[1:], weight[1:] = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
+        qsl = (scale[1:], weight[1:], centre, r, acc.copy())
+    cp._advance(params, cp._stream_keys(specs), S, m, steps, out, qsl)
     assert S.tobytes() == ref[:, m + steps].tobytes()
     if tile:
         assert out.tobytes() == np.ascontiguousarray(ref[:, m + 1 : m + steps + 1].T).tobytes()
+    if r is not None:
+        for i in range(width):
+            for kk, scale_k, weight_k in zip(k.tolist(), qsl[0].tolist(), qsl[1].tolist()):
+                point = scale_k * (float(ref[i, int(kk)]) / kk - centre)
+                term = weight_k * (point * point)
+                for _ in range(r - 1):
+                    term *= point * point
+                acc[i] += term
+        assert qsl[4].tobytes() == acc.tobytes()
 
 
 def test_kernel_starts_each_stream_at_its_offset():
@@ -532,6 +554,13 @@ def test_kernel_starts_each_stream_at_its_offset():
 
 
 # ---------------------------------------------------------------- kernel build
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # The engine's own flags, with every common warning an error.
+    done = subprocess.run(["cc", *cp._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c", str(cp._KERNEL_SOURCE),
+                           "-o", str(tmp_path / "walk_kernel.o")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_second_load_in_a_fresh_process_compiles_nothing():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n():
     r=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**64 - 1),
     start=st.one_of(st.just(0), st.integers(2**63 - 20, 2**63 + 20)),
-    replicas=st.integers(1, 17),
+    replicas=st.integers(1, 33),
     as_range=st.booleans(),
     n=st.integers(3, 130),
     width=st.sampled_from([1, 3, 8, 9, 8192]),
@@ -263,6 +264,24 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n():
 @example(
     s=0.5, qp=(1.5973122800602915e-162, 0.0), r=1, seed=0, start=0, replicas=4, as_range=True,
     n=111, width=8, position_tile=cp._TILE_VALUES, threads=1,
+)
+# Critical, so the sums start at step 2, inside the first call: 16 replicas
+# run one AVX-512 set (on a CPU with it), 33 two sets and a scalar tail.
+@example(
+    s=0.3, qp=(0.25, 0.75), r=2, seed=5, start=0, replicas=16, as_range=True,
+    n=130, width=8192, position_tile=cp._TILE_VALUES, threads=1,
+)
+@example(
+    s=0.3, qp=(0.2, 0.7), r=3, seed=2**64 - 1, start=2**63 - 20, replicas=33, as_range=False,
+    n=130, width=8192, position_tile=cp._TILE_VALUES, threads=2,
+)
+# Kernel calls one Philox block long (16 // 33 values per call is raised to
+# the 8-row minimum), the last ending inside a block. Calls start on block
+# edges by construction; test_kernel_paths_match_per_replica_generators
+# sums from starts inside a block.
+@example(
+    s=0.7, qp=(0.25, 0.75), r=3, seed=1, start=0, replicas=33, as_range=True,
+    n=123, width=8192, position_tile=16, threads=2,
 )
 def test_qsl_batch_is_a_step_order_sum_over_the_step_loop(
     s, qp, r, seed, start, replicas, as_range, n, width, position_tile, threads
@@ -301,6 +320,40 @@ def test_qsl_targets():
     assert abs(limit_law(DIFFUSIVE).moment(2) - (0.25**2 * 3.0)) < 1e-15
     assert abs(limit_law(CRITICAL).moment(1) - 0.25) < 1e-15
     assert abs(limit_law(CRITICAL).moment(2) - (0.25**2 * 3.0)) < 1e-15
+
+
+def test_moment_beyond_the_factorial_range_is_exact():
+    # (2r)! leaves the double range at r = 86, the moment does not: it is
+    # (2r-1)!! (noise/damping)^r, rounded once.
+    for law in (limit_law(DIFFUSIVE), limit_law(ModelParams(0.5, 0.3, 0.55))):
+        ratio = Fraction(law.noise) / Fraction(law.damping)
+        for r in (86, 87, 120):
+            exact = Fraction(math.factorial(2 * r), 2**r * math.factorial(r)) * ratio**r
+            assert law.moment(r) == float(exact)
+    assert 1.90e103 < limit_law(DIFFUSIVE).moment(86) < 1.91e103
+    # A moment below the double range is 0, found without building (2r-1)!!.
+    assert limit_law(ModelParams(0.5, 1e-300, 0.3)).moment(10**6) == 0.0
+    # Up to r = 85 the float expression stands, bit for bit.
+    law = limit_law(CRITICAL)
+    assert law.moment(85) == law.noise**85 * math.factorial(170) / (2**85 * math.factorial(85) * law.damping**85)
+
+
+@pytest.mark.parametrize(
+    "params", [ModelParams(0.5, 0.5, 1.0), ModelParams(0.5, 0.6, 1.0)], ids=["critical", "diffusive"]
+)
+@pytest.mark.parametrize("r", [3, 86, 10**6])
+def test_moment_is_zero_without_noise(params, r):
+    assert limit_law(params).moment(r) == 0.0
+
+
+@pytest.mark.parametrize("r", [198, 10**15])
+def test_moment_beyond_the_double_range_is_refused(r):
+    # Refused from lgamma, before (2r-1)!! is built: r = 10^15 returns at once.
+    with pytest.raises(ValueError, match=f"r = {r}"):
+        limit_law(DIFFUSIVE).moment(r)
+    assert limit_law(DIFFUSIVE).moment(197) > 1e307
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        limit_law(DIFFUSIVE).moment(0)
 
 
 @pytest.mark.parametrize("r", [1, 2])
