@@ -349,12 +349,8 @@ def _run_superdiffusive(args, params, threads, emitter) -> None:
 
 
 def _run_sequences(args, params, threads, emitter) -> None:
-    if args.n < 2:
-        raise ValueError("horizon must be at least 2")
     if args.n > 10**8:
         raise ValueError("horizon must be at most 10^8")
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
     diag = sequence_asymptotics(params, args.n, args.points)
     table = {
         "n": diag.grid, "a_n": diag.a, "A_n": diag.A, "v_n": diag.v, "f_n": diag.f,

@@ -105,6 +105,19 @@ def classify_regime(params: ModelParams) -> Regime:
     return Regime.SUPERDIFFUSIVE
 
 
+def _diffusive_damping(alpha: float) -> float:
+    """The diffusive damping 1 - 2 alpha of the float alpha, refused with a ValueError
+    when not positive: classify_regime decides in exact rationals, so a diffusive
+    point can have float alpha 1/2 (q = 0.0007500000000000285, p = 0.50075)."""
+    damping = 1.0 - 2.0 * alpha
+    if damping <= 0.0:
+        raise ValueError(
+            f"the diffusive damping 1 - 2 alpha is {damping} at the float alpha = {alpha}, "
+            "not positive although p - q < 1/2 exactly"
+        )
+    return damping
+
+
 def _require(params: ModelParams, regime: Regime, what: str) -> None:
     """Raise RegimeError naming what and the condition unless params lie in regime."""
     actual = classify_regime(params)

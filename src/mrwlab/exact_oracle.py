@@ -144,18 +144,20 @@ def exact_mean_recursion(params: ModelParams, n: int) -> np.ndarray:
     return np.concatenate([[0.0], exact_mean_checkpoints(params, np.arange(1, n + 1))])
 
 
-def exact_mean_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> np.ndarray:
-    """E[S_m] at selected steps, streamed in constant memory (horizons to 10^8).
-
-    The recursion telescopes against the weight sequence to the closed form
-    E[S_m] = (s - q + q A_m) / a_m. At alpha = -1, where a_m is undefined,
-    E[S_{m+1}] = 1 + (1 - 1/m) E[S_m] gives E[S_1] = s and E[S_m] = m/2 beyond.
-    """
+def _mean_deviation(params: ModelParams, checkpoints: Sequence[int]) -> np.ndarray:
+    """E[S_m] - m q/(1-alpha) = (s - q/(1-alpha))/a_m at selected steps, streamed: the
+    martingale a_m S_m - q A_m has mean s - q, and (1 - alpha) A_m - m a_m = -alpha.
+    At alpha = -1, where a_m is undefined, E[S_{m+1}] = 1 + (1 - 1/m) E[S_m] gives
+    s - 1/2 at m = 1 and 0 beyond."""
     if params.alpha == -1.0:
-        cps = _checkpoint_array(checkpoints)
-        return np.where(cps == 1, params.s, cps / 2.0)
-    seqs = sequence_checkpoints(params, checkpoints)
-    return (params.s - params.q + params.q * seqs["A"]) / seqs["a"]
+        return np.where(_checkpoint_array(checkpoints) == 1, params.s - 0.5, 0.0)
+    return (params.s - params.q / (1.0 - params.alpha)) / sequence_checkpoints(params, checkpoints)["a"]
+
+
+def exact_mean_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> np.ndarray:
+    """E[S_m] = m q/(1-alpha) + (s - q/(1-alpha))/a_m at selected steps, streamed
+    in constant memory (horizons to 10^8); the deviation is _mean_deviation's."""
+    return _checkpoint_array(checkpoints) * (params.q / (1.0 - params.alpha)) + _mean_deviation(params, checkpoints)
 
 
 def _affine_recurrence(G: np.ndarray, b: np.ndarray, x1: float) -> np.ndarray:
@@ -184,8 +186,8 @@ def central_moments(params: ModelParams, n: int, order: int) -> tuple[np.ndarray
     w_{j-i+1}] E[D_m^i] over i <= j, where c_t = pibar u^t + u (-pibar)^t
     (the central moments of a Bernoulli(pibar) step) and w_t = u^t -
     (-pibar)^t: each order is an affine recurrence in m with factor 1 + j h,
-    driven by the lower orders. The mean has factor 1 + h and input q, so
-    nothing needs the weight sequence a_n, and alpha = -1 works.
+    driven by the lower orders. The mean is exact_mean_checkpoints' at every
+    step, and alpha = -1 works.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -193,8 +195,7 @@ def central_moments(params: ModelParams, n: int, order: int) -> tuple[np.ndarray
         raise ValueError("n must be at least 1")
     q, s = params.q, params.s
     h = params.alpha / np.arange(1, n, dtype=np.float64)
-    mean = np.zeros(n + 1)
-    mean[1:] = _affine_recurrence(1.0 + h, np.full(n - 1, q), s)
+    mean = np.concatenate([[0.0], exact_mean_checkpoints(params, np.arange(1, n + 1))])
     pibar = q + h * mean[1:n]
     u, t = 1.0 - pibar, np.arange(order + 1)[:, None]
     up, down = u**t, (-pibar) ** t

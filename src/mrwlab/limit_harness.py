@@ -44,6 +44,7 @@ from .core_process import (
     RngStreamSpec,
     _advance,
     _checkpoint_array,
+    _diffusive_damping,
     _position_tiles,
     _require,
     _run_replica_blocks,
@@ -52,8 +53,8 @@ from .core_process import (
     classify_regime,
     walk_checkpoints_batch,
 )
-from .exact_oracle import central_moments
-from .martingale_sequences import sequence_checkpoints, sigma_squared
+from .exact_oracle import _mean_deviation, central_moments
+from .martingale_sequences import sigma_squared
 
 __all__ = [
     "LimitLaw",
@@ -162,7 +163,7 @@ def limit_law(params: ModelParams) -> LimitLaw:
     centre = params.q / (1.0 - params.alpha)
     if regime is Regime.DIFFUSIVE:
         alpha = params.alpha
-        noise, damping = sigma_squared(params), 1.0 - 2.0 * alpha
+        noise, damping = sigma_squared(params), _diffusive_damping(alpha)
         return LimitLaw(
             regime, centre, noise, damping,
             first_step=1, min_horizon=10, default_grid=DEFAULT_GRID_DIFFUSIVE,
@@ -506,8 +507,6 @@ def superdiffusive_limit(
         raise ValueError("need at least 2 replicas")
     alpha = params.alpha
     center = params.q / (1.0 - alpha)
-    # E[S_n] - n q/(1-alpha) = (s - q/(1-alpha))/a_n exactly, so no difference of near-equal doubles is taken.
-    a = sequence_checkpoints(params, ns)["a"]
     checkpoints = sorted(set(ns) | {2 * x for x in ns})
     col = {cp: i for i, cp in enumerate(checkpoints)}
     pos = walk_checkpoints_batch(params, checkpoints, rng.replicas(replicas), threads=threads)
@@ -517,7 +516,7 @@ def superdiffusive_limit(
         return n ** (1.0 - alpha) * (S / n - center)
 
     results = []
-    for n, a_n in zip(ns, a):
+    for n, deviation in zip(ns, _mean_deviation(params, ns)):
         x = stat(n)
         diff = stat(2 * n) - x
         mean = float(x.mean())
@@ -531,7 +530,7 @@ def superdiffusive_limit(
                 variance_se=math.sqrt(float(np.var((x - mean) ** 2)) / replicas),
                 cauchy_rms=float(np.sqrt(np.mean(diff**2))),
                 samples=x,
-                exact_mean=float(n**-alpha * (params.s - center) / a_n),
+                exact_mean=float(n**-alpha * deviation),
             )
         )
     return results

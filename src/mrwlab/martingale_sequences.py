@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, WalkPath, _checkpoint_array, classify_regime
+from .core_process import ModelParams, Regime, WalkPath, _checkpoint_array, _diffusive_damping, classify_regime
 
 __all__ = [
     "MartingaleTrack",
@@ -156,22 +156,27 @@ def sequence_asymptotics(params: ModelParams, horizon: int, points: int = 40) ->
     duplicates and step 1 dropped. Values are streamed by
     sequence_checkpoints, so horizons of 10^8 are fine.
     """
+    if horizon < 2:
+        raise ValueError(f"horizon must be at least 2, got {horizon}")
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
+    regime, alpha = classify_regime(params), params.alpha
+    if regime is Regime.DIFFUSIVE:
+        damping = _diffusive_damping(alpha)  # refused before the sequences are streamed
     g = np.unique(np.round(np.logspace(0.0, math.log10(horizon), num=points)).astype(np.int64))
     g = g[g >= 2]
     seqs = sequence_checkpoints(params, g)
     a, A, v, f = seqs["a"], seqs["A"], seqs["v"], seqs["f"]
-    regime = classify_regime(params)
-    alpha = params.alpha
     gf = g.astype(np.float64)
     # (1 - alpha) A_n - n a_n = -alpha for every n, so the deviation needs no difference of near-equal doubles.
     mean_ratio_dev = abs(alpha) * gf ** -alpha / ((1.0 - alpha) * a)
     columns: dict[str, np.ndarray] = {}
     targets: dict[str, float] = {}
     if regime is Regime.DIFFUSIVE:
-        columns["v_over_power"] = v / gf ** (1.0 - 2.0 * alpha)
-        targets["v_over_power"] = math.gamma(alpha + 1.0) ** 2 / (1.0 - 2.0 * alpha)
+        columns["v_over_power"] = v / gf**damping
+        targets["v_over_power"] = math.gamma(alpha + 1.0) ** 2 / damping
         columns["n_times_f"] = gf * f
-        targets["n_times_f"] = 1.0 - 2.0 * alpha
+        targets["n_times_f"] = damping
     elif regime is Regime.CRITICAL:
         logg = np.log(gf)
         columns["v_over_logn"] = v / logg

@@ -246,7 +246,29 @@ def test_trajectory_is_replica_zero_of_the_simulate_stream(tmp_path):
 @pytest.mark.parametrize("points", ["1", "0", "-3"])
 def test_sequences_rejects_fewer_than_two_points(capsys, points):
     assert main(["sequences", "--n", "1000", "--points", points]) == EXIT_CONFIG
-    assert "--points" in capsys.readouterr().err
+    assert f"points must be at least 2, got {points}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_sequences_rejects_a_horizon_below_two(capsys, n):
+    assert main(["sequences", "--n", n]) == EXIT_CONFIG
+    assert f"horizon must be at least 2, got {n}" in capsys.readouterr().err
+
+
+_NEAR_CRITICAL = ["--n", "1000", "--q", "0.0007500000000000285", "--p", "0.50075"]
+
+
+@pytest.mark.parametrize("command", ["fclt", "asclt", "qsl", "sequences"])
+def test_near_critical_float_alpha_is_a_named_config_error(tmp_path, capsys, command):
+    # Diffusive in exact rationals, but the float alpha is 1/2, so 1 - 2 alpha is 0.
+    assert main([command, *_NEAR_CRITICAL, "--out-path", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "damping 1 - 2 alpha is 0.0 at the float alpha = 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_runs_at_the_near_critical_point(tmp_path):
+    rc, _ = run_to_file(tmp_path, "sim.csv", ["simulate", *_NEAR_CRITICAL, "--replicas", "2"])
+    assert rc == EXIT_OK
 
 
 @pytest.mark.parametrize(

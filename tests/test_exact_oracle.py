@@ -8,8 +8,10 @@ from scipy import stats
 
 from mrwlab import (
     ModelParams,
+    Regime,
     RngStreamSpec,
     central_moments,
+    classify_regime,
     conditional_moment_S,
     conditional_moment_eps,
     exact_covariance_S,
@@ -18,11 +20,13 @@ from mrwlab import (
     exact_mean_recursion,
     exact_urn_distribution,
     moment_recursion,
+    superdiffusive_limit,
     total_variation,
     two_point_moment_S,
     two_point_moment_eps,
     walk_checkpoints_batch,
 )
+from mrwlab import exact_oracle
 from mrwlab.exact_oracle import DP_BOUND, MAX_MATERIALIZED
 
 
@@ -160,6 +164,51 @@ def test_mean_checkpoints_refuse_non_integral_steps(q, p):
     # At alpha = -1 the closed form m/2 would give a mean at step 2.5.
     with pytest.raises(ValueError, match="integral"):
         exact_mean_checkpoints(ModelParams(s=0.5, q=q, p=p), [2.5, 3.7])
+
+
+def test_mean_at_the_centre_is_m_times_the_centre():
+    # s == q/(1-alpha) in floats, so the deviation (s - q/(1-alpha))/a_m is 0.
+    m = np.arange(1, 10**5 + 1)
+    for s, q, p in [(0.5, 0.25, 0.75), (0.5, 0.5, 0.5)]:
+        params = ModelParams(s=s, q=q, p=p)
+        assert q / (1 - params.alpha) == s
+        assert np.array_equal(exact_mean_checkpoints(params, m), m * s)
+
+
+def test_mean_against_exact_rationals():
+    # E[S_{m+1}] = q + (1 + alpha/m) E[S_m] in rationals, the parameters read as
+    # decimals: alpha = -1, p = 1, the decimal critical point, a superdiffusive
+    # point and alpha just above -1, where a_2 = 1/(1 + alpha) is huge.
+    n = 3000
+    for s, q, p in [(0.4, 1.0, 0.0), (0.4, 0.3, 1.0), (0.5, 0.2, 0.7), (0.3, 0.1, 0.9), (0.7, 1.0, 1e-9)]:
+        s_, q_, p_ = (Fraction(repr(x)) for x in (s, q, p))
+        mean, exact = s_, [float(s_)]
+        for m in range(1, n):
+            mean = q_ + (1 + (p_ - q_) / m) * mean
+            exact.append(float(mean))
+        got = exact_mean_checkpoints(ModelParams(s=s, q=q, p=p), np.arange(1, n + 1))
+        assert np.max(np.abs(got - exact) / exact) <= 1e-14, (s, q, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.01, 0.99),
+    qp=st.one_of(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)), st.just((1.0, 0.0))),
+    n=st.integers(1, 400),
+    order=st.integers(1, 4),
+)
+def test_every_exact_mean_is_the_one_deviation_form(s, qp, n, order):
+    params = ModelParams(s, *qp)
+    mean = exact_mean_checkpoints(params, np.arange(1, n + 1))
+    assert mean.tobytes() == exact_mean_recursion(params, n)[1:].tobytes()
+    assert mean.tobytes() == central_moments(params, n, order)[0][1:].tobytes()
+    # The superdiffusive statistic's exact mean is n^-alpha times the same deviation.
+    sup = ModelParams(s, min(qp[0], 0.45), 1.0)
+    assert classify_regime(sup) is Regime.SUPERDIFFUSIVE
+    ns = sorted({1, n, 2 * n + 1})
+    deviation = exact_oracle._mean_deviation(sup, ns)
+    got = [r.exact_mean for r in superdiffusive_limit(sup, ns, 2, RngStreamSpec(7))]
+    assert got == [float(k**-sup.alpha * d) for k, d in zip(ns, deviation)]
 
 
 # ---------------------------------------------------------------- moments

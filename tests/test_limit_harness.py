@@ -82,6 +82,14 @@ def test_limit_law_resolves_each_regime():
         limit_law(SUPER)
 
 
+def test_near_critical_diffusive_point_with_float_alpha_one_half_is_refused():
+    # p - q is just below 1/2 exactly, but the float alpha rounds to 1/2.
+    params = ModelParams(s=0.5, q=0.0007500000000000285, p=0.50075)
+    assert classify_regime(params) is Regime.DIFFUSIVE and params.alpha == 0.5
+    with pytest.raises(ValueError, match=r"damping 1 - 2 alpha is 0\.0 at the float alpha = 0\.5"):
+        limit_law(params)
+
+
 def test_critical_centre_is_twice_q():
     # q/(1-alpha) rounds to 2q at every decimal critical pair, so the
     # critical harnesses can share the diffusive centre formula.

@@ -174,6 +174,21 @@ def test_limit_constants_fields():
     assert sequence_asymptotics(ModelParams(s=0.5, q=0.2, p=0.7), 100).targets == crit
 
 
+def test_asymptotics_refuse_short_horizons_and_grids():
+    params = ModelParams(s=0.5, q=0.25, p=0.5)
+    with pytest.raises(ValueError, match="horizon must be at least 2, got 1"):
+        sequence_asymptotics(params, 1)
+    with pytest.raises(ValueError, match="points must be at least 2, got 1"):
+        sequence_asymptotics(params, 100, points=1)
+
+
+def test_asymptotics_refuse_a_float_damping_that_is_not_positive():
+    # Diffusive in exact rationals, but the float alpha is 1/2.
+    params = ModelParams(s=0.5, q=0.0007500000000000285, p=0.50075)
+    with pytest.raises(ValueError, match=r"damping 1 - 2 alpha is 0\.0 at the float alpha = 0\.5"):
+        sequence_asymptotics(params, 1000)
+
+
 def test_attracting_frequency_is_fixed_point():
     # pi* = q / (1 - alpha) solves q + alpha x = x, so a walk running at
     # frequency pi* keeps drawing steps with mean pi*.

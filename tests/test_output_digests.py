@@ -165,7 +165,7 @@ def library_digest(name: str) -> str:
 
 DIGESTS = {
     "cli:simulate": "fdd352f2af18a028a658a0df15af47b8dfac8331bd80322ecb5f091fc2a4f8b8",
-    "cli:simulate-critical-json": "477e42f55dfb0d6e9dcd375836023a81aac6c7f2e88716b7598720b9f0210fb5",
+    "cli:simulate-critical-json": "e1336c87eacc6e7ad3f7fab80fda301933c525e516a4d702abaed6421f56eea6",
     "cli:simulate-trajectory": "6183d96c361f543c46d66c4b5ab93737e053448d9d6bc4b40ad9180cc640f331",
     "cli:simulate-trajectory-direct": "e57ba8b38147be96d4569af17cb2372550147c4ec56c3bc78f50b815c1fcc096",
     "cli:simulate-alpha-minus-one": "568da456ef90273457c41ff3e8c1d4b1f9fe3ae179a7213d60e730154b968d2b",
