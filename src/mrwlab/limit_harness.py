@@ -53,7 +53,7 @@ from .core_process import (
     classify_regime,
     walk_checkpoints_batch,
 )
-from .exact_oracle import _mean_deviation, central_moments
+from .exact_oracle import _mean_forms, central_moments
 from .martingale_sequences import sigma_squared
 
 __all__ = [
@@ -516,7 +516,7 @@ def superdiffusive_limit(
         return n ** (1.0 - alpha) * (S / n - center)
 
     results = []
-    for n, deviation in zip(ns, _mean_deviation(params, ns)):
+    for n, deviation in zip(ns, _mean_forms(params, ns)[0]):
         x = stat(n)
         diff = stat(2 * n) - x
         mean = float(x.mean())

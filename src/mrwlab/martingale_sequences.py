@@ -78,12 +78,24 @@ def sequence_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> dic
         raise ValueError(
             "the weight sequence a_n is undefined at alpha = -1 (q = 1, p = 0): a_2 = 1/(1 + alpha)"
         )
-    out = np.empty((3, len(cps)), dtype=np.float64)
-    for start, chunk in _sequence_chunks(alpha, int(cps[-1])):
-        lo, hi = np.searchsorted(cps, [start, start + chunk.shape[1]])
-        out[:, lo:hi] = chunk[:, cps[lo:hi] - start]
-    a, A, v = out
+    a, A, v = _gather_checkpoints(_sequence_chunks(alpha, int(cps[-1])), cps, 3)
     return {"n": cps, "a": a, "A": A, "v": v, "f": a**2 / v}
+
+
+def _gather_checkpoints(chunks, cps: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, len(cps)) values at the checkpoint steps cps of a (start, chunk) stream.
+
+    A run of consecutive steps, such as every step up to n, is copied as a
+    slice instead of gathered by index, at a tenth of the cost.
+    """
+    out = np.empty((rows, len(cps)), dtype=np.float64)
+    for start, chunk in chunks:
+        lo, hi = np.searchsorted(cps, [start, start + chunk.shape[1]])
+        if hi > lo and cps[hi - 1] - cps[lo] == hi - 1 - lo:
+            out[:, lo:hi] = chunk[:, cps[lo] - start : cps[hi - 1] - start + 1]
+        else:
+            out[:, lo:hi] = chunk[:, cps[lo:hi] - start]
+    return out
 
 
 def sigma_squared(params: ModelParams) -> float:

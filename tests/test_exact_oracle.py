@@ -178,9 +178,16 @@ def test_mean_at_the_centre_is_m_times_the_centre():
 def test_mean_against_exact_rationals():
     # E[S_{m+1}] = q + (1 + alpha/m) E[S_m] in rationals, the parameters read as
     # decimals: alpha = -1, p = 1, the decimal critical point, a superdiffusive
-    # point and alpha just above -1, where a_2 = 1/(1 + alpha) is huge.
+    # point, alpha just above -1, where a_2 = 1/(1 + alpha) is huge, and four
+    # points where m q/(1-alpha) and (s - q/(1-alpha))/a_m are far apart: s far
+    # below q/(1-alpha) near alpha = 1 and at alpha = 0, s at half of it near
+    # alpha = 1 (the most cancellation the deviation form is used with), and s
+    # far above it.
     n = 3000
-    for s, q, p in [(0.4, 1.0, 0.0), (0.4, 0.3, 1.0), (0.5, 0.2, 0.7), (0.3, 0.1, 0.9), (0.7, 1.0, 1e-9)]:
+    for s, q, p in [
+        (0.4, 1.0, 0.0), (0.4, 0.3, 1.0), (0.5, 0.2, 0.7), (0.3, 0.1, 0.9), (0.7, 1.0, 1e-9),
+        (0.001, 0.001, 1.0), (1e-6, 1.0, 1.0), (0.5, 0.001, 1.0), (0.9, 1e-4, 0.9),
+    ]:
         s_, q_, p_ = (Fraction(repr(x)) for x in (s, q, p))
         mean, exact = s_, [float(s_)]
         for m in range(1, n):
@@ -190,6 +197,21 @@ def test_mean_against_exact_rationals():
         assert np.max(np.abs(got - exact) / exact) <= 1e-14, (s, q, p)
 
 
+@pytest.mark.parametrize("s, q, p", [(0.1, 0.1, 0.9), (0.7, 0.1, 0.9), (0.1, 1.0, 1e-9)])
+def test_mean_stream_does_not_depend_on_its_chunk(monkeypatch, s, q, p):
+    # Below half the centre q/(1-alpha) (the positive sum) and above it (the
+    # deviation form): every step and sparse steps across chunk borders read
+    # the same values as one pass, and E[S_1] is s exactly.
+    params, steps = ModelParams(s=s, q=q, p=p), np.arange(1, 301)
+    ref = exact_mean_checkpoints(params, steps)
+    assert ref[0] == s
+    sparse = [1, 6, 7, 8, 64, 65, 299, 300]
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(exact_oracle, "_STREAM_CHUNK", chunk)
+        assert exact_mean_checkpoints(params, steps).tobytes() == ref.tobytes()
+        assert exact_mean_checkpoints(params, sparse).tobytes() == ref[np.array(sparse) - 1].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     s=st.floats(0.01, 0.99),
@@ -197,16 +219,17 @@ def test_mean_against_exact_rationals():
     n=st.integers(1, 400),
     order=st.integers(1, 4),
 )
-def test_every_exact_mean_is_the_one_deviation_form(s, qp, n, order):
+def test_every_exact_mean_reads_the_one_source(s, qp, n, order):
     params = ModelParams(s, *qp)
     mean = exact_mean_checkpoints(params, np.arange(1, n + 1))
+    assert mean[0] == s
     assert mean.tobytes() == exact_mean_recursion(params, n)[1:].tobytes()
     assert mean.tobytes() == central_moments(params, n, order)[0][1:].tobytes()
     # The superdiffusive statistic's exact mean is n^-alpha times the same deviation.
     sup = ModelParams(s, min(qp[0], 0.45), 1.0)
     assert classify_regime(sup) is Regime.SUPERDIFFUSIVE
     ns = sorted({1, n, 2 * n + 1})
-    deviation = exact_oracle._mean_deviation(sup, ns)
+    deviation = exact_oracle._mean_forms(sup, ns)[0]
     got = [r.exact_mean for r in superdiffusive_limit(sup, ns, 2, RngStreamSpec(7))]
     assert got == [float(k**-sup.alpha * d) for k, d in zip(ns, deviation)]
 
@@ -256,10 +279,13 @@ def test_central_moments_against_exact_rationals(q, p):
 
 
 def test_moment_recursion_agrees_with_mean_recursion():
-    params = ModelParams(s=0.5, q=0.1, p=0.9)
-    mom = moment_recursion(params, 500, 1)
-    means = exact_mean_recursion(params, 500)
-    assert np.allclose(mom[1, 1:], means[1:], rtol=1e-11)
+    # The mean row is exact_mean_recursion's; the DP law is an independent route to it.
+    for params in (ModelParams(s=0.5, q=0.1, p=0.9), ModelParams(s=0.001, q=0.001, p=1.0)):
+        mom = moment_recursion(params, 500, 1)
+        means = exact_mean_recursion(params, 500)
+        assert mom[1].tobytes() == means.tobytes()
+        for n in (1, 2, 50, 500):
+            assert means[n] == pytest.approx(exact_distribution(params, n).mean(), rel=1e-11, abs=0)
 
 
 def test_chained_conditional_moments_reproduce_dp():

@@ -188,8 +188,8 @@ DIGESTS = {
     "cli:fclt-superdiffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:urn-compare": "413ef32e22deb2e1db51513f9dd8baa93211d02155c3342b919dad8692eaaa9b",
     "cli:urn-compare-critical-json": "05ee98b698c51b4ae0bda272567c25a45d3bd2dadc5464df8ea2ddbf5b7427f4",
-    "cli:superdiffusive": "e21a4c4b6f11d501b9510381b737a4082af1584de46a1119d0b6092fbac49a9a",
-    "cli:superdiffusive-s-json": "fa09b577b83495365bb5659f8f6bfb4a355eee752bb5b2921673d2fcd4c746f7",
+    "cli:superdiffusive": "64d0873e4b91de0d2e215b9d836f0f6533152769d91bd19c8805e08ce2d3087a",
+    "cli:superdiffusive-s-json": "262b513f4409309a81e64fc8bc6773fd204ab547d1f1c40e8e1f5053970fa111",
     "cli:superdiffusive-diffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
     "cli:sequences-critical": "65a2d0803d18f97cc50505b2e87e5081baea7d34afb7d13f4c4a9a3a2204c40a",
     "cli:sequences-negative-alpha-json": "deddb8b6eb8162c73764e65be4135c9faeba663363387e7cf3a8a52983b61a10",
