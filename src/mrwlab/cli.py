@@ -24,6 +24,7 @@ from .core_process import (
     ModelParams,
     RegimeError,
     RngStreamSpec,
+    _check_horizon,
     _KernelBuildError,
     classify_regime,
     simulate_urn,
@@ -349,8 +350,7 @@ def _run_superdiffusive(args, params, threads, emitter) -> None:
 
 
 def _run_sequences(args, params, threads, emitter) -> None:
-    if args.n > 10**8:
-        raise ValueError("horizon must be at most 10^8")
+    _check_horizon(args.n)
     diag = sequence_asymptotics(params, args.n, args.points)
     table = {
         "n": diag.grid, "a_n": diag.a, "A_n": diag.A, "v_n": diag.v, "f_n": diag.f,

@@ -50,6 +50,11 @@ __all__ = [
     "walk_position_chunks",
 ]
 
+# The largest horizon the walk engines simulate: one replica takes about 2 s
+# to reach it on the scalar path, so a horizon typed a few digits too long is
+# refused rather than run for hours.
+MAX_HORIZON = 10**8
+
 # Float64 positions per _position_tiles tile (tiles are at least 8 steps
 # tall, and _replica_ranges keeps a range's 8-row tile within this), so that
 # a tile and the reducers' temporaries of its shape stay in cache.
@@ -236,12 +241,13 @@ def simulate_walk(params: ModelParams, n: int, rng: RngStreamSpec) -> WalkPath:
 
     Reads the walk engine's stream of rng (one float32 uniform per step, see
     walk_position_chunks), so its positions equal
-    walk_positions_batch(params, n, [rng])[0].
+    walk_positions_batch(params, n, [rng])[0]. An n below 1 or beyond
+    MAX_HORIZON (10^8) is refused with a ValueError before anything is
+    allocated.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    chunks = walk_position_chunks(params, n, rng)
     positions = np.zeros(n + 1, dtype=np.int64)
-    for k, values in walk_position_chunks(params, n, rng):
+    for k, values in chunks:
         positions[k : k + len(values)] = values
     return WalkPath(steps=np.diff(positions).astype(np.uint8), positions=positions)
 
@@ -252,9 +258,11 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
     Step 1 adds blue with probability s. Every later step consumes exactly
     two uniforms: one to draw a ball (blue with probability blue/m), one for
     the color response (add blue with probability p after blue, q after red).
+    A horizon beyond MAX_HORIZON (10^8) is refused with a ValueError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_horizon(n)
     gen = rng.generator()
     blue = np.zeros(n + 1, dtype=np.int64)
     blue[1] = gen.random() < params.s
@@ -409,14 +417,27 @@ def _step_chunks(R: int, n: int) -> Iterator[tuple[int, int]]:
         yield m, min(rows, n - m)
 
 
+def _check_horizon(n: int) -> None:
+    """Refuse with a ValueError a horizon n beyond MAX_HORIZON."""
+    if n > MAX_HORIZON:
+        raise ValueError(f"the horizon must be at most MAX_HORIZON = {MAX_HORIZON}, got {n}")
+
+
 def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
-    """Yield (k, tile) over the walks of specs to step n, where tile[j, i] =
-    S_{k+j} of specs[i] in float64, one tile per call of _step_chunks."""
+    """An iterator of (k, tile) over the walks of specs to step n, where
+    tile[j, i] = S_{k+j} of specs[i] in float64, one tile per call of
+    _step_chunks. A horizon beyond MAX_HORIZON is refused here, at the call,
+    not at the first tile."""
+    _check_horizon(n)
     keys, S = _stream_keys(specs), np.zeros(len(specs))
-    for m, steps in _step_chunks(len(specs), n):
-        tile = np.empty((steps, len(specs)))
-        _advance(params, keys, S, m, steps, tile)
-        yield m + 1, tile
+
+    def tiles():
+        for m, steps in _step_chunks(len(specs), n):
+            tile = np.empty((steps, len(specs)))
+            _advance(params, keys, S, m, steps, tile)
+            yield m + 1, tile
+
+    return tiles()
 
 
 def _refuse_beyond_memory(need: int, what: str, hint: str = "") -> None:
@@ -438,12 +459,14 @@ def walk_positions_batch(
     Returns an int32 array of shape (len(specs), n+1) with S_0..S_n per row;
     row i reads the stream of specs[i] (see RngStreamSpec). Memory is
     replicas * (n+1) * 4 bytes, and a request beyond the machine's physical
-    memory is refused with a ValueError before anything is allocated; use
+    memory, or an n beyond MAX_HORIZON (10^8), is refused with a ValueError
+    before anything is allocated; use
     walk_checkpoints_batch when only selected steps are needed. threads=None
     runs on one worker per usable CPU; results are the same at any count.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_horizon(n)
     R = len(specs)
     _refuse_beyond_memory(R * (n + 1) * 4, f"{R} replicas x {n + 1} positions", "; use walk_checkpoints_batch")
     pos = np.zeros((R, n + 1), dtype=np.int32)
@@ -477,13 +500,15 @@ def walk_checkpoints_batch(
     checkpoints must be strictly increasing positive step indices. Returns a
     float64 array of shape (len(specs), len(checkpoints)) whose column t
     holds S at checkpoints[t]; row i reads the stream of specs[i] (see
-    RngStreamSpec). Supports horizons up to 10^8 per replica. Memory is
-    replicas * (16 + 8 * len(checkpoints)) bytes (stream keys and the
-    result), and a request beyond the machine's physical memory is refused
-    with a ValueError before anything is allocated. threads=None runs on one
-    worker per usable CPU; results are the same at any count.
+    RngStreamSpec). A checkpoint beyond MAX_HORIZON (10^8) is refused with a
+    ValueError. Memory is replicas * (16 + 8 * len(checkpoints)) bytes
+    (stream keys and the result), and a request beyond the machine's
+    physical memory is refused with a ValueError before anything is
+    allocated. threads=None runs on one worker per usable CPU; results are
+    the same at any count.
     """
     cps = _checkpoint_array(checkpoints).tolist()
+    _check_horizon(cps[-1])
     R = len(specs)
     _refuse_beyond_memory(R * (16 + 8 * len(cps)), f"{R} replicas x {len(cps)} checkpoints")
     out = np.empty((R, len(cps)), dtype=np.float64)
@@ -508,16 +533,18 @@ def walk_position_chunks(
     start at steps 1, 1 + rows, 1 + 2 rows, ..., rows a multiple of 8 (see
     _position_tiles). This is the batch engine run on the one replica
     [rng], so the values equal walk_positions_batch(params, n, [rng])[0, 1:].
+    An n below 1 or beyond MAX_HORIZON (10^8) is refused with a ValueError
+    at the call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    for k, tile in _position_tiles(params, [rng], n):
-        yield k, tile[:, 0]
+    return ((k, tile[:, 0]) for k, tile in _position_tiles(params, [rng], n))
 
 
 def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     """Split replicas 0 .. R-1 into contiguous ranges (lo, hi), as even as the
-    kernel's sets of 16 replicas (its AVX-512 unit) allow: at least
+    kernel's sets of 16 replicas allow (a whole set runs on its AVX-512 path,
+    as one unit of 16 or within a unit of 32): at least
     min(threads, ceil(R/16)) of them, each a multiple of 16 wide but the
     last, and none wider than _TILE_VALUES // 8, so that an 8-row position
     tile holds at most _TILE_VALUES values."""

@@ -43,6 +43,7 @@ from .core_process import (
     RegimeError,
     RngStreamSpec,
     _advance,
+    _check_horizon,
     _checkpoint_array,
     _diffusive_damping,
     _position_tiles,
@@ -347,14 +348,15 @@ def qsl_functional_batch(
     centre)^(2r), and the sum is divided by the law's normalizer. The walk
     kernel adds each replica's terms in step order as it steps, so a value
     depends only on its stream, never on kernel calls, replica ranges or
-    threads. Returns one value per spec, in spec order; horizons up to 10^8
-    are supported.
+    threads. Returns one value per spec, in spec order; a horizon beyond
+    MAX_HORIZON (10^8) is refused with a ValueError.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
     law = limit_law(params)
     if n < 3:
         raise ValueError("n must be at least 3")
+    _check_horizon(n)
     values = np.zeros(len(specs), dtype=np.float64)
 
     def run_block(lo: int, hi: int) -> None:

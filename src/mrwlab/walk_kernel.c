@@ -13,14 +13,21 @@
  * Step 1 is Bernoulli(s); at step t + 1 >= 2 the walk adds
  * U < q + (alpha / t) * S_t, evaluated in double in exactly that order, as
  * numpy does. Compile without floating-point contraction (-ffp-contract=off)
- * so that no fused multiply-add changes a comparison.
+ * so that no fused multiply-add changes a comparison. The eight coefficients
+ * alpha / t of a Philox block are divided once per block, off the chain of
+ * dependent steps; each is the same correctly rounded quotient.
  *
  * Two paths give the same bytes. advance_group, the scalar path, is the
  * reference and runs on any CPU. When the library loads it asks the CPU
  * (__builtin_cpu_supports) for AVX-512 F and DQ; with them, mrw_advance runs
- * each whole set of 16 replicas on the AVX-512 path and the rest on
+ * every whole set of 8 replicas on the AVX-512 path, in units of 32 while 32
+ * remain and then of 16 and 8, and only a remainder under 8 on
  * advance_group. The build flags name no instruction set, so one cached
- * library serves every x86-64 machine. The bytes do not depend on the path:
+ * library serves every x86-64 machine; built with -DMRW_SCALAR_ONLY it
+ * leaves the AVX-512 path out and runs advance_group alone, which is how the
+ * tests reach the scalar reference on an AVX-512 machine. The bytes do not
+ * depend on the path:
+ *   - the Philox words are integers, however the products are formed;
  *   - a draw (bits >> 8) < 2^24 converts to double exactly, and scaling it
  *     by 2^-24 is exact, so it equals the float32 draw widened to double;
  *   - the bound q + c * x is a multiply, then an add, with no contraction;
@@ -100,6 +107,18 @@ philox_draws(int lanes, uint64_t ctr, const uint64_t *k0, const uint64_t *k1, do
     }
 }
 
+/* The coefficients alpha / t of the steps t = 8 * block + d of a Philox
+ * block, d = 0 .. 7. Step 0 takes none: it divides by 1 there, not by 0, so
+ * no floating-point exception flag is raised. */
+static inline __attribute__((always_inline)) void
+step_coefficients(int64_t block, double alpha, double c[8])
+{
+    for (int d = 0; d < 8; d++) {
+        double t = (double)(8 * block + d);
+        c[d] = alpha / (t > 1.0 ? t : 1.0);
+    }
+}
+
 /* Add the QSL terms of step k at the positions x of `lanes` replicas to
  * their sums acc. */
 static inline __attribute__((always_inline)) void
@@ -123,8 +142,9 @@ static inline __attribute__((always_inline)) void
 advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int64_t m, int64_t steps,
               double s, double q, double alpha, double *out, int64_t stride, const struct qsl *sum, double *acc)
 {
-    double u[8][LANES];
+    double u[8][LANES], c[8];
     for (int64_t t = m, end = m + steps; t < end;) {
+        step_coefficients(t / 8, alpha, c);
         philox_draws(lanes, (uint64_t)(t / 8) + 1, k0, k1, u);
         int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
         if (t == 0) {
@@ -138,10 +158,9 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
             t++;
         }
         for (; t < stop; t++) {
-            double c = alpha / (double)t;
-            const double *ut = u[t % 8];
+            const double *ut = u[t % 8], ct = c[t % 8];
             for (int l = 0; l < lanes; l++)
-                x[l] += (double)(ut[l] < q + c * x[l]);
+                x[l] += (double)(ut[l] < q + ct * x[l]);
             if (out)
                 for (int l = 0; l < lanes; l++)
                     out[(t - m) * stride + l] = x[l];
@@ -151,20 +170,21 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
     }
 }
 
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(MRW_SCALAR_ONLY)
 #include <immintrin.h>
 
-/* The AVX-512 path: one replica per 64-bit lane, eight per register, and
- * GROUPS such groups of eight interleaved, so that their Philox rounds and
+/* The AVX-512 path: one replica per 64-bit lane, eight per register, and up
+ * to GROUPS such groups of eight interleaved, so that their Philox rounds and
  * step dependency chains overlap. It computes the Philox words of
  * philox_draws and takes the IEEE operations of advance_group in the same
  * order. */
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
-#define GROUPS 2
+#define GROUPS 4
 
 /* The 128-bit products of the 64-bit lanes of a with the constant whose
  * 32-bit halves are broadcast in m_lo and m_hi, from four 32 x 32 -> 64-bit
- * products. */
+ * products. The middle sum cross = (ll >> 32) + (hl & low32) + lh is at most
+ * 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it carries nothing out. */
 static inline __attribute__((always_inline)) AVX512 void
 mulhilo_x8(__m512i a, __m512i m_lo, __m512i m_hi, __m512i *lo, __m512i *hi)
 {
@@ -172,40 +192,40 @@ mulhilo_x8(__m512i a, __m512i m_lo, __m512i m_hi, __m512i *lo, __m512i *hi)
     __m512i a_hi = _mm512_srli_epi64(a, 32);
     __m512i ll = _mm512_mul_epu32(a, m_lo), lh = _mm512_mul_epu32(a, m_hi);
     __m512i hl = _mm512_mul_epu32(a_hi, m_lo), hh = _mm512_mul_epu32(a_hi, m_hi);
-    __m512i mid = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(lh, low32)),
-                                   _mm512_and_si512(hl, low32));
-    *lo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(ll, low32));
-    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(lh, 32)),
-                           _mm512_add_epi64(_mm512_srli_epi64(hl, 32), _mm512_srli_epi64(mid, 32)));
+    __m512i cross = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(hl, low32)), lh);
+    /* 0xF8 is A | (B & C): (cross << 32) | (ll & low32). */
+    *lo = _mm512_ternarylogic_epi64(_mm512_slli_epi64(cross, 32), ll, low32, 0xF8);
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(hl, 32)), _mm512_srli_epi64(cross, 32));
 }
 
-/* philox_draws for GROUPS groups of eight lanes: u[g][d] holds draw
+/* philox_draws for `groups` groups of eight lanes: u[g][d] holds draw
  * 8 * (ctr - 1) + d of the lanes of group g, whose round keys are
  * k0[g][round] and k1[g][round]. */
 static inline __attribute__((always_inline)) AVX512 void
-philox_draws_x8(uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __m512d u[GROUPS][8])
+philox_draws_x8(int groups, uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __m512d u[GROUPS][8])
 {
     const __m512i m0_lo = _mm512_set1_epi64(PHILOX_M0 & 0xFFFFFFFF), m0_hi = _mm512_set1_epi64(PHILOX_M0 >> 32);
     const __m512i m1_lo = _mm512_set1_epi64(PHILOX_M1 & 0xFFFFFFFF), m1_hi = _mm512_set1_epi64(PHILOX_M1 >> 32);
     const __m512i low24 = _mm512_set1_epi64(0xFFFFFF);
     const __m512d scale = _mm512_set1_pd(1.0 / 16777216.0);
     __m512i c0[GROUPS], c1[GROUPS], c2[GROUPS], c3[GROUPS];
-    for (int g = 0; g < GROUPS; g++) {
+    for (int g = 0; g < groups; g++) {
         c0[g] = _mm512_set1_epi64((long long)ctr);
         c1[g] = c2[g] = c3[g] = _mm512_setzero_si512();
     }
     for (int round = 0; round < 10; round++) {
-        for (int g = 0; g < GROUPS; g++) {
+        for (int g = 0; g < groups; g++) {
             __m512i lo0, hi0, lo1, hi1;
             mulhilo_x8(c0[g], m0_lo, m0_hi, &lo0, &hi0);
             mulhilo_x8(c2[g], m1_lo, m1_hi, &lo1, &hi1);
-            c0[g] = _mm512_xor_si512(_mm512_xor_si512(hi1, c1[g]), k0[g][round]);
-            c2[g] = _mm512_xor_si512(_mm512_xor_si512(hi0, c3[g]), k1[g][round]);
+            /* 0x96 is A ^ B ^ C. */
+            c0[g] = _mm512_ternarylogic_epi64(hi1, c1[g], k0[g][round], 0x96);
+            c2[g] = _mm512_ternarylogic_epi64(hi0, c3[g], k1[g][round], 0x96);
             c1[g] = lo1;
             c3[g] = lo0;
         }
     }
-    for (int g = 0; g < GROUPS; g++) {
+    for (int g = 0; g < groups; g++) {
         __m512i w[4] = {c0[g], c1[g], c2[g], c3[g]};
         for (int d = 0; d < 8; d++) {
             __m512i bits = d % 2 ? _mm512_srli_epi64(w[d / 2], 40)
@@ -215,41 +235,44 @@ philox_draws_x8(uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __
     }
 }
 
-/* qsl_terms for GROUPS groups of eight lanes. */
+/* qsl_terms for `groups` groups of eight lanes. */
 static inline __attribute__((always_inline)) AVX512 void
-qsl_terms_x8(const struct qsl *sum, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
+qsl_terms_x8(int groups, const struct qsl *sum, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
 {
     if (k < sum->k0)
         return;
     const __m512d kv = _mm512_set1_pd((double)k), centre = _mm512_set1_pd(sum->centre);
     const __m512d scale = _mm512_set1_pd(sum->scale[k - sum->k0]), weight = _mm512_set1_pd(sum->weight[k - sum->k0]);
     __m512d p2[GROUPS], term[GROUPS];
-    for (int g = 0; g < GROUPS; g++) {
+    for (int g = 0; g < groups; g++) {
         __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(_mm512_div_pd(xv[g], kv), centre));
         p2[g] = _mm512_mul_pd(point, point);
         term[g] = _mm512_mul_pd(weight, p2[g]);
     }
     for (int64_t i = 1; i < sum->r; i++)
-        for (int g = 0; g < GROUPS; g++)
+        for (int g = 0; g < groups; g++)
             term[g] = _mm512_mul_pd(term[g], p2[g]);
-    for (int g = 0; g < GROUPS; g++)
+    for (int g = 0; g < groups; g++)
         acc[g] = _mm512_add_pd(acc[g], term[g]);
 }
 
-/* advance_group for the GROUPS * LANES replicas whose (seed, replica) keys
- * are keys[0 .. 2 * GROUPS * LANES - 1], whose positions are x and, when sum
- * is not NULL, whose QSL sums are acc; out, when not NULL, points at their
- * first column of the tile. */
-static AVX512 void
-advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps, double s, double q, double alpha,
-                  double *out, int64_t stride, const struct qsl *sum, double *acc)
+/* advance_group for replicas i0 .. i0 + groups * LANES - 1 of a call of
+ * mrw_advance, whose arguments follow i0. */
+static inline __attribute__((always_inline)) AVX512 void
+advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
+                  double s, double q, double alpha, double *out, const struct qsl *sum, double *acc)
 {
+    double *x = S + i0;
+    keys += 2 * i0;
+    out = out ? out + i0 : NULL;
+    acc = acc ? acc + i0 : NULL;
     const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
     const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
     const __m512d one = _mm512_set1_pd(1.0), sv = _mm512_set1_pd(s), qv = _mm512_set1_pd(q);
+    const __m512d alv = _mm512_set1_pd(alpha), lane = _mm512_setr_pd(0, 1, 2, 3, 4, 5, 6, 7);
     __m512i k0[GROUPS][10], k1[GROUPS][10];
     __m512d xv[GROUPS], av[GROUPS], u[GROUPS][8];
-    for (int g = 0; g < GROUPS; g++) {
+    for (int g = 0; g < groups; g++) {
         __m512i a = _mm512_loadu_si512(keys + 2 * LANES * g), b = _mm512_loadu_si512(keys + 2 * LANES * g + LANES);
         k0[g][0] = _mm512_permutex2var_epi64(a, even, b);
         k1[g][0] = _mm512_permutex2var_epi64(a, odd, b);
@@ -258,39 +281,64 @@ advance_groups_x8(const uint64_t *keys, double *x, int64_t m, int64_t steps, dou
             k1[g][round] = _mm512_add_epi64(k1[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W1));
         }
         xv[g] = _mm512_loadu_pd(x + LANES * g);
-        if (sum)
-            av[g] = _mm512_loadu_pd(acc + LANES * g);
+        av[g] = sum ? _mm512_loadu_pd(acc + LANES * g) : _mm512_setzero_pd();
     }
     for (int64_t t = m, end = m + steps; t < end;) {
-        philox_draws_x8((uint64_t)(t / 8) + 1, k0, k1, u);
+        /* step_coefficients in one divide, computed ahead of the Philox rounds. */
+        const __m512d tv = _mm512_add_pd(_mm512_set1_pd((double)(t / 8 * 8)), lane);
+        const __m512d cv = _mm512_div_pd(alv, _mm512_max_pd(tv, one));
+        philox_draws_x8(groups, (uint64_t)(t / 8) + 1, k0, k1, u);
         int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
         if (t == 0) {
-            for (int g = 0; g < GROUPS; g++) {
+            for (int g = 0; g < groups; g++) {
                 xv[g] = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(u[g][0], sv, _CMP_LT_OQ), one);
                 if (out)
                     _mm512_storeu_pd(out + LANES * g, xv[g]);
             }
             if (sum)
-                qsl_terms_x8(sum, 1, xv, av);
+                qsl_terms_x8(groups, sum, 1, xv, av);
             t++;
         }
         for (; t < stop; t++) {
-            const __m512d c = _mm512_set1_pd(alpha / (double)t);
-            for (int g = 0; g < GROUPS; g++) {
+            const __m512d c = _mm512_permutexvar_pd(_mm512_set1_epi64(t % 8), cv);
+            for (int g = 0; g < groups; g++) {
                 __m512d bound = _mm512_add_pd(qv, _mm512_mul_pd(c, xv[g]));
                 xv[g] = _mm512_mask_add_pd(xv[g], _mm512_cmp_pd_mask(u[g][t % 8], bound, _CMP_LT_OQ), xv[g], one);
                 if (out)
-                    _mm512_storeu_pd(out + (t - m) * stride + LANES * g, xv[g]);
+                    _mm512_storeu_pd(out + (t - m) * R + LANES * g, xv[g]);
             }
             if (sum)
-                qsl_terms_x8(sum, t + 1, xv, av);
+                qsl_terms_x8(groups, sum, t + 1, xv, av);
         }
     }
-    for (int g = 0; g < GROUPS; g++) {
+    for (int g = 0; g < groups; g++) {
         _mm512_storeu_pd(x + LANES * g, xv[g]);
         if (sum)
             _mm512_storeu_pd(acc + LANES * g, av[g]);
     }
+}
+
+/* The AVX-512 path of mrw_advance: units of GROUPS groups of eight replicas
+ * while a whole unit remains, then one unit of GROUPS / 2 groups and one of
+ * a single group while whole sets of eight remain (GROUPS = 4 tiles them
+ * all). Each call inlines advance_groups_x8 with a constant `groups`, so its
+ * loops over the groups unroll. Returns the number of replicas run. */
+static AVX512 int64_t
+advance_sets_x8(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps, double s, double q,
+                double alpha, double *out, const struct qsl *sum, double *acc)
+{
+    int64_t i0 = 0;
+    for (; i0 + GROUPS * LANES <= R; i0 += GROUPS * LANES)
+        advance_groups_x8(GROUPS, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+    if (i0 + GROUPS / 2 * LANES <= R) {
+        advance_groups_x8(GROUPS / 2, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        i0 += GROUPS / 2 * LANES;
+    }
+    if (i0 + LANES <= R) {
+        advance_groups_x8(1, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        i0 += LANES;
+    }
+    return i0;
 }
 
 /* Whether this CPU runs the AVX-512 path, settled when the library loads. */
@@ -311,19 +359,17 @@ __attribute__((constructor)) static void pick_path(void)
  * not NULL, acc[i] gains the QSL term of replica i at each step k from k0 to
  * m + steps, in step order, with scale[k - k0] and weight[k - k0] as scale_k
  * and weight_k (see the top of this file). On a CPU with AVX-512 F and DQ
- * the AVX-512 path runs whole sets of 16 replicas and advance_group the
- * rest; elsewhere advance_group runs them all. */
+ * the AVX-512 path runs every whole set of 8 replicas and advance_group a
+ * remainder under 8; elsewhere advance_group runs them all. */
 void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
                  double s, double q, double alpha, double *out,
                  double *acc, const double *scale, const double *weight, double centre, int64_t r, int64_t k0)
 {
     const struct qsl terms = {scale, weight, centre, r, k0}, *sum = acc ? &terms : NULL;
     int64_t i0 = 0;
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(MRW_SCALAR_ONLY)
     if (use_avx512)
-        for (; i0 + GROUPS * LANES <= R; i0 += GROUPS * LANES)
-            advance_groups_x8(keys + 2 * i0, S + i0, m, steps, s, q, alpha, out ? out + i0 : NULL, R,
-                              sum, acc ? acc + i0 : NULL);
+        i0 = advance_sets_x8(keys, S, R, m, steps, s, q, alpha, out, sum, acc);
 #endif
     for (; i0 < R; i0 += LANES) {
         int width = R - i0 < LANES ? (int)(R - i0) : LANES;

@@ -2,6 +2,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -253,6 +254,28 @@ def test_sequences_rejects_fewer_than_two_points(capsys, points):
 def test_sequences_rejects_a_horizon_below_two(capsys, n):
     assert main(["sequences", "--n", n]) == EXIT_CONFIG
     assert f"horizon must be at least 2, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsl", "--replicas", "1", "--n", str(cp.MAX_HORIZON + 1)],
+        ["simulate", "--n", str(cp.MAX_HORIZON + 1)],
+        ["simulate", "--trajectory", "--n", str(cp.MAX_HORIZON + 1)],
+        ["simulate", "--trajectory", "--mechanism", "lookup", "--n", str(cp.MAX_HORIZON + 1)],
+        ["asclt", "--n", str(cp.MAX_HORIZON + 1)],
+        ["fclt", "--n", str(cp.MAX_HORIZON + 1)],
+        # superdiffusive walks each replica to twice its largest horizon.
+        ["superdiffusive", "--q", "0.1", "--p", "0.9", "--replicas", "2", "--n", str(cp.MAX_HORIZON // 2 + 1)],
+        ["sequences", "--n", str(cp.MAX_HORIZON + 1)],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:-2]),
+)
+def test_a_horizon_beyond_the_bound_exits_before_simulating(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "the horizon must be at most MAX_HORIZON = 100000000" in capsys.readouterr().err
 
 
 _NEAR_CRITICAL = ["--n", "1000", "--q", "0.0007500000000000285", "--p", "0.50075"]

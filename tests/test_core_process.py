@@ -1,3 +1,6 @@
+import ctypes
+import ctypes.util
+import platform
 import subprocess
 import sys
 import tempfile
@@ -409,10 +412,10 @@ _unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
     data=st.data(),
 )
 def test_batch_engines_match_per_replica_generators(s, q, p, seed, replicas, n, width, tile, threads, data):
-    # Up to 33 replicas fill the kernel's vector set of 16 lanes and leave a
-    # tail to its groups of 8, the last of them partial; small position tiles
-    # split the walk into many kernel calls, and checkpoint gaps start calls
-    # inside a Philox block of 8 draws.
+    # Up to 33 replicas fill the kernel's widest vector unit of 32 and leave
+    # a scalar tail, or run its units of 16 and 8 and a tail; small position
+    # tiles split the walk into many kernel calls, and checkpoint gaps start
+    # calls inside a Philox block of 8 draws.
     specs = [RngStreamSpec(seed, i) for i in replicas]
     if data.draw(st.booleans()):
         # A ReplicaRange, or a slice of it, in place of a list: the engines
@@ -490,7 +493,7 @@ def test_checkpoints_beyond_physical_memory_are_refused():
     qp=st.one_of(st.just((1.0, 0.0)),
                  st.tuples(st.one_of(st.floats(5e-324, 2.0**-1022), _unit.filter(lambda q: q > 0.0)), _unit)),
     seed=st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
-    width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 33]),
+    width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 63, 64, 65, 97]),
     m=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 1023]), st.integers(0, 1100)),
     steps=st.integers(1, 40),
     tile=st.booleans(),
@@ -498,12 +501,15 @@ def test_checkpoints_beyond_physical_memory_are_refused():
     data=st.data(),
 )
 def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, tile, r, data):
-    # On a CPU with AVX-512 the kernel runs each whole set of 16 replicas on
-    # its vector path and the rest in groups of 8, so widths 16 .. 33 reach
-    # the vector path and the tail behind it, and widths 1 .. 15 the scalar
-    # groups alone, full (8 .. 15) and partial. Elsewhere every width runs
-    # the scalar groups. Either way each byte must equal numpy's stream, and
-    # each QSL sum (r not None) the step-order sum of the same doubles.
+    # On a CPU with AVX-512 the kernel runs units of 32 replicas while 32
+    # remain, then a unit of 16 and a unit of 8 while whole sets of 8
+    # remain, and only a remainder under 8 on its scalar groups. The widths
+    # reach each mix of units: 8, 16, 32 and 64 alone, 24 = 16 + 8,
+    # 40 = 32 + 8, 48 = 32 + 16 and 63 = 32 + 16 + 8 + 7, a scalar tail
+    # behind each unit class (9, 15, 17, 31, 33, 65, 97), and the scalar
+    # group alone (1, 7). Elsewhere every width runs the scalar groups.
+    # Either way each byte must equal numpy's stream, and each QSL sum
+    # (r not None) the step-order sum of the same doubles.
     first = data.draw(st.one_of(st.integers(2**63 - 40, 2**63 + 40), st.just(2**64 - width),
                                 st.integers(0, 2**64 - width)))
     specs = RngStreamSpec(seed, first).replicas(width)
@@ -553,7 +559,53 @@ def test_kernel_starts_each_stream_at_its_offset():
         assert np.array_equal(S, ref[:, m + 21]), m
 
 
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the FE_* flag values below are x86-64's")
+def test_kernel_raises_no_divide_by_zero_or_invalid_flag():
+    # Step 0 takes no coefficient alpha / t, and the kernel never divides by
+    # t = 0 to form one: alpha / 0 would raise divide-by-zero, and 0 / 0 at
+    # alpha = 0 invalid. 41 replicas reach both paths from step 0.
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    fe_invalid, fe_divbyzero, fe_all = 0x01, 0x04, 0x3D
+    keys = cp._stream_keys(RngStreamSpec(2).replicas(41))
+    for params in (ModelParams(0.5, 0.25, 0.75), ModelParams(0.5, 0.5, 0.5)):
+        cp._advance(params, keys, np.zeros(41), 0, 1)  # loads the kernel before the flags are cleared
+        libm.feclearexcept(fe_all)
+        cp._advance(params, keys, np.zeros(41), 0, 20, np.empty((20, 41)))
+        assert libm.fetestexcept(fe_invalid | fe_divbyzero) == 0, params
+
+
 # ---------------------------------------------------------------- kernel build
+
+
+def test_forced_scalar_build_matches_default_build(tmp_path):
+    # Built with -DMRW_SCALAR_ONLY the kernel runs advance_group, its scalar
+    # reference, on every replica; on an AVX-512 machine the default build
+    # runs it only on a remainder under 8. Positions, out tiles and QSL sums
+    # must agree byte for byte at every width from 1 to 100 (each unit of
+    # 32, 16 and 8, and each tail), for calls that start at step 0, off a
+    # Philox block edge and on one.
+    lib = tmp_path / "walk_kernel_scalar.so"
+    done = subprocess.run(["cc", *cp._CFLAGS, "-DMRW_SCALAR_ONLY", "-o", str(lib), str(cp._KERNEL_SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    builds = {"scalar": cp._bind_kernel(lib), "default": cp._load_kernel()}
+    params, steps, r = ModelParams(s=0.5, q=0.3, p=0.65), 29, 2
+    keys = cp._stream_keys(RngStreamSpec(5, 2**63 - 50).replicas(100))
+    for m in (0, 13, 1024):
+        start = np.zeros(100)
+        if m:
+            cp._advance(params, keys, start, 0, m)
+        k = np.arange(m + 1 + steps // 3, m + steps + 1, dtype=np.float64)
+        scale, weight = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
+        for width in range(1, 101):
+            results = {}
+            for name, kernel in builds.items():
+                S, out, acc = start[:width].copy(), np.empty((steps, width)), np.linspace(0.0, 1.0, width)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cp, "_kernel", kernel)
+                    cp._advance(params, keys[:width], S, m, steps, out, (scale, weight, 0.6, r, acc))
+                results[name] = S.tobytes() + out.tobytes() + acc.tobytes()
+            assert results["scalar"] == results["default"], (m, width)
 
 
 def test_kernel_compiles_without_warnings(tmp_path):

@@ -274,7 +274,8 @@ def test_qsl_batch_peak_memory_does_not_grow_with_n():
     n=111, width=8, position_tile=cp._TILE_VALUES, threads=1,
 )
 # Critical, so the sums start at step 2, inside the first call: 16 replicas
-# run one AVX-512 set (on a CPU with it), 33 two sets and a scalar tail.
+# run one AVX-512 unit of 16 (on a CPU with it), 33 a unit of 32 and a
+# scalar tail.
 @example(
     s=0.3, qp=(0.25, 0.75), r=2, seed=5, start=0, replicas=16, as_range=True,
     n=130, width=8192, position_tile=cp._TILE_VALUES, threads=1,
