@@ -123,6 +123,14 @@ def _diffusive_damping(alpha: float) -> float:
     return damping
 
 
+def _centre(params: ModelParams) -> float:
+    """The centre q/(1 - alpha) of S_n/n, refused with a ValueError when the float
+    1 - alpha is 0: at p = 1 with q below 2^-53 (say q = 2.2250738585072014e-308)."""
+    if params.alpha == 1.0:
+        raise ValueError(f"the centre q/(1 - alpha) is undefined: the float 1 - alpha is 0 at alpha = {params.alpha}")
+    return params.q / (1.0 - params.alpha)
+
+
 def _require(params: ModelParams, regime: Regime, what: str) -> None:
     """Raise RegimeError naming what and the condition unless params lie in regime."""
     actual = classify_regime(params)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_process import ModelParams, _checkpoint_array
-from .martingale_sequences import _STREAM_CHUNK, _gather_checkpoints
+from .core_process import ModelParams, _centre, _checkpoint_array
+from .martingale_sequences import _gather_checkpoints
 
 __all__ = [
     "DP_BOUND",
@@ -144,44 +144,22 @@ def exact_mean_recursion(params: ModelParams, n: int) -> np.ndarray:
     return np.concatenate([[0.0], exact_mean_checkpoints(params, np.arange(1, n + 1))])
 
 
-def _mean_chunks(params: ModelParams, horizon: int):
-    """Yield (start, chunk) up to horizon; chunk rows are 1/a_m = prod_{k<m} (1 + alpha/k)
-    and q sum_{k=2..m} a_k at steps start, start+1, ...
-
-    The factors 1 + alpha/k round with less bias than sequence_checkpoints'
-    k/(k + alpha): against exact rationals at n = 3000 and six (q, p), 1/a_m
-    erred at most 8.6e-15 relative, the reciprocal of that a_m up to 7.4e-14.
-    Element 0 of every cumprod and cumsum input is the value carried from
-    the chunk before, so the values do not depend on _STREAM_CHUNK.
-    """
-    carry = np.array([1.0, 0.0])  # 1/a_1 and the empty sum at step 1
-    for start in range(1, horizon + 1, _STREAM_CHUNK):
-        m = np.arange(start, min(start + _STREAM_CHUNK, horizon + 1), dtype=np.float64)
-        seq = np.empty((2, len(m) + 1), dtype=np.float64)
-        inv_a, qsum = seq
-        seq[:, 0] = carry
-        np.add(1.0, params.alpha / m, out=inv_a[1:])
-        np.cumprod(inv_a, out=inv_a)
-        np.divide(params.q, inv_a[1:], out=qsum[1:])
-        np.cumsum(qsum, out=qsum)
-        carry = seq[:, -1].copy()
-        yield start, seq[:, :-1]
-
-
 def _mean_forms(params: ModelParams, checkpoints: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(deviation, mean) at steps _checkpoint_array has checked, streamed: two exact forms of E[S_m].
+    """(deviation, mean) at steps _checkpoint_array has checked: two exact forms of E[S_m]
+    from martingale_sequences' stream of 1/a_m and B_m = sum_{k=2..m} a_k.
 
-    The deviation is E[S_m] - m q/(1-alpha) = (s - q/(1-alpha))/a_m, since
-    the martingale a_m S_m - q A_m has mean s - q and (1 - alpha) A_m - m a_m
-    = -alpha. The mean is (s + q sum_{k=2..m} a_k)/a_m, the solution of E[S_1]
+    The deviation is E[S_m] - m q/(1-alpha) = (s - q/(1-alpha)) (1/a_m),
+    since the martingale a_m S_m - q A_m has mean s - q and (1 - alpha) A_m -
+    m a_m = -alpha. The mean is (s + q B_m) (1/a_m), the solution of E[S_1]
     = s, E[S_{m+1}] = q + (1 + alpha/m) E[S_m], a sum of terms >= 0. Not
     defined at alpha = -1, where a_2 = 1/(1 + alpha).
     """
     cps = np.asarray(checkpoints)
-    inv_a, mean = _gather_checkpoints(_mean_chunks(params, int(cps[-1])), cps, 2)
-    mean += params.s  # the row held q sum_{k=2..m} a_k; both rows are updated in place
+    inv_a, mean = _gather_checkpoints(params.alpha, cps, 2)
+    mean *= params.q  # the row held B_m; both rows are updated in place
+    mean += params.s
     mean *= inv_a
-    inv_a *= params.s - params.q / (1.0 - params.alpha)
+    inv_a *= params.s - _centre(params)
     return inv_a, mean
 
 
@@ -201,7 +179,7 @@ def exact_mean_checkpoints(params: ModelParams, checkpoints: Sequence[int]) -> n
     if params.alpha == -1.0:
         mean = cps / 2.0
     else:
-        centre = params.q / (1.0 - params.alpha)
+        centre = _centre(params)
         deviation, mean = _mean_forms(params, cps)
         if 2.0 * params.s >= centre:
             mean = np.add(cps * centre, deviation, out=deviation)

@@ -43,6 +43,7 @@ from .core_process import (
     RegimeError,
     RngStreamSpec,
     _advance,
+    _centre,
     _check_horizon,
     _checkpoint_array,
     _diffusive_damping,
@@ -161,7 +162,11 @@ class LimitLaw:
 def limit_law(params: ModelParams) -> LimitLaw:
     """Resolve the regime of params into its LimitLaw; RegimeError when alpha > 1/2."""
     regime = classify_regime(params)
-    centre = params.q / (1.0 - params.alpha)
+    if regime is Regime.SUPERDIFFUSIVE:
+        raise RegimeError(
+            f"the Gaussian limit laws require alpha <= 1/2; got alpha = {params.alpha} ({regime.value})"
+        )
+    centre = _centre(params)
     if regime is Regime.DIFFUSIVE:
         alpha = params.alpha
         noise, damping = sigma_squared(params), _diffusive_damping(alpha)
@@ -172,17 +177,13 @@ def limit_law(params: ModelParams) -> LimitLaw:
             skeleton_scale=lambda n, m: np.full_like(m, math.sqrt(n)),
             kernel=lambda s, t: noise / (damping * t) * (t / s) ** alpha,
         )
-    if regime is Regime.CRITICAL:
-        noise = 4.0 * params.q * (1.0 - params.p)
-        return LimitLaw(
-            regime, centre, noise, damping=1.0,
-            first_step=2, min_horizon=3, default_grid=DEFAULT_GRID_CRITICAL,
-            L=np.log, normalizer=lambda n: math.log(math.log(n)),
-            skeleton_scale=lambda n, m: np.sqrt(m / math.log(n)),
-            kernel=lambda s, t: noise * s,
-        )
-    raise RegimeError(
-        f"the Gaussian limit laws require alpha <= 1/2; got alpha = {params.alpha} ({regime.value})"
+    noise = 4.0 * params.q * (1.0 - params.p)
+    return LimitLaw(
+        regime, centre, noise, damping=1.0,
+        first_step=2, min_horizon=3, default_grid=DEFAULT_GRID_CRITICAL,
+        L=np.log, normalizer=lambda n: math.log(math.log(n)),
+        skeleton_scale=lambda n, m: np.sqrt(m / math.log(n)),
+        kernel=lambda s, t: noise * s,
     )
 
 
@@ -507,8 +508,7 @@ def superdiffusive_limit(
     ns = _checkpoint_array(n_list).tolist()
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    alpha = params.alpha
-    center = params.q / (1.0 - alpha)
+    alpha, center = params.alpha, _centre(params)
     checkpoints = sorted(set(ns) | {2 * x for x in ns})
     col = {cp: i for i, cp in enumerate(checkpoints)}
     pos = walk_checkpoints_batch(params, checkpoints, rng.replicas(replicas), threads=threads)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, _require, classify_regime
+from .core_process import ModelParams, Regime, _centre, _require, classify_regime
 from .limit_harness import limit_law
 
 __all__ = [
@@ -71,9 +71,10 @@ class SpectralData:
 def build_spectral(params: ModelParams) -> SpectralData:
     q, p = params.q, params.p
     alpha = params.alpha
-    one_minus = 1.0 - alpha  # equals 1 - p + q, positive since q > 0
+    centre = _centre(params)  # q/(1 - alpha), refused where the float 1 - alpha is 0
+    one_minus = 1.0 - alpha
     a_matrix = np.array([[1.0 - q, 1.0 - p], [q, p]], dtype=np.float64)
-    v1 = np.array([(1.0 - p) / one_minus, q / one_minus])
+    v1 = np.array([(1.0 - p) / one_minus, centre])
     v2 = np.array([-0.5, 0.5])
     u1 = np.array([1.0, 1.0])
     u2 = np.array([-2.0 * q / one_minus, 2.0 * (1.0 - p) / one_minus])

@@ -1,4 +1,5 @@
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -410,3 +411,98 @@ def test_import_does_not_load_scipy_stats():
                           env={"PYTHONPATH": str(Path(cp.__file__).parents[1])})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False False"
+
+
+# ---------------------------------------------------------------- boundary sweep
+
+_TINY_Q = "2.2250738585072014e-308"  # the smallest normal double
+
+# (q, p) as typed: alpha = 1/2 in decimals and within ulps of it on both sides,
+# alpha = -1, p = 1 in each regime, q at the smallest normal double, and
+# decimal spellings whose doubles are the critical point.
+_EDGE_POINTS = [
+    ("0.25", "0.75"),
+    ("0.2", "0.7"),  # critical, float alpha 0.49999999999999994
+    ("0.25", "0.7499999999999999"),
+    ("0.25", "0.7500000000000001"),
+    ("0.2", "0.7000000000000001"),
+    ("0.0007500000000000285", "0.50075"),  # diffusive, float alpha 0.5
+    ("1", "0"),
+    ("0.7", "1"),
+    ("0.5", "1"),
+    ("0.3", "1"),
+    (_TINY_Q, "0"),
+    (_TINY_Q, "0.5"),
+    (_TINY_Q, "1"),  # superdiffusive, float 1 - alpha is 0
+    ("0.25", "0.75000000000000001"),
+    ("0.24999999999999999", "0.75"),
+    ("2.5e-1", "7.5e-1"),
+]
+
+_SMALL_RUNS = {
+    "simulate": ["simulate", "--n", "16", "--replicas", "3"],
+    "exact": ["exact", "--n", "16"],
+    "asclt": ["asclt", "--n", "16"],
+    "qsl": ["qsl", "--n", "16", "--replicas", "2"],
+    "fclt": ["fclt", "--n", "16", "--replicas", "3"],
+    "fclt-covariance": ["fclt", "--n", "16", "--replicas", "1000"],
+    "urn-compare": ["urn-compare", "--n", "16"],
+    "superdiffusive": ["superdiffusive", "--n", "8,16", "--replicas", "3"],
+    "sequences": ["sequences", "--n", "64", "--points", "5"],
+}
+
+
+def _decimal(text):
+    return Fraction(repr(float(text)))
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for x in node:
+            yield from _numbers(x)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+@pytest.mark.parametrize("run", ["simulate", "superdiffusive", "sequences"])
+def test_a_float_one_minus_alpha_of_zero_is_a_named_config_error(capsys, run):
+    # At p = 1 with q below 2^-53 the float 1 - alpha is 0, so the centre q/(1 - alpha) is undefined.
+    assert main([*_SMALL_RUNS[run], "--q", _TINY_Q, "--p", "1"]) == EXIT_CONFIG
+    assert "the float 1 - alpha is 0 at alpha = 1.0" in capsys.readouterr().err
+
+
+def _exit_cleanly(capsys, argv):
+    # Finite numbers on exit 0, or exit 2 or 3 with a message; no warning escapes.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--out", "json", "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_REGIME), err
+    if rc == EXIT_OK:
+        values = list(_numbers(json.loads(out)))
+        assert values and all(math.isfinite(x) for x in values), out
+    else:
+        assert out == "" and err.strip() != ""
+    return rc, err
+
+
+@pytest.mark.parametrize("q,p", _EDGE_POINTS, ids=lambda x: x)
+@pytest.mark.parametrize("run", list(_SMALL_RUNS))
+def test_boundary_points_exit_cleanly(capsys, run, q, p):
+    # The Gaussian limit harnesses exit 3 wherever p - q > 1/2, taken in the
+    # shortest decimals of the parsed doubles (0.75000000000000001 parses to 0.75).
+    rc, err = _exit_cleanly(capsys, [*_SMALL_RUNS[run], "--q", q, "--p", p])
+    if run in ("asclt", "qsl", "fclt", "fclt-covariance") and _decimal(p) - _decimal(q) > Fraction(1, 2):
+        assert rc == EXIT_REGIME, err
+
+
+@pytest.mark.parametrize("run", list(_SMALL_RUNS))
+def test_smallest_horizons_exit_cleanly(capsys, run):
+    # The last --n given wins, so it replaces the run's own horizon.
+    for q, p in [("0.5", "0.5"), ("0.25", "0.75"), ("0.1", "0.9"), ("1", "0"), ("0.6", "1")]:
+        for n in ("1", "2", "3"):
+            _exit_cleanly(capsys, [*_SMALL_RUNS[run], "--q", q, "--p", p, "--n", n])

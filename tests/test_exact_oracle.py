@@ -26,7 +26,7 @@ from mrwlab import (
     two_point_moment_eps,
     walk_checkpoints_batch,
 )
-from mrwlab import exact_oracle
+from mrwlab import exact_oracle, martingale_sequences
 from mrwlab.exact_oracle import DP_BOUND, MAX_MATERIALIZED
 
 
@@ -207,7 +207,7 @@ def test_mean_stream_does_not_depend_on_its_chunk(monkeypatch, s, q, p):
     assert ref[0] == s
     sparse = [1, 6, 7, 8, 64, 65, 299, 300]
     for chunk in (1, 7, 64):
-        monkeypatch.setattr(exact_oracle, "_STREAM_CHUNK", chunk)
+        monkeypatch.setattr(martingale_sequences, "_STREAM_CHUNK", chunk)
         assert exact_mean_checkpoints(params, steps).tobytes() == ref.tobytes()
         assert exact_mean_checkpoints(params, sparse).tobytes() == ref[np.array(sparse) - 1].tobytes()
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ def closed_form_a(alpha: float, n: np.ndarray) -> np.ndarray:
 
 
 def one_pass_sequences(alpha: float, N: int):
-    # Reference: one cumprod/cumsum over the whole horizon, no chunking.
+    # Reference: a_n is the reciprocal of one cumprod of 1 + alpha/k over the
+    # whole horizon, A_n = 1 + sum_{k=2..n} a_k; no chunking.
     k = np.arange(1.0, N, dtype=np.float64)
-    a = np.concatenate([[1.0], np.cumprod(k / (k + alpha))])
+    a = 1.0 / np.concatenate([[1.0], np.cumprod(1.0 + alpha / k)])
     v = np.cumsum(a**2)
-    return {"a": a, "A": np.cumsum(a), "v": v, "f": a**2 / v}
+    A = 1.0 + np.concatenate([[0.0], np.cumsum(a[1:])])
+    return {"a": a, "A": A, "v": v, "f": a**2 / v}
 
 
 def with_alpha(alpha: float) -> ModelParams:
@@ -70,6 +73,27 @@ def test_recurrence_matches_gamma_closed_form(alpha):
     n = np.arange(1, 151)
     expected = closed_form_a(params.alpha, n)
     assert np.allclose(steps_to(params, 150)["a"], expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("q, p", [(0.05, 0.95), (0.3, 1.0), (0.65, 0.35), (0.1, 0.9)])
+def test_sequences_against_exact_rationals(q, p):
+    # With alpha = P/Q in decimal rationals, a_n = prod_{k<n} kQ/(kQ + P) and
+    # A_n = sum_{k<=n} a_k are kept as integer fractions over the one
+    # denominator prod (kQ + P); int / int rounds them once. The product of
+    # k/(k + alpha) in floats erred up to 7.4e-14 here.
+    n = 3000
+    alpha = Fraction(repr(p)) - Fraction(repr(q))
+    P, Q = alpha.numerator, alpha.denominator
+    num = den = A_num = 1
+    a, A = [1.0], [1.0]
+    for k in range(1, n):
+        num, den = num * k * Q, den * (k * Q + P)
+        A_num = A_num * (k * Q + P) + num
+        a.append(num / den)
+        A.append(A_num / den)
+    got = steps_to(ModelParams(s=0.5, q=q, p=p), n)
+    assert np.max(np.abs(got["a"] - a) / a) <= 2e-14
+    assert np.max(np.abs(got["A"] - A) / A) <= 2e-14
 
 
 def test_sequences_accept_params_object():
@@ -187,6 +211,13 @@ def test_asymptotics_refuse_a_float_damping_that_is_not_positive():
     params = ModelParams(s=0.5, q=0.0007500000000000285, p=0.50075)
     with pytest.raises(ValueError, match=r"damping 1 - 2 alpha is 0\.0 at the float alpha = 0\.5"):
         sequence_asymptotics(params, 1000)
+
+
+def test_asymptotics_refuse_a_float_one_minus_alpha_of_zero():
+    # Superdiffusive, but q is below 2^-53, so the float 1 - alpha is 0; refused before streaming 10^8 steps.
+    params = ModelParams(s=0.5, q=2.2250738585072014e-308, p=1.0)
+    with pytest.raises(ValueError, match=r"the float 1 - alpha is 0 at alpha = 1\.0"):
+        sequence_asymptotics(params, 10**8)
 
 
 def test_attracting_frequency_is_fixed_point():

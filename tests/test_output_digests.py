@@ -191,10 +191,10 @@ DIGESTS = {
     "cli:superdiffusive": "64d0873e4b91de0d2e215b9d836f0f6533152769d91bd19c8805e08ce2d3087a",
     "cli:superdiffusive-s-json": "262b513f4409309a81e64fc8bc6773fd204ab547d1f1c40e8e1f5053970fa111",
     "cli:superdiffusive-diffusive": "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
-    "cli:sequences-critical": "65a2d0803d18f97cc50505b2e87e5081baea7d34afb7d13f4c4a9a3a2204c40a",
-    "cli:sequences-negative-alpha-json": "deddb8b6eb8162c73764e65be4135c9faeba663363387e7cf3a8a52983b61a10",
+    "cli:sequences-critical": "45241160af8d4a7d97adc260449d8868384630d8dec6ca8d49d6e6df138fb348",
+    "cli:sequences-negative-alpha-json": "1b64e265b1ecddadcc8b62e8ab97ae5789abe009a97537c3222b6828b79405b0",
     "cli:sequences-alpha-zero": "06169887fbd8bf805f3ca7128c4d1a615f162e1ae1c47b4d9a13ca92ec265893",
-    "cli:sequences-superdiffusive": "8d4ac65cfb85a20fda035517b9b2c15a96119702feb2ea8baa4c4643670bfc2e",
+    "cli:sequences-superdiffusive": "90831e4cfc5b76addb4469fc9541069dc87ed3b03c3d7f441f459f1831e542e1",
     "lib:asclt-diffusive": "40aed03cb776b6ad06264b442c2a9e8a1f634d817750a5c95c8f634ec4161317",
     "lib:asclt-critical": "3ab911f1471a5c1a98ec23d96968bc9baa24f494415b71dab88bd0e08ff17eb9",
     "lib:asclt-histogram": "3f43cfff543205704d4b8cb41970fc19d4c84126b0618101aa3c8f2c2a442e5f",
@@ -204,7 +204,7 @@ DIGESTS = {
     "lib:covariance-diffusive": "f67e3a391e70a7994eb59bdf159f974b2682d95c7a985663ac46e3d3cac03634",
     "lib:covariance-critical": "a74357f09499f24eef630c3449d2afce87af47ebda347b4d1250ecce95ea4158",
     "lib:superdiffusive-limit": "00ae55d46b37a2f9dd9e2206454a4f3d8ec1b26355422814f85d139e0894d7fc",
-    "lib:sequence-asymptotics": "eebcb0d92c6d20fc297690d45f139e5612910de512ca319fd49ef51b4b870f20",
+    "lib:sequence-asymptotics": "ef4520ceec06b989dc47af7e3cd1b8d75001ab3141d1e4a364aa005203be5342",
 }
 
 

@@ -34,6 +34,11 @@ def test_spectral_data_validates(params):
     build_spectral(params).validate()
 
 
+def test_spectral_data_refuse_a_float_one_minus_alpha_of_zero():
+    with pytest.raises(ValueError, match="the float 1 - alpha is 0"):
+        build_spectral(ModelParams(s=0.5, q=2.2250738585072014e-308, p=1.0))
+
+
 def test_eigenvalues_are_one_and_alpha():
     spectral = build_spectral(ModelParams(s=0.5, q=0.2, p=0.9))
     assert spectral.lambda1 == 1.0
