@@ -253,13 +253,15 @@ def _run_simulate(args, params, threads, emitter) -> None:
         return
     if args.mechanism != "direct":
         raise ValueError(f"--mechanism {args.mechanism} needs --trajectory; final positions read the direct engine stream")
+    _check_horizon(args.n)
+    exact_mean = float(exact_mean_checkpoints(params, [args.n])[0])  # an undefined mean exits before simulating
     specs = RngStreamSpec(args.seed).replicas(args.replicas)
     finals = walk_checkpoints_batch(params, [args.n], specs, threads=threads)[:, 0]
     emitter.table(("replica", "S_n"), ((i, int(v)) for i, v in enumerate(finals)))
     emitter.results["mean"] = float(finals.mean())
     if args.replicas > 1:
         emitter.results["variance"] = float(finals.var(ddof=1))
-    emitter.diagnostics["exact_mean"] = float(exact_mean_checkpoints(params, [args.n])[0])
+    emitter.diagnostics["exact_mean"] = exact_mean
 
 
 def _run_exact(args, params, threads, emitter) -> None:

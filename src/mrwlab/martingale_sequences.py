@@ -102,7 +102,9 @@ def _gather_checkpoints(alpha: float, cps: np.ndarray, rows: int) -> np.ndarray:
 
 
 def sigma_squared(params: ModelParams) -> float:
-    """Asymptotic one-step variance q(1-p)/(1-alpha)^2; zero iff p = 1."""
+    """Asymptotic one-step variance q(1-p)/(1-alpha)^2; zero iff p = 1. A float
+    1 - alpha of 0 is refused with the ValueError of the centre q/(1 - alpha)."""
+    _centre(params)
     return params.q * (1.0 - params.p) / (1.0 - params.alpha) ** 2
 
 

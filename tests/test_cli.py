@@ -187,6 +187,16 @@ def test_qsl_refuses_a_moment_beyond_the_double_range_before_simulating(monkeypa
     assert "r = 198" in capsys.readouterr().err
 
 
+def test_simulate_refuses_an_undefined_exact_mean_before_simulating(monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate walked before its exact mean was resolved")
+
+    monkeypatch.setattr(mrwlab.cli, "walk_checkpoints_batch", no_simulation)
+    argv = ["simulate", "--q", "2.2250738585072014e-308", "--p", "1", "--n", "10000000", "--replicas", "200"]
+    assert main(argv) == EXIT_CONFIG
+    assert "the float 1 - alpha is 0 at alpha = 1.0" in capsys.readouterr().err
+
+
 def test_qsl_runs_past_the_factorial_range(tmp_path):
     argv = ["qsl", "--n", "300", "--r-order", "86", "--replicas", "2", "--out", "json"]
     rc, out = run_to_file(tmp_path, "qsl.json", argv)

@@ -229,6 +229,41 @@ def test_replica_range_is_a_sequence_of_specs():
         assert np.array_equal(cp._stream_keys(part), cp._stream_keys(list(part)))
 
 
+def test_list_keys_equal_replica_range_keys():
+    # Fields may be numpy integers or bools, and reach 2**64 - 1.
+    top = 2**64 - 1
+    cases = [
+        ([RngStreamSpec(np.int64(7), True), RngStreamSpec(7, np.int64(2)), RngStreamSpec(np.uint64(7), 3)],
+         RngStreamSpec(7, 1).replicas(3)),
+        ([RngStreamSpec(np.uint64(top), top - 2), RngStreamSpec(top, np.uint64(top - 1)), RngStreamSpec(top, top)],
+         RngStreamSpec(top, top - 2).replicas(3)),
+        ([], RngStreamSpec(5).replicas(0)),
+    ]
+    for specs, same in cases:
+        keys = cp._stream_keys(specs)
+        assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
+        assert np.array_equal(keys, cp._stream_keys(same))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_list_specs_are_keyed_one_range_at_a_time(monkeypatch, threads):
+    # A list gives the bytes of the equivalent ReplicaRange, and its keys are
+    # built per replica range, never for the whole list at once.
+    params, R = ModelParams(0.5, 0.25, 0.75), 16400
+    ranges = cp._replica_ranges(R, threads)  # the same three ranges at one or two workers
+    same = walk_checkpoints_batch(params, [7, 20], RngStreamSpec(3).replicas(R), threads=threads)
+    widths, stream_keys = [], cp._stream_keys
+
+    def recording(specs):
+        widths.append(len(specs))
+        return stream_keys(specs)
+
+    monkeypatch.setattr(cp, "_stream_keys", recording)
+    S = walk_checkpoints_batch(params, [7, 20], [RngStreamSpec(3, i) for i in range(R)], threads=threads)
+    assert S.tobytes() == same.tobytes()
+    assert sorted(widths) == sorted(hi - lo for lo, hi in ranges) and len(ranges) > 1
+
+
 def _fixed_ranges(width):
     """A stand-in for cp._replica_ranges: ranges of width replicas, whatever the thread count."""
     return lambda R, threads: [(lo, min(lo + width, R)) for lo in range(0, R, width)]

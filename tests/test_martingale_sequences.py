@@ -179,6 +179,12 @@ def test_sigma_squared_examples():
     assert sigma_squared(ModelParams(s=0.5, q=0.4, p=1.0)) == 0.0
 
 
+def test_sigma_squared_refuses_a_float_one_minus_alpha_of_zero():
+    # At p = 1 with q below 2^-53 the float 1 - alpha is 0.
+    with pytest.raises(ValueError, match="the float 1 - alpha is 0 at alpha = 1.0"):
+        sigma_squared(ModelParams(s=0.5, q=2.2250738585072014e-308, p=1.0))
+
+
 def test_critical_sigma_squared_identity():
     # At alpha = 1/2 the denominator (1 - alpha)^2 is 1/4, so sigma^2
     # collapses to the critical-regime constant 4 q (1 - p).
