@@ -304,9 +304,7 @@ def _run_qsl(args, params, threads, emitter) -> None:
 
 
 def _run_fclt(args, params, threads, emitter) -> None:
-    grid = None
-    if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
+    grid = None if args.grid is None else [float(x) for x in args.grid.split(",")]
     rng = RngStreamSpec(args.seed)
     if args.replicas >= 1000:
         est = covariance_grid(params, args.n, grid, args.replicas, rng, threads=threads)

@@ -56,9 +56,9 @@ __all__ = [
 # refused rather than run for hours.
 MAX_HORIZON = 10**8
 
-# Float64 positions per _position_tiles tile (tiles are at least 8 steps
-# tall, and _replica_ranges keeps a range's 8-row tile within this), so that
-# a tile and the reducers' temporaries of its shape stay in cache.
+# Float64 positions per _position_tiles tile (at least 8 rows; _replica_ranges
+# keeps an 8-row tile within this), so a tile stays in cache, and the most steps
+# of one _walk_ranges kernel call, so a QSL call's scales and weights stay small.
 _TILE_VALUES = 1 << 16
 
 
@@ -420,16 +420,6 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
     _kernel(*args)
 
 
-def _step_chunks(R: int, n: int) -> Iterator[tuple[int, int]]:
-    """The (m, steps) of the kernel calls that walk R replicas to step n: rows
-    steps each (_TILE_VALUES // R, rounded down to a multiple of 8, at least
-    8) but the last, so no call starts inside a Philox block of 8 draws,
-    whose uniforms it would compute again."""
-    rows = max(8, _TILE_VALUES // R // 8 * 8)
-    for m in range(0, n, rows):
-        yield m, min(rows, n - m)
-
-
 def _check_horizon(n: int) -> None:
     """Refuse with a ValueError a horizon n beyond MAX_HORIZON."""
     if n > MAX_HORIZON:
@@ -438,16 +428,18 @@ def _check_horizon(n: int) -> None:
 
 def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
     """An iterator of (k, tile) over the walks of specs to step n, where
-    tile[j, i] = S_{k+j} of specs[i] in float64, one tile per call of
-    _step_chunks. A horizon beyond MAX_HORIZON is refused here, at the call,
-    not at the first tile."""
+    tile[j, i] = S_{k+j} of specs[i] in float64, one tile per kernel call of
+    rows steps (_TILE_VALUES // len(specs) rounded down to a multiple of 8, at
+    least 8) but the last, so no call starts inside a Philox block of 8 draws.
+    A horizon beyond MAX_HORIZON is refused here, at the call."""
     _check_horizon(n)
     keys, S = _stream_keys(specs), np.zeros(len(specs))
+    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8)
 
     def tiles():
-        for m, steps in _step_chunks(len(specs), n):
-            tile = np.empty((steps, len(specs)))
-            _advance(params, keys, S, m, steps, tile)
+        for m in range(0, n, rows):
+            tile = np.empty((min(rows, n - m), len(specs)))
+            _advance(params, keys, S, m, len(tile), tile)
             yield m + 1, tile
 
     return tiles()
@@ -522,18 +514,8 @@ def walk_checkpoints_batch(
     """
     cps = _checkpoint_array(checkpoints).tolist()
     _check_horizon(cps[-1])
-    R = len(specs)
-    _refuse_beyond_memory(R * (16 + 8 * len(cps)), f"{R} replicas x {len(cps)} checkpoints")
-    out = np.empty((R, len(cps)), dtype=np.float64)
-
-    def run_block(lo: int, hi: int) -> None:
-        keys, S = _stream_keys(specs[lo:hi]), np.zeros(hi - lo)
-        for t, (m, c) in enumerate(zip([0] + cps, cps)):
-            _advance(params, keys, S, m, c - m)
-            out[lo:hi, t] = S
-
-    _run_replica_blocks(R, run_block, threads)
-    return out
+    _refuse_beyond_memory(len(specs) * (16 + 8 * len(cps)), f"{len(specs)} replicas x {len(cps)} checkpoints")
+    return _walk_ranges(params, cps, specs, threads)
 
 
 def walk_position_chunks(
@@ -558,8 +540,9 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     kernel's sets of 16 replicas allow (a whole set runs on its AVX-512 path,
     as one unit of 16 or within a unit of 32): at least
     min(threads, ceil(R/16)) of them, each a multiple of 16 wide but the
-    last, and none wider than _TILE_VALUES // 8, so that an 8-row position
-    tile holds at most _TILE_VALUES values."""
+    last, and none wider than _TILE_VALUES // 8, so an 8-row position tile fits
+    _TILE_VALUES and one range's keys are built while another's kernel runs (a
+    list of 131072 specs at two workers: 19 ms, or 23 ms in two uncapped ranges)."""
     sets = -(-R // 16)
     parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
     bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]
@@ -585,3 +568,29 @@ def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(lambda b: run_block(*b), bounds))
+
+
+def _walk_ranges(params: ModelParams, stops: list[int], specs: Sequence[RngStreamSpec], threads: int | None, sums=None):
+    """The float64 S of each replica of specs at each of stops (increasing steps
+    >= 1), shape (len(specs), len(stops)), walked range by range; given sums =
+    (first_step, scale_weight, centre, r), each replica's kernel sum (see _advance)
+    over steps first_step .. stops[-1] instead, scale_weight(k) giving the scales
+    and weights. Kernel calls end at each stop and each multiple of _TILE_VALUES."""
+    out = np.empty((len(specs), len(stops))) if sums is None else np.zeros(len(specs))
+
+    def run_block(lo: int, hi: int) -> None:
+        keys, S, m, qsl = _stream_keys(specs[lo:hi]), np.zeros(hi - lo), 0, None
+        for t, stop in enumerate(stops):
+            while m < stop:
+                end = min(stop, m - m % _TILE_VALUES + _TILE_VALUES)
+                if sums:
+                    first_step, scale_weight, centre, r = sums
+                    k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
+                    qsl = (*scale_weight(k), centre, r, out[lo:hi])
+                _advance(params, keys, S, m, end - m, qsl=qsl)
+                m = end
+            if not sums:
+                out[lo:hi, t] = S
+
+    _run_replica_blocks(len(specs), run_block, threads)
+    return out

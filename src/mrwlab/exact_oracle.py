@@ -309,10 +309,14 @@ def exact_covariance_S(params: ModelParams, m: int, big_m: int) -> float:
     """Exact Cov(S_m, S_M) for m <= M.
 
     Conditioning on step k >= m gives E[S_{k+1} | F_k] = (1 + alpha/k) S_k + q,
-    so the covariance is prod_{m<=k<M} (1 + alpha/k) times Var(S_m), the
-    latter read from central_moments. Works at alpha = -1.
+    so the covariance is prod_{m<=k<M} (1 + alpha/k), streamed in chunks of
+    2^16 factors, times Var(S_m) from central_moments. Works at alpha = -1.
     """
     if not (1 <= m <= big_m):
         raise ValueError("need 1 <= m <= M")
     var_m = central_moments(params, m, 2)[1][2, m]
-    return float(np.prod(1.0 + params.alpha / np.arange(m, big_m, dtype=np.float64)) * var_m)
+    product = 1.0
+    for lo in range(m, big_m, 1 << 16):
+        k = np.arange(lo, min(lo + (1 << 16), big_m), dtype=np.float64)
+        product = np.prod(1.0 + params.alpha / k, initial=product)
+    return float(product * var_m)

@@ -5,10 +5,10 @@ measure: mass 1/(k L(k)) at sqrt(k/L(k))(S_k/k - q/(1-alpha)), with L = 1
 when diffusive and L = log when critical, normalized by log n respectively
 log log n. limit_law resolves the regime once into a LimitLaw that holds
 that measure's ingredients, its Gaussian limit and the skeletons' grid, scale
-and kernel, and every harness reads it. The ASCLT harness maps the walk
-engine's position tiles through LimitLaw.measure, and the QSL harness has the
-walk kernel sum its moments; neither holds a trajectory matrix. Four families
-of checks:
+and kernel, and every harness reads it. The ASCLT harness maps the chunks of
+walk_position_chunks through LimitLaw.measure; the QSL harness has the walk
+kernel sum its moments in walk_checkpoints_batch's kernel calls. Neither holds
+a trajectory matrix. Four families of checks:
 
 * Log-averaged weighted empirical measures of the rescaled position along a
   single path, compared to their Gaussian targets by weighted KS distance.
@@ -42,18 +42,15 @@ from .core_process import (
     Regime,
     RegimeError,
     RngStreamSpec,
-    _advance,
     _centre,
     _check_horizon,
     _checkpoint_array,
     _diffusive_damping,
-    _position_tiles,
     _require,
-    _run_replica_blocks,
-    _step_chunks,
-    _stream_keys,
+    _walk_ranges,
     classify_regime,
     walk_checkpoints_batch,
+    walk_position_chunks,
 )
 from .exact_oracle import _mean_forms, central_moments
 from .martingale_sequences import sigma_squared
@@ -237,14 +234,13 @@ def weighted_mean_variance(sample: WeightedSample) -> tuple[float, float]:
     return mean, var
 
 
-def _measure_tiles(law: LimitLaw, params: ModelParams, n: int, specs: Sequence[RngStreamSpec]):
-    """Yield the law's (points, weights) tile by tile along the walks of specs:
-    points[j, i] and weights[j, 0] belong to step k + j of specs[i], for the
-    steps from law.first_step to n."""
-    for k, S in _position_tiles(params, specs, n):
+def _measure_tiles(law: LimitLaw, params: ModelParams, n: int, rng: RngStreamSpec):
+    """Yield the law's (points, weights) per chunk of walk_position_chunks(params,
+    n, rng): entry j belongs to step k + j, for steps law.first_step to n."""
+    for k, S in walk_position_chunks(params, n, rng):
         if k < law.first_step:
             S, k = S[law.first_step - k :], law.first_step
-        yield law.measure(np.arange(k, k + len(S), dtype=np.float64)[:, None], S)
+        yield law.measure(np.arange(k, k + len(S), dtype=np.float64), S)
 
 
 def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSample:
@@ -261,15 +257,15 @@ def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSa
     if n < law.min_horizon:
         raise ValueError(f"n must be at least {law.min_horizon}")
     if n <= RAW_POINT_LIMIT:
-        points, weights = (np.concatenate(x)[:, 0] for x in zip(*_measure_tiles(law, params, n, [rng])))
+        points, weights = (np.concatenate(x) for x in zip(*_measure_tiles(law, params, n, rng)))
         return WeightedSample(points, weights, law.normalizer(n), law.variance, n, histogram=False)
     if law.variance > 0:
         half_span = HISTOGRAM_SPAN_SDS * math.sqrt(law.variance)
     else:
-        half_span = max(float(np.max(np.abs(pts))) for pts, _ in _measure_tiles(law, params, n, [rng]))
+        half_span = max(float(np.max(np.abs(pts))) for pts, _ in _measure_tiles(law, params, n, rng))
     edges = np.linspace(-half_span, half_span, HISTOGRAM_BINS + 1)
     masses = np.zeros(HISTOGRAM_BINS, dtype=np.float64)
-    for pts, w in _measure_tiles(law, params, n, [rng]):
+    for pts, w in _measure_tiles(law, params, n, rng):
         idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, HISTOGRAM_BINS - 1)
         np.add.at(masses, idx, w)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -358,16 +354,8 @@ def qsl_functional_batch(
     if n < 3:
         raise ValueError("n must be at least 3")
     _check_horizon(n)
-    values = np.zeros(len(specs), dtype=np.float64)
-
-    def run_block(lo: int, hi: int) -> None:
-        keys, S = _stream_keys(specs[lo:hi]), np.zeros(hi - lo)
-        for m, steps in _step_chunks(hi - lo, n):
-            k = np.arange(max(m + 1, law.first_step), m + steps + 1, dtype=np.float64)
-            _advance(params, keys, S, m, steps, qsl=(*law.scale_weight(k), law.centre, r, values[lo:hi]))
-
-    _run_replica_blocks(len(specs), run_block, threads)
-    return values / law.normalizer(n)
+    sums = (law.first_step, law.scale_weight, law.centre, r)
+    return _walk_ranges(params, [n], specs, threads, sums) / law.normalizer(n)
 
 
 @dataclass

@@ -156,6 +156,14 @@ def test_fclt_rejects_grid_times_past_the_horizon(tmp_path, capsys, grid):
     assert "grid times must be finite and lie in (0, 1], got grid [0.5, " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["", "0.5,,1"])
+def test_fclt_rejects_empty_grid_times(tmp_path, capsys, grid):
+    # An empty --grid is an empty grid time, not the regime's default grid.
+    rc, out = run_to_file(tmp_path, "fclt.csv", ["fclt", "--n", "100", "--replicas", "5", "--grid", grid])
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert "could not convert string to float: ''" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf"])
 def test_fclt_rejects_non_finite_grid_times(tmp_path, capsys, grid):
     rc, out = run_to_file(tmp_path, "fclt.csv", ["fclt", "--n", "100", "--replicas", "5", "--grid", grid])

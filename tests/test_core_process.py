@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import ctypes.util
 import platform
@@ -262,6 +263,24 @@ def test_list_specs_are_keyed_one_range_at_a_time(monkeypatch, threads):
     S = walk_checkpoints_batch(params, [7, 20], [RngStreamSpec(3, i) for i in range(R)], threads=threads)
     assert S.tobytes() == same.tobytes()
     assert sorted(widths) == sorted(hi - lo for lo, hi in ranges) and len(ranges) > 1
+
+
+def test_only_core_process_names_the_engine_internals():
+    # The harnesses walk through the public engines or _walk_ranges, so the
+    # kernel calls, stream keys and replica ranges are decided in one module.
+    internals = {"_advance", "_stream_keys", "_run_replica_blocks", "_replica_ranges", "_position_tiles"}
+    modules = sorted(Path(cp.__file__).parent.glob("*.py"))
+    assert {"core_process.py", "limit_harness.py", "cli.py"} <= {path.name for path in modules}
+    for path in modules:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name, node.asname})
+        assert path.name == "core_process.py" or not names & internals, (path.name, names & internals)
 
 
 def _fixed_ranges(width):

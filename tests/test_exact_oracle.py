@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -401,6 +402,31 @@ def test_covariance_matches_enumeration(q, p, m, M):
 def test_covariance_diagonal_is_variance():
     params = ModelParams(s=0.4, q=0.25, p=0.75)
     assert abs(exact_covariance_S(params, 50, 50) - exact_distribution(params, 50).variance()) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "q,p,m,M",
+    [(1.0, 0.0, 2, 200_000), (1.0, 0.0, 3, 3), (0.25, 0.75, 1, 1 << 16), (0.25, 0.75, 2, (1 << 16) + 2),
+     (0.5, 0.5, 7, 300_001), (0.3, 0.8, 40, 131_113), (0.6, 1.0, 500, 250_000), (0.2, 0.7, 9, 70_000)],
+)
+def test_covariance_product_streams_bit_for_bit(q, p, m, M):
+    # The chunked product continues from the product so far, so it equals
+    # the one-pass product of all the factors exactly.
+    params = ModelParams(s=0.4, q=q, p=p)
+    var_m = central_moments(params, m, 2)[1][2, m]
+    one_pass = float(np.prod(1.0 + params.alpha / np.arange(m, M, dtype=np.float64)) * var_m)
+    assert exact_covariance_S(params, m, M) == one_pass
+
+
+def test_covariance_product_streams_in_bounded_memory():
+    # 10^7 factors in one array would be 80 MB per temporary.
+    tracemalloc.start()
+    try:
+        exact_covariance_S(ModelParams(s=0.4, q=0.25, p=0.75), 10, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_covariance_argument_checks():

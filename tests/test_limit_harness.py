@@ -235,18 +235,36 @@ def test_qsl_single_path_matches_batch():
 
 
 def test_qsl_batch_peak_memory_does_not_grow_with_n():
-    # The reducer streams position tiles, so its traced peak over 64 tiles
-    # stays within 10% of its peak over 8.
-    specs = [RngStreamSpec(3, i) for i in range(1024)]
+    # A kernel call takes at most _TILE_VALUES steps whatever the replica
+    # count, and the reducer holds one call's scales and weights at a time,
+    # so its traced peak over 64 calls stays within 10% of its peak over 8.
+    specs = RngStreamSpec(3).replicas(4)
     peaks = []
-    for tiles in (8, 64):
+    for calls in (8, 64):
         tracemalloc.start()
         try:
-            qsl_functional_batch(CRITICAL, tiles * cp._TILE_VALUES // len(specs), 2, specs, threads=1)
+            qsl_functional_batch(CRITICAL, calls * cp._TILE_VALUES, 2, specs, threads=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("width,threads", [(1, 1), (33, 1), (33, 2), (8192, 1), (8192, 2)])
+def test_walker_calls_depend_on_the_stops_alone(monkeypatch, width, threads):
+    # Each range of a QSL or checkpoint call makes the same kernel calls at
+    # any range width or thread count: one ends at every stop, and none takes
+    # more than _TILE_VALUES steps. A recorder of each call's (m, steps), by
+    # the first replica index of its range, stands in for the kernel.
+    T, specs, calls = cp._TILE_VALUES, RngStreamSpec(4).replicas(width), {}
+    monkeypatch.setattr(cp, "_advance", lambda p, keys, S, m, steps, out=None, qsl=None:
+                        calls.setdefault(int(keys[0, 1]), []).append((m, steps)))
+    qsl_functional_batch(CRITICAL, 2 * T + 77, 2, specs, threads=threads)
+    assert calls and all(c == [(0, T), (T, T), (2 * T, 77)] for c in calls.values())
+    calls.clear()
+    walk_checkpoints_batch(CRITICAL, [5, T + 3, T + 4, 3 * T + 1], specs, threads=threads)
+    expected = [(0, 5), (5, T - 5), (T, 3), (T + 3, 1), (T + 4, T - 4), (2 * T, T), (3 * T, 1)]
+    assert calls and all(c == expected for c in calls.values())
 
 
 @settings(max_examples=60, deadline=None)
