@@ -56,9 +56,10 @@ __all__ = [
 # refused rather than run for hours.
 MAX_HORIZON = 10**8
 
-# Float64 positions per _position_tiles tile (at least 8 rows; _replica_ranges
-# keeps an 8-row tile within this), so a tile stays in cache, and the most steps
-# of one _walk_ranges kernel call, so a QSL call's scales and weights stay small.
+# The row cap of a _kernel_calls kernel call: the most steps of a call, so a QSL
+# call's scales and weights stay small, or of a position tile the most float64
+# positions (at least 8 rows; _replica_ranges keeps an 8-row tile within this),
+# so a tile stays in cache.
 _TILE_VALUES = 1 << 16
 
 
@@ -398,8 +399,9 @@ def _address(a: np.ndarray | None, dtype, shape: tuple[int, ...], writeable: boo
 
 def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps: int, out=None, qsl=None) -> None:
     """Advance the replicas whose stream keys are the rows of keys through
-    steps m+1 .. m+steps. S holds S_m per replica (zeros at m = 0) and is
-    updated in place; out, when given, receives S_{m+1+j} in row j. qsl, when
+    steps m+1 .. m+steps. S holds S_m per replica and is updated in place; it
+    must be 0 at m = 0, since the kernel adds step 1 to it as it adds every
+    other step. out, when given, receives S_{m+1+j} in row j. qsl, when
     given, is (scale, weight, centre, r, acc): at each of the last len(scale)
     steps k, in order, acc gains weight_k * (point^2)^r with point = scale_k *
     (S_k / k - centre), scale_k and weight_k being the entries of scale and
@@ -424,25 +426,6 @@ def _check_horizon(n: int) -> None:
     """Refuse with a ValueError a horizon n beyond MAX_HORIZON."""
     if n > MAX_HORIZON:
         raise ValueError(f"the horizon must be at most MAX_HORIZON = {MAX_HORIZON}, got {n}")
-
-
-def _position_tiles(params: ModelParams, specs: Sequence[RngStreamSpec], n: int):
-    """An iterator of (k, tile) over the walks of specs to step n, where
-    tile[j, i] = S_{k+j} of specs[i] in float64, one tile per kernel call of
-    rows steps (_TILE_VALUES // len(specs) rounded down to a multiple of 8, at
-    least 8) but the last, so no call starts inside a Philox block of 8 draws.
-    A horizon beyond MAX_HORIZON is refused here, at the call."""
-    _check_horizon(n)
-    keys, S = _stream_keys(specs), np.zeros(len(specs))
-    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8)
-
-    def tiles():
-        for m in range(0, n, rows):
-            tile = np.empty((min(rows, n - m), len(specs)))
-            _advance(params, keys, S, m, len(tile), tile)
-            yield m + 1, tile
-
-    return tiles()
 
 
 def _refuse_beyond_memory(need: int, what: str, hint: str = "") -> None:
@@ -477,8 +460,8 @@ def walk_positions_batch(
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
-        for k, tile in _position_tiles(params, specs[lo:hi], n):
-            pos[lo:hi, k : k + len(tile)] = tile.T
+        for m, tile in _kernel_calls(params, specs[lo:hi], [n], tiles=True):
+            pos[lo:hi, m + 1 : m + 1 + len(tile)] = tile.T
 
     _run_replica_blocks(R, run_block, threads)
     return pos
@@ -506,15 +489,15 @@ def walk_checkpoints_batch(
     float64 array of shape (len(specs), len(checkpoints)) whose column t
     holds S at checkpoints[t]; row i reads the stream of specs[i] (see
     RngStreamSpec). A checkpoint beyond MAX_HORIZON (10^8) is refused with a
-    ValueError. Memory is at most replicas * (16 + 8 * len(checkpoints))
-    bytes (the result, and the stream keys of the replica ranges in
-    flight), and a request beyond the machine's physical memory is refused
-    with a ValueError before anything is allocated. threads=None runs on one
-    worker per usable CPU; results are the same at any count.
+    ValueError. Memory is at most replicas * (24 + 8 * len(checkpoints))
+    bytes (the result, and the stream keys and positions of the replica
+    ranges in flight), and a request beyond the machine's physical memory
+    is refused with a ValueError before anything is allocated. threads=None
+    runs on one worker per usable CPU; results are the same at any count.
     """
     cps = _checkpoint_array(checkpoints).tolist()
     _check_horizon(cps[-1])
-    _refuse_beyond_memory(len(specs) * (16 + 8 * len(cps)), f"{len(specs)} replicas x {len(cps)} checkpoints")
+    _refuse_beyond_memory(len(specs) * (24 + 8 * len(cps)), f"{len(specs)} replicas x {len(cps)} checkpoints")
     return _walk_ranges(params, cps, specs, threads)
 
 
@@ -525,14 +508,15 @@ def walk_position_chunks(
 
     Yields (k_start, values) where values[j] = S_{k_start + j}; the chunks
     start at steps 1, 1 + rows, 1 + 2 rows, ..., rows a multiple of 8 (see
-    _position_tiles). This is the batch engine run on the one replica
-    [rng], so the values equal walk_positions_batch(params, n, [rng])[0, 1:].
-    An n below 1 or beyond MAX_HORIZON (10^8) is refused with a ValueError
-    at the call.
+    _kernel_calls). This is the batch engine run on the one replica [rng],
+    so the values equal walk_positions_batch(params, n, [rng])[0, 1:]. An n
+    below 1 or beyond MAX_HORIZON (10^8) is refused with a ValueError at the
+    call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return ((k, tile[:, 0]) for k, tile in _position_tiles(params, [rng], n))
+    _check_horizon(n)
+    return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, [rng], [n], tiles=True))
 
 
 def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
@@ -570,27 +554,43 @@ def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
         list(pool.map(lambda b: run_block(*b), bounds))
 
 
+def _kernel_calls(params: ModelParams, specs: Sequence[RngStreamSpec], stops: list[int], tiles=False, out=None,
+                  sums=None) -> Iterator[tuple[int, np.ndarray | None]]:
+    """Walk the replicas of specs, keyed here, to stops[-1] in kernel calls, and
+    yield (m, tile) after the call of steps m+1 .. m+len(tile), where tile[j, i] =
+    S_{m+1+j} of specs[i] in float64 when tiles, else None. A call ends at each of
+    stops (increasing steps >= 1), where out[:, t] receives S at stops[t], and at
+    each multiple of the row cap: _TILE_VALUES, or for tiles max(8, _TILE_VALUES //
+    len(specs) // 8 * 8), so no tile starts inside a Philox block of 8 draws. Given
+    sums = (first_step, scale_weight, centre, r), out (one value per replica) gains
+    the kernel sum (see _advance) over steps first_step .. stops[-1] instead,
+    scale_weight(k) giving the scales and weights."""
+    keys, S, m, qsl = _stream_keys(specs), np.zeros(len(specs)), 0, None
+    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8) if tiles else _TILE_VALUES
+    for t, stop in enumerate(stops):
+        while m < stop:
+            end = min(stop, m - m % rows + rows)
+            tile = np.empty((end - m, len(specs))) if tiles else None
+            if sums:
+                first_step, scale_weight, centre, r = sums
+                k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
+                qsl = (*scale_weight(k), centre, r, out)
+            _advance(params, keys, S, m, end - m, tile, qsl)
+            yield m, tile
+            m = end
+        if out is not None and not sums:
+            out[:, t] = S
+
+
 def _walk_ranges(params: ModelParams, stops: list[int], specs: Sequence[RngStreamSpec], threads: int | None, sums=None):
-    """The float64 S of each replica of specs at each of stops (increasing steps
-    >= 1), shape (len(specs), len(stops)), walked range by range; given sums =
-    (first_step, scale_weight, centre, r), each replica's kernel sum (see _advance)
-    over steps first_step .. stops[-1] instead, scale_weight(k) giving the scales
-    and weights. Kernel calls end at each stop and each multiple of _TILE_VALUES."""
+    """The float64 S of each replica of specs at each of stops, shape (len(specs),
+    len(stops)), or given sums each replica's sum, as _kernel_calls walks each
+    replica range."""
     out = np.empty((len(specs), len(stops))) if sums is None else np.zeros(len(specs))
 
     def run_block(lo: int, hi: int) -> None:
-        keys, S, m, qsl = _stream_keys(specs[lo:hi]), np.zeros(hi - lo), 0, None
-        for t, stop in enumerate(stops):
-            while m < stop:
-                end = min(stop, m - m % _TILE_VALUES + _TILE_VALUES)
-                if sums:
-                    first_step, scale_weight, centre, r = sums
-                    k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
-                    qsl = (*scale_weight(k), centre, r, out[lo:hi])
-                _advance(params, keys, S, m, end - m, qsl=qsl)
-                m = end
-            if not sums:
-                out[lo:hi, t] = S
+        for _ in _kernel_calls(params, specs[lo:hi], stops, out=out[lo:hi], sums=sums):
+            pass
 
     _run_replica_blocks(len(specs), run_block, threads)
     return out

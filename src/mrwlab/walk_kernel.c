@@ -15,7 +15,9 @@
  * numpy does. Compile without floating-point contraction (-ffp-contract=off)
  * so that no fused multiply-add changes a comparison. The eight coefficients
  * alpha / t of a Philox block are divided once per block, off the chain of
- * dependent steps; each is the same correctly rounded quotient.
+ * dependent steps; each is the same correctly rounded quotient. Step 1 is
+ * the same step with s in place of q: its coefficient is alpha / 1, finite,
+ * and S_0 = 0, so its bound s + (alpha / 1) * 0 is exactly s.
  *
  * Two paths give the same bytes. advance_group, the scalar path, is the
  * reference and runs on any CPU. When the library loads it asks the CPU
@@ -108,8 +110,9 @@ philox_draws(int lanes, uint64_t ctr, const uint64_t *k0, const uint64_t *k1, do
 }
 
 /* The coefficients alpha / t of the steps t = 8 * block + d of a Philox
- * block, d = 0 .. 7. Step 0 takes none: it divides by 1 there, not by 0, so
- * no floating-point exception flag is raised. */
+ * block, d = 0 .. 7. Step 0 divides by 1, not by 0, so no floating-point
+ * exception flag is raised, and its coefficient alpha / 1 multiplies
+ * x = S_0 = 0, adding a zero to s. */
 static inline __attribute__((always_inline)) void
 step_coefficients(int64_t block, double alpha, double c[8])
 {
@@ -147,20 +150,10 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
         step_coefficients(t / 8, alpha, c);
         philox_draws(lanes, (uint64_t)(t / 8) + 1, k0, k1, u);
         int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
-        if (t == 0) {
-            for (int l = 0; l < lanes; l++)
-                x[l] = (double)(u[0][l] < s);
-            if (out)
-                for (int l = 0; l < lanes; l++)
-                    out[l] = x[l];
-            if (sum)
-                qsl_terms(lanes, sum, 1, x, acc);
-            t++;
-        }
         for (; t < stop; t++) {
-            const double *ut = u[t % 8], ct = c[t % 8];
+            const double *ut = u[t % 8], ct = c[t % 8], qt = t ? q : s;
             for (int l = 0; l < lanes; l++)
-                x[l] += (double)(ut[l] < q + ct * x[l]);
+                x[l] += (double)(ut[l] < qt + ct * x[l]);
             if (out)
                 for (int l = 0; l < lanes; l++)
                     out[(t - m) * stride + l] = x[l];
@@ -289,20 +282,10 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
         const __m512d cv = _mm512_div_pd(alv, _mm512_max_pd(tv, one));
         philox_draws_x8(groups, (uint64_t)(t / 8) + 1, k0, k1, u);
         int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
-        if (t == 0) {
-            for (int g = 0; g < groups; g++) {
-                xv[g] = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(u[g][0], sv, _CMP_LT_OQ), one);
-                if (out)
-                    _mm512_storeu_pd(out + LANES * g, xv[g]);
-            }
-            if (sum)
-                qsl_terms_x8(groups, sum, 1, xv, av);
-            t++;
-        }
         for (; t < stop; t++) {
-            const __m512d c = _mm512_permutexvar_pd(_mm512_set1_epi64(t % 8), cv);
+            const __m512d c = _mm512_permutexvar_pd(_mm512_set1_epi64(t % 8), cv), qt = t ? qv : sv;
             for (int g = 0; g < groups; g++) {
-                __m512d bound = _mm512_add_pd(qv, _mm512_mul_pd(c, xv[g]));
+                __m512d bound = _mm512_add_pd(qt, _mm512_mul_pd(c, xv[g]));
                 xv[g] = _mm512_mask_add_pd(xv[g], _mm512_cmp_pd_mask(u[g][t % 8], bound, _CMP_LT_OQ), xv[g], one);
                 if (out)
                     _mm512_storeu_pd(out + (t - m) * R + LANES * g, xv[g]);
@@ -354,8 +337,9 @@ __attribute__((constructor)) static void pick_path(void)
 /* Advance replicas 0 .. R-1 from step m through step m + steps.
  *
  * keys holds (seed, replica) per replica, R x 2; S holds S_m per replica and
- * is updated in place (S_0 = 0). When out is not NULL, out[j * R + i]
- * receives S_{m+1+j} of replica i, a steps x R row-major tile. When acc is
+ * is updated in place. Step 1 adds to S like every other step, so S must be
+ * 0 at m = 0. When out is not NULL, out[j * R + i] receives S_{m+1+j} of
+ * replica i, a steps x R row-major tile. When acc is
  * not NULL, acc[i] gains the QSL term of replica i at each step k from k0 to
  * m + steps, in step order, with scale[k - k0] and weight[k - k0] as scale_k
  * and weight_k (see the top of this file). On a CPU with AVX-512 F and DQ

@@ -268,7 +268,7 @@ def test_list_specs_are_keyed_one_range_at_a_time(monkeypatch, threads):
 def test_only_core_process_names_the_engine_internals():
     # The harnesses walk through the public engines or _walk_ranges, so the
     # kernel calls, stream keys and replica ranges are decided in one module.
-    internals = {"_advance", "_stream_keys", "_run_replica_blocks", "_replica_ranges", "_position_tiles"}
+    internals = {"_advance", "_stream_keys", "_run_replica_blocks", "_replica_ranges", "_kernel_calls"}
     modules = sorted(Path(cp.__file__).parent.glob("*.py"))
     assert {"core_process.py", "limit_harness.py", "cli.py"} <= {path.name for path in modules}
     for path in modules:
@@ -533,10 +533,11 @@ def test_positions_beyond_physical_memory_are_refused():
 
 
 def test_checkpoints_beyond_physical_memory_are_refused():
-    # 10^12 replicas x (16 + 8 * 2) bytes is 32 TB: a ValueError naming the
-    # size, raised before the keys or the result are allocated.
+    # 10^12 replicas x (24 + 8 * 2) bytes (keys, positions and 2 results per
+    # replica) is 40 TB: a ValueError naming the size, raised before the keys,
+    # positions or result are allocated.
     params = ModelParams(s=0.5, q=0.5, p=0.5)
-    with pytest.raises(ValueError, match="1000000000000 replicas x 2 checkpoints need 32000000000000 bytes"):
+    with pytest.raises(ValueError, match="1000000000000 replicas x 2 checkpoints need 40000000000000 bytes"):
         walk_checkpoints_batch(params, [10, 20], RngStreamSpec(0).replicas(10**12))
 
 
@@ -663,10 +664,13 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    # The engine's own flags, with every common warning an error.
-    done = subprocess.run(["cc", *cp._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c", str(cp._KERNEL_SOURCE),
-                           "-o", str(tmp_path / "walk_kernel.o")], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    # The engine's own flags, with every common warning an error, for the
+    # default build and for the scalar reference build.
+    for defines in ([], ["-DMRW_SCALAR_ONLY"]):
+        done = subprocess.run(["cc", *cp._CFLAGS, *defines, "-Wall", "-Wextra", "-Werror", "-c",
+                               str(cp._KERNEL_SOURCE), "-o", str(tmp_path / "walk_kernel.o")],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, (defines, done.stderr)
 
 
 def test_second_load_in_a_fresh_process_compiles_nothing():

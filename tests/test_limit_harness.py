@@ -32,6 +32,7 @@ from mrwlab import (
     superdiffusive_limit,
     theoretical_covariance_diffusive,
     walk_checkpoints_batch,
+    walk_position_chunks,
     walk_positions_batch,
     weighted_ks_to_normal,
     weighted_mean_variance,
@@ -265,6 +266,22 @@ def test_walker_calls_depend_on_the_stops_alone(monkeypatch, width, threads):
     walk_checkpoints_batch(CRITICAL, [5, T + 3, T + 4, 3 * T + 1], specs, threads=threads)
     expected = [(0, 5), (5, T - 5), (T, 3), (T + 3, 1), (T + 4, T - 4), (2 * T, T), (3 * T, 1)]
     assert calls and all(c == expected for c in calls.values())
+    # The position tiles run in the same walker: one replica's chunks make
+    # the calls of its checkpoint walk to the horizon, and a range of w
+    # replicas ends its calls at each multiple of max(8, T // w // 8 * 8).
+    n = 2 * T + 77
+    calls.clear()
+    list(walk_position_chunks(CRITICAL, n, specs[0]))
+    chunk_calls = calls.pop(0)
+    walk_checkpoints_batch(CRITICAL, [n], [specs[0]], threads=threads)
+    assert chunk_calls == calls.pop(0) and not calls
+    n = 2 * T // width + 77
+    walk_positions_batch(CRITICAL, n, specs, threads=threads)
+    starts = sorted(calls)
+    for lo, hi in zip(starts, starts[1:] + [width]):
+        rows = max(8, T // (hi - lo) // 8 * 8)
+        assert [m + steps for m, steps in calls[lo]] == [*range(rows, n, rows), n], (lo, hi)
+        assert [m for m, _ in calls[lo]] == [0, *range(rows, n, rows)], (lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,10 +319,10 @@ def test_walker_calls_depend_on_the_stops_alone(monkeypatch, width, threads):
     s=0.3, qp=(0.2, 0.7), r=3, seed=2**64 - 1, start=2**63 - 20, replicas=33, as_range=False,
     n=130, width=8192, position_tile=cp._TILE_VALUES, threads=2,
 )
-# Kernel calls one Philox block long (16 // 33 values per call is raised to
-# the 8-row minimum), the last ending inside a block. Calls start on block
-# edges by construction; test_kernel_paths_match_per_replica_generators
-# sums from starts inside a block.
+# Kernel calls two Philox blocks long (a QSL call takes at most _TILE_VALUES
+# steps, here 16, at any range width), the last ending inside a block. Calls
+# start on block edges by construction;
+# test_kernel_paths_match_per_replica_generators sums from starts inside a block.
 @example(
     s=0.7, qp=(0.25, 0.75), r=3, seed=1, start=0, replicas=33, as_range=True,
     n=123, width=8192, position_tile=16, threads=2,
