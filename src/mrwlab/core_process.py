@@ -526,11 +526,38 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     min(threads, ceil(R/16)) of them, each a multiple of 16 wide but the
     last, and none wider than _TILE_VALUES // 8, so an 8-row position tile fits
     _TILE_VALUES and one range's keys are built while another's kernel runs (a
-    list of 131072 specs at two workers: 19 ms, or 23 ms in two uncapped ranges)."""
+    list of 131072 specs of 50 steps at two workers on a 2-vCPU Xeon: 18 ms, or
+    22 ms in two uncapped ranges)."""
     sets = -(-R // 16)
     parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
     bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+_pool_lock = threading.Lock()
+_pool = None
+
+
+def _forget_pool() -> None:
+    """Drop the helper pool in a forked child, where its threads do not exist."""
+    global _pool_lock, _pool
+    _pool_lock, _pool = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _helper_pool():
+    """The process's pool of helper threads, one fewer than the usable CPUs,
+    started by the first call that needs a helper."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), "mrwlab-helper")
+        return _pool
 
 
 def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
@@ -538,20 +565,43 @@ def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
     workers, but never more than the CPUs this process may run on;
     threads=None means one per such CPU.
 
+    The calling thread is one worker; the others are helpers from one pool
+    kept for the life of the process, whose threads start as calls first
+    need them, so a call does not spawn and join threads of its own; a call
+    of one range or one worker never starts the pool. Every worker takes the
+    next range as it finishes one. After the first
+    error no range goes out; the call raises it once its helpers are done. A
+    helper still queued when the ranges run out is cancelled, so a call never
+    waits on a pool that other calls keep busy.
+
     A replica's values depend only on its stream key, and each range writes
     to a disjoint output slice, so results are identical for any partition,
     thread count or schedule.
     """
     threads = _usable_cpus() if threads is None else min(threads, _usable_cpus())
     bounds = _replica_ranges(R, threads)
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            run_block(lo, hi)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    ranges, lock, errors = iter(bounds), threading.Lock(), []
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: run_block(*b), bounds))
+    def drain() -> None:
+        while True:
+            with lock:
+                bound = None if errors else next(ranges, None)
+            if bound is None:
+                return
+            try:
+                run_block(*bound)
+            except BaseException as exc:  # raised by the caller below
+                with lock:
+                    errors.append(exc)
+
+    helpers = min(threads, len(bounds)) - 1
+    calls = [_helper_pool().submit(drain) for _ in range(helpers)]
+    drain()
+    for call in calls:
+        if not call.cancel():
+            call.result()
+    if errors:
+        raise errors[0]
 
 
 def _kernel_calls(params: ModelParams, specs: Sequence[RngStreamSpec], stops: list[int], tiles=False, out=None,

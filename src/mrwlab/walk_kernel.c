@@ -177,18 +177,28 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
 /* The 128-bit products of the 64-bit lanes of a with the constant whose
  * 32-bit halves are broadcast in m_lo and m_hi, from four 32 x 32 -> 64-bit
  * products. The middle sum cross = (ll >> 32) + (hl & low32) + lh is at most
- * 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it carries nothing out. */
+ * 2 (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1, so it carries nothing out.
+ *
+ * The 32-bit shifts are half swaps: SWAP (0xB1) exchanges the two 32-bit
+ * halves of each lane, so with the high halves zeroed (mask 0x5555) it
+ * gives x >> 32, and merged into the high halves of ll (mask 0xAAAA) it gives
+ * lo = (cross << 32) | (ll & low32) in one instruction. a's swap needs no
+ * mask, since mul_epu32 reads only the low half of each lane. A swap runs on
+ * the shuffle port and a shift on the port the multiplies use, so the shifts
+ * would wait behind the products. */
+#define SWAP _MM_PERM_CDAB
 static inline __attribute__((always_inline)) AVX512 void
 mulhilo_x8(__m512i a, __m512i m_lo, __m512i m_hi, __m512i *lo, __m512i *hi)
 {
     const __m512i low32 = _mm512_set1_epi64(0xFFFFFFFF);
-    __m512i a_hi = _mm512_srli_epi64(a, 32);
+    __m512i a_hi = _mm512_shuffle_epi32(a, SWAP);
     __m512i ll = _mm512_mul_epu32(a, m_lo), lh = _mm512_mul_epu32(a, m_hi);
     __m512i hl = _mm512_mul_epu32(a_hi, m_lo), hh = _mm512_mul_epu32(a_hi, m_hi);
-    __m512i cross = _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(hl, low32)), lh);
-    /* 0xF8 is A | (B & C): (cross << 32) | (ll & low32). */
-    *lo = _mm512_ternarylogic_epi64(_mm512_slli_epi64(cross, 32), ll, low32, 0xF8);
-    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(hl, 32)), _mm512_srli_epi64(cross, 32));
+    __m512i cross = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_maskz_shuffle_epi32(0x5555, ll, SWAP), _mm512_and_si512(hl, low32)), lh);
+    *lo = _mm512_mask_shuffle_epi32(ll, 0xAAAA, cross, SWAP);
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_maskz_shuffle_epi32(0x5555, hl, SWAP)),
+                           _mm512_maskz_shuffle_epi32(0x5555, cross, SWAP));
 }
 
 /* philox_draws for `groups` groups of eight lanes: u[g][d] holds draw

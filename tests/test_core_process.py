@@ -1,6 +1,7 @@
 import ast
 import ctypes
 import ctypes.util
+import os
 import platform
 import subprocess
 import sys
@@ -370,58 +371,199 @@ def test_thread_count_does_not_affect_results():
     assert np.array_equal(one, four)
 
 
-def test_threads_are_clamped_to_usable_cpus(monkeypatch):
-    # The fake pool records its size and runs the tasks serially, so no thread is started.
-    import concurrent.futures
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A helper pool of the test's own, sized under its patches and shut down at
+    its end; the process's pool comes back after."""
+    monkeypatch.setattr(cp, "_pool", None)
+    yield
+    if cp._pool is not None:
+        cp._pool.shutdown()
 
-    workers = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+def _range_threads(monkeypatch) -> list[int]:
+    """The ident of the thread that walks each range, in the order the ranges start."""
+    idents, kernel_calls = [], cp._kernel_calls
 
-        def __enter__(self):
-            return self
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return kernel_calls(*args, **kwargs)
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(cp, "_kernel_calls", recorded)
+    return idents
 
-        def map(self, fn, items):
-            return map(fn, items)
 
+def test_threads_are_clamped_to_usable_cpus(monkeypatch, fresh_pool):
     params = ModelParams(s=0.5, q=0.25, p=0.75)
     specs = RngStreamSpec(1).replicas(800)
     one = walk_checkpoints_batch(params, [10], specs, threads=1)
     monkeypatch.setattr(cp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    idents = _range_threads(monkeypatch)
     many = walk_checkpoints_batch(params, [10], specs, threads=10**4)
-    assert workers and max(workers) <= 2
+    # Split for two workers, not 10**4, and walked by the caller and at most one helper.
+    assert len(idents) == len(cp._replica_ranges(len(specs), 2)) == 2
+    assert 1 <= len(set(idents)) <= 2
     assert np.array_equal(one, many)
 
 
-def test_thread_pool_results_equal_one_thread(monkeypatch):
-    # Four usable CPUs on any runner, so threads=4 takes the real ThreadPoolExecutor branch.
-    import concurrent.futures
-
-    pools = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
+def test_thread_pool_results_equal_one_thread(monkeypatch, fresh_pool):
+    # Four usable CPUs on any runner, so threads=4 sends three helpers to the pool.
     params = ModelParams(s=0.5, q=0.25, p=0.75)
     specs = RngStreamSpec(21).replicas(64)
     walk_one = walk_checkpoints_batch(params, [7, 300], specs, threads=1)
     qsl_one = qsl_functional_batch(params, 300, 1, specs, threads=1)
     monkeypatch.setattr(cp, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    submitted, helper_pool = [], cp._helper_pool
+    monkeypatch.setattr(cp, "_helper_pool", lambda: submitted.append(1) or helper_pool())
     assert len(cp._replica_ranges(len(specs), 4)) == 4
     walk_four = walk_checkpoints_batch(params, [7, 300], specs, threads=4)
     qsl_four = qsl_functional_batch(params, 300, 1, specs, threads=4)
-    assert pools == [4, 4]
+    assert len(submitted) == 2 * 3
     assert walk_four.tobytes() == walk_one.tobytes()
     assert qsl_four.tobytes() == qsl_one.tobytes()
+
+
+def test_pool_starts_once_and_never_for_one_range(monkeypatch, fresh_pool):
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    monkeypatch.setattr(cp, "_usable_cpus", lambda: 2)
+    started = threading.active_count()
+    walk_checkpoints_batch(params, [10], [RngStreamSpec(0, 0)], threads=2)
+    walk_checkpoints_batch(params, [10], RngStreamSpec(0).replicas(64), threads=1)
+    assert cp._pool is None and threading.active_count() == started
+    specs = RngStreamSpec(4).replicas(64)
+    one = walk_checkpoints_batch(params, [30], specs, threads=1)
+    walk_checkpoints_batch(params, [30], specs, threads=2)
+    started = threading.active_count()
+    for _ in range(5):
+        assert np.array_equal(walk_checkpoints_batch(params, [30], specs, threads=2), one)
+        assert threading.active_count() == started
+
+
+def test_import_and_a_one_range_call_load_no_pool():
+    # A fresh interpreter, as a CLI call or the set-up probe starts: concurrent.futures
+    # costs milliseconds to import and a one-range call needs no helper.
+    code = """
+import sys, threading
+import mrwlab, mrwlab.cli
+from mrwlab import ModelParams, RngStreamSpec, walk_checkpoints_batch
+loaded = 'concurrent.futures' in sys.modules
+walk_checkpoints_batch(ModelParams(0.5, 0.25, 0.75), [10], [RngStreamSpec(0, 0)], threads=2)
+print(loaded, 'concurrent.futures' in sys.modules, threading.active_count())
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "1"]
+
+
+def test_helper_error_is_raised_by_the_caller(monkeypatch, fresh_pool):
+    monkeypatch.setattr(cp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cp, "_replica_ranges", _fixed_ranges(16))
+    caller, caller_in, helper_in, walked = threading.current_thread(), threading.Event(), threading.Event(), []
+
+    def run_block(lo, hi):
+        # The caller and the one helper each take a range; the helper fails once
+        # the caller holds its range, and the caller returns once the helper's
+        # thread has left the call (a probe queued behind it in the pool has run).
+        by_caller = threading.current_thread() is caller
+        walked.append((lo, by_caller))
+        (caller_in if by_caller else helper_in).set()
+        assert (helper_in if by_caller else caller_in).wait(timeout=30)
+        if not by_caller:
+            raise ArithmeticError(f"range {lo}")
+        cp._pool.submit(int).result(timeout=30)
+
+    with pytest.raises(ArithmeticError) as failed:
+        cp._run_replica_blocks(160, run_block, 2)
+    # Of the ten ranges only those two went out, and the error is the helper's.
+    assert sorted(lo for lo, _ in walked) == [0, 16] and sum(by_caller for _, by_caller in walked) == 1
+    assert str(failed.value) == next(f"range {lo}" for lo, by_caller in walked if not by_caller)
+    params, specs = ModelParams(s=0.5, q=0.25, p=0.75), RngStreamSpec(8).replicas(160)
+    assert np.array_equal(walk_checkpoints_batch(params, [40], specs, threads=2),
+                          walk_checkpoints_batch(params, [40], specs, threads=1))
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch, fresh_pool):
+    # Two callers at two workers, one helper thread: a caller whose helper waits
+    # behind the other call's walks its ranges itself.
+    monkeypatch.setattr(cp, "_usable_cpus", lambda: 2)
+    params = ModelParams(s=0.5, q=0.25, p=0.75)
+    specs = [RngStreamSpec(11).replicas(96), [RngStreamSpec(12, i) for i in range(96)]]
+    expected = [walk_checkpoints_batch(params, [5, 600], s, threads=1) for s in specs]
+    barrier, results = threading.Barrier(2), [None, None]
+
+    def call(i):
+        barrier.wait(timeout=30)
+        for _ in range(10):
+            results[i] = walk_checkpoints_batch(params, [5, 600], specs[i], threads=2)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    for c in callers:
+        c.start()
+    for c in callers:
+        c.join(timeout=120)
+    assert not any(c.is_alive() for c in callers)
+    assert all(r is not None and np.array_equal(r, e) for r, e in zip(results, expected))
+
+
+def test_a_call_inside_a_range_does_not_wait_on_the_pool():
+    # Each range of the outer call walks its replicas in a call of its own at two
+    # workers. The outer helper is the pool's one thread, so an inner call from it
+    # finds its helper queued behind itself and must walk without it. Run in a
+    # subprocess, so a hang fails the test.
+    code = """
+import numpy as np
+import mrwlab.core_process as cp
+from mrwlab import ModelParams, RngStreamSpec, walk_checkpoints_batch
+
+cp._usable_cpus = lambda: 2
+params, specs = ModelParams(0.5, 0.25, 0.75), RngStreamSpec(3).replicas(128)
+nested = np.empty((len(specs), 1))
+
+def run_block(lo, hi):
+    nested[lo:hi] = walk_checkpoints_batch(params, [90], specs[lo:hi], threads=2)
+
+cp._run_replica_blocks(len(specs), run_block, 2)
+print(np.array_equal(nested, walk_checkpoints_batch(params, [90], specs, threads=1)))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_walks_on_a_pool_of_its_own():
+    # The child of a process whose pool has started walks at two workers: its caller
+    # holds the first range until a helper has run one. A hang fails the test.
+    code = """
+import os, threading
+import mrwlab.core_process as cp
+from mrwlab import ModelParams, RngStreamSpec, walk_checkpoints_batch
+
+cp._usable_cpus = lambda: 2
+params, specs = ModelParams(0.5, 0.25, 0.75), RngStreamSpec(5).replicas(64)
+parent = walk_checkpoints_batch(params, [9, 200], specs, threads=2)
+pid = os.fork()
+if pid == 0:
+    helper_ran = threading.Event()
+
+    def run_block(lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            helper_ran.wait(timeout=10)
+        else:
+            helper_ran.set()
+
+    cp._run_replica_blocks(len(specs), run_block, 2)
+    child = walk_checkpoints_batch(params, [9, 200], specs, threads=2)
+    os._exit(0 if helper_ran.is_set() and child.tobytes() == parent.tobytes() else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(cp.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 def test_batch_law_matches_exact_dp():
