@@ -405,9 +405,11 @@ def fclt_skeletons_batch(
     law = limit_law(params)
     grid = law.default_grid if grid is None else grid
     steps = skeleton_steps(n, grid, law.regime)
-    pos = walk_checkpoints_batch(params, steps, specs, threads=threads)
+    values = walk_checkpoints_batch(params, steps, specs, threads=threads)
     m = steps.astype(np.float64)
-    values = law.skeleton_scale(n, m) * (pos / m - law.centre)
+    values /= m
+    values -= law.centre
+    values *= law.skeleton_scale(n, m)
     times = np.asarray(list(grid), dtype=np.float64)
     return PathSkeleton(grid=times, steps=steps, values=values, regime=law.regime)
 

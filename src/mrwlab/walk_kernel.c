@@ -29,7 +29,9 @@
  * leaves the AVX-512 path out and runs advance_group alone, which is how the
  * tests reach the scalar reference on an AVX-512 machine. The bytes do not
  * depend on the path:
- *   - the Philox words are integers, however the products are formed;
+ *   - the Philox words are integers, however the products are formed (the
+ *     AVX-512 path takes its first two rounds from a scalar product per
+ *     block and a product per replica fixed for the call);
  *   - a draw (bits >> 8) < 2^24 converts to double exactly, and scaling it
  *     by 2^-24 is exact, so it equals the float32 draw widened to double;
  *   - the bound q + c * x is a multiply, then an add, with no contraction;
@@ -44,11 +46,13 @@
  *     point = scale_k * (S_k / k - centre),  p2 = point * point,
  *     term = weight_k * p2,  then term *= p2 r - 1 times,  acc += term,
  * the IEEE operations of the numpy reducer it replaces, in its order, with
- * S_k / k a true division (a multiply by 1/k would round differently).
- * scale_k and weight_k come from the caller, so no libm function runs here.
- * Both paths take these operations lane by lane on the same doubles, each
- * vector operation being the correctly rounded scalar one, so the sums do
- * not depend on the path either.
+ * S_k / k the correctly rounded quotient (a plain multiply by 1/k would round
+ * differently). scale_k and weight_k come from the caller, so no libm
+ * function runs here. The scalar path divides; the AVX-512 path forms the
+ * same quotient from 1/k, once per step, and two fused multiply-adds (see
+ * quotient_x8). Every other vector operation is the correctly rounded scalar
+ * one, lane by lane on the same doubles, so the sums do not depend on the
+ * path either.
  */
 #include <stdint.h>
 #include <stddef.h>
@@ -203,25 +207,38 @@ mulhilo_x8(__m512i a, __m512i m_lo, __m512i m_hi, __m512i *lo, __m512i *hi)
 
 /* philox_draws for `groups` groups of eight lanes: u[g][d] holds draw
  * 8 * (ctr - 1) + d of the lanes of group g, whose round keys are
- * k0[g][round] and k1[g][round]. */
+ * k0[g][round] and k1[g][round].
+ *
+ * Rounds 0 and 1 start from constants. The counter (ctr, 0, 0, 0) is the
+ * same in every lane, so round 0 leaves c0 = k0, c1 = 0,
+ * c2 = hi(M0 ctr) ^ k1 and c3 = lo(M0 ctr), with M0 ctr one scalar product
+ * per block. Round 1's M0 product is then M0 k0, fixed for the whole call:
+ * m0k0_lo[g] and m0k0_hi[g] hold it, so round 1 forms only M1 c2. */
 static inline __attribute__((always_inline)) AVX512 void
-philox_draws_x8(int groups, uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10], __m512d u[GROUPS][8])
+philox_draws_x8(int groups, uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GROUPS][10],
+                const __m512i m0k0_lo[GROUPS], const __m512i m0k0_hi[GROUPS], __m512d u[GROUPS][8])
 {
     const __m512i m0_lo = _mm512_set1_epi64(PHILOX_M0 & 0xFFFFFFFF), m0_hi = _mm512_set1_epi64(PHILOX_M0 >> 32);
     const __m512i m1_lo = _mm512_set1_epi64(PHILOX_M1 & 0xFFFFFFFF), m1_hi = _mm512_set1_epi64(PHILOX_M1 >> 32);
     const __m512i low24 = _mm512_set1_epi64(0xFFFFFF);
     const __m512d scale = _mm512_set1_pd(1.0 / 16777216.0);
+    const u128 p = (u128)PHILOX_M0 * ctr;
+    const __m512i p_lo = _mm512_set1_epi64((long long)(uint64_t)p);
+    const __m512i p_hi = _mm512_set1_epi64((long long)(uint64_t)(p >> 64));
     __m512i c0[GROUPS], c1[GROUPS], c2[GROUPS], c3[GROUPS];
     for (int g = 0; g < groups; g++) {
-        c0[g] = _mm512_set1_epi64((long long)ctr);
-        c1[g] = c2[g] = c3[g] = _mm512_setzero_si512();
+        __m512i hi1;
+        mulhilo_x8(_mm512_xor_si512(p_hi, k1[g][0]), m1_lo, m1_hi, &c1[g], &hi1);
+        c0[g] = _mm512_xor_si512(hi1, k0[g][1]);
+        /* 0x96 is A ^ B ^ C. */
+        c2[g] = _mm512_ternarylogic_epi64(m0k0_hi[g], p_lo, k1[g][1], 0x96);
+        c3[g] = m0k0_lo[g];
     }
-    for (int round = 0; round < 10; round++) {
+    for (int round = 2; round < 10; round++) {
         for (int g = 0; g < groups; g++) {
             __m512i lo0, hi0, lo1, hi1;
             mulhilo_x8(c0[g], m0_lo, m0_hi, &lo0, &hi0);
             mulhilo_x8(c2[g], m1_lo, m1_hi, &lo1, &hi1);
-            /* 0x96 is A ^ B ^ C. */
             c0[g] = _mm512_ternarylogic_epi64(hi1, c1[g], k0[g][round], 0x96);
             c2[g] = _mm512_ternarylogic_epi64(hi0, c3[g], k1[g][round], 0x96);
             c1[g] = lo1;
@@ -238,17 +255,31 @@ philox_draws_x8(int groups, uint64_t ctr, __m512i k0[GROUPS][10], __m512i k1[GRO
     }
 }
 
+/* The correctly rounded quotients x / k, with no vector divide: y = 1 / k
+ * rounded to nearest, q0 = x y is within an ulp of x / k, the residual
+ * e = x - q0 k is exact in one fused multiply-add, and q0 + e y, rounded
+ * once, is x / k (Markstein's theorem; here x and k are integers below
+ * 2^53, 0 <= x <= k). x = 0 gives +0. The fused multiply-adds are explicit;
+ * -ffp-contract=off forbids only those the compiler would form itself. Each
+ * group's call inlines the same scalar 1 / k, which is divided once. */
+static inline __attribute__((always_inline)) AVX512 __m512d
+quotient_x8(__m512d x, double k)
+{
+    const __m512d kv = _mm512_set1_pd(k), y = _mm512_set1_pd(1.0 / k), q0 = _mm512_mul_pd(x, y);
+    return _mm512_fmadd_pd(_mm512_fnmadd_pd(q0, kv, x), y, q0);
+}
+
 /* qsl_terms for `groups` groups of eight lanes. */
 static inline __attribute__((always_inline)) AVX512 void
 qsl_terms_x8(int groups, const struct qsl *sum, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
 {
     if (k < sum->k0)
         return;
-    const __m512d kv = _mm512_set1_pd((double)k), centre = _mm512_set1_pd(sum->centre);
+    const __m512d centre = _mm512_set1_pd(sum->centre);
     const __m512d scale = _mm512_set1_pd(sum->scale[k - sum->k0]), weight = _mm512_set1_pd(sum->weight[k - sum->k0]);
     __m512d p2[GROUPS], term[GROUPS];
     for (int g = 0; g < groups; g++) {
-        __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(_mm512_div_pd(xv[g], kv), centre));
+        __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(quotient_x8(xv[g], (double)k), centre));
         p2[g] = _mm512_mul_pd(point, point);
         term[g] = _mm512_mul_pd(weight, p2[g]);
     }
@@ -273,12 +304,14 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
     const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
     const __m512d one = _mm512_set1_pd(1.0), sv = _mm512_set1_pd(s), qv = _mm512_set1_pd(q);
     const __m512d alv = _mm512_set1_pd(alpha), lane = _mm512_setr_pd(0, 1, 2, 3, 4, 5, 6, 7);
-    __m512i k0[GROUPS][10], k1[GROUPS][10];
+    __m512i k0[GROUPS][10], k1[GROUPS][10], m0k0_lo[GROUPS], m0k0_hi[GROUPS];
     __m512d xv[GROUPS], av[GROUPS], u[GROUPS][8];
     for (int g = 0; g < groups; g++) {
         __m512i a = _mm512_loadu_si512(keys + 2 * LANES * g), b = _mm512_loadu_si512(keys + 2 * LANES * g + LANES);
         k0[g][0] = _mm512_permutex2var_epi64(a, even, b);
         k1[g][0] = _mm512_permutex2var_epi64(a, odd, b);
+        mulhilo_x8(k0[g][0], _mm512_set1_epi64(PHILOX_M0 & 0xFFFFFFFF), _mm512_set1_epi64(PHILOX_M0 >> 32),
+                   &m0k0_lo[g], &m0k0_hi[g]);
         for (int round = 1; round < 10; round++) {
             k0[g][round] = _mm512_add_epi64(k0[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W0));
             k1[g][round] = _mm512_add_epi64(k1[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W1));
@@ -290,7 +323,7 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
         /* step_coefficients in one divide, computed ahead of the Philox rounds. */
         const __m512d tv = _mm512_add_pd(_mm512_set1_pd((double)(t / 8 * 8)), lane);
         const __m512d cv = _mm512_div_pd(alv, _mm512_max_pd(tv, one));
-        philox_draws_x8(groups, (uint64_t)(t / 8) + 1, k0, k1, u);
+        philox_draws_x8(groups, (uint64_t)(t / 8) + 1, k0, k1, m0k0_lo, m0k0_hi, u);
         int64_t stop = (t / 8 + 1) * 8 < end ? (t / 8 + 1) * 8 : end;
         for (; t < stop; t++) {
             const __m512d c = _mm512_permutexvar_pd(_mm512_set1_epi64(t % 8), cv), qt = t ? qv : sv;

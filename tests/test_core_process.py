@@ -805,6 +805,44 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
             assert results["scalar"] == results["default"], (m, width)
 
 
+_QUOTIENT_DRIVER = r"""
+#include "walk_kernel.c"
+
+int has_avx512(void) { return use_avx512; }
+
+/* out[i] = x[i] / k for i < n, a multiple of 8, as qsl_terms_x8 forms it. */
+AVX512 void quotients(const double *x, int64_t n, double k, double *out)
+{
+    for (int64_t i = 0; i < n; i += LANES)
+        _mm512_storeu_pd(out + i, quotient_x8(_mm512_loadu_pd(x + i), k));
+}
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the AVX-512 path is x86-64's")
+def test_vector_quotient_is_the_correctly_rounded_division(tmp_path):
+    # The AVX-512 QSL reducer forms S / k from y = 1 / k and two fused
+    # multiply-adds, where the scalar reference divides. For every k up to
+    # 4096 and 0 <= S <= k, the quotient must be numpy's S / k to the byte,
+    # +0 at S = 0 included.
+    driver, lib = tmp_path / "quotients.c", tmp_path / "quotients.so"
+    driver.write_text(_QUOTIENT_DRIVER)
+    done = subprocess.run(["cc", *cp._CFLAGS, "-I", str(cp._KERNEL_SOURCE.parent), "-o", str(lib), str(driver)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    so = ctypes.CDLL(str(lib))
+    if not so.has_avx512():
+        pytest.skip("this CPU has no AVX-512 F and DQ")
+    so.quotients.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
+    so.quotients.restype = None
+    top = 4096
+    S, out = np.arange(top + 8, dtype=np.float64), np.empty(top + 8)
+    for k in range(1, top + 1):
+        n = (k + 8) // 8 * 8
+        so.quotients(S.ctypes.data, n, float(k), out.ctypes.data)
+        assert out[: k + 1].tobytes() == (S[: k + 1] / k).tobytes(), k
+
+
 def test_kernel_compiles_without_warnings(tmp_path):
     # The engine's own flags, with every common warning an error, for the
     # default build and for the scalar reference build.

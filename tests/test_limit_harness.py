@@ -256,10 +256,16 @@ def test_walker_calls_depend_on_the_stops_alone(monkeypatch, width, threads):
     # Each range of a QSL or checkpoint call makes the same kernel calls at
     # any range width or thread count: one ends at every stop, and none takes
     # more than _TILE_VALUES steps. A recorder of each call's (m, steps), by
-    # the first replica index of its range, stands in for the kernel.
+    # the first replica index of its range, stands in for the kernel. It
+    # fills a position tile it is given, which walk_positions_batch casts.
     T, specs, calls = cp._TILE_VALUES, RngStreamSpec(4).replicas(width), {}
-    monkeypatch.setattr(cp, "_advance", lambda p, keys, S, m, steps, out=None, qsl=None:
-                        calls.setdefault(int(keys[0, 1]), []).append((m, steps)))
+
+    def record(p, keys, S, m, steps, out=None, qsl=None):
+        calls.setdefault(int(keys[0, 1]), []).append((m, steps))
+        if out is not None:
+            out.fill(0.0)
+
+    monkeypatch.setattr(cp, "_advance", record)
     qsl_functional_batch(CRITICAL, 2 * T + 77, 2, specs, threads=threads)
     assert calls and all(c == [(0, T), (T, T), (2 * T, 77)] for c in calls.values())
     calls.clear()
