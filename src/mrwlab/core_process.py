@@ -133,9 +133,11 @@ def _centre(params: ModelParams) -> float:
     return params.q / (1.0 - params.alpha)
 
 
-def _require(params: ModelParams, regime: Regime, what: str) -> None:
-    """Raise RegimeError naming what and the condition unless params lie in regime."""
-    actual = classify_regime(params)
+def _require(params: ModelParams, regime: Regime, what: str, actual: Regime | None = None) -> None:
+    """Raise RegimeError naming what and the condition unless params lie in
+    regime; actual, when given, is classify_regime(params), already parsed."""
+    if actual is None:
+        actual = classify_regime(params)
     if actual is not regime:
         cond = {
             Regime.DIFFUSIVE: "alpha < 1/2",
@@ -147,7 +149,7 @@ def _require(params: ModelParams, regime: Regime, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RngStreamSpec:
     """Addresses one reproducible random stream.
 
@@ -162,7 +164,8 @@ class RngStreamSpec:
     replica) pair can be reproduced in isolation on any machine. Both fields
     are unsigned 64-bit integers. The batch engines read these same streams
     without a Generator per replica: the compiled walk kernel computes each
-    draw from the key and its counter.
+    draw from the key and its counter. The class is slotted, because callers
+    list one spec per replica: a spec holds its two fields and no __dict__.
     """
 
     master_seed: int

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_process import ModelParams, Regime, _centre, _require, classify_regime
-from .limit_harness import limit_law
+from .core_process import ModelParams, Regime, RegimeError, _centre, _require
+from .limit_harness import LimitLaw, limit_law
 
 __all__ = [
     "SpectralData",
@@ -69,6 +69,15 @@ class SpectralData:
 
 
 def build_spectral(params: ModelParams) -> SpectralData:
+    try:
+        law = limit_law(params)
+    except RegimeError:  # alpha > 1/2: no Gaussian law, so no sigma_i
+        law = None
+    return _spectral(params, law)
+
+
+def _spectral(params: ModelParams, law: LimitLaw | None) -> SpectralData:
+    """build_spectral from the LimitLaw of params, or None where alpha > 1/2."""
     q, p = params.q, params.p
     alpha = params.alpha
     centre = _centre(params)  # q/(1 - alpha), refused where the float 1 - alpha is 0
@@ -79,9 +88,9 @@ def build_spectral(params: ModelParams) -> SpectralData:
     u1 = np.array([1.0, 1.0])
     u2 = np.array([-2.0 * q / one_minus, 2.0 * (1.0 - p) / one_minus])
     sigma_i = None
-    if classify_regime(params) is not Regime.SUPERDIFFUSIVE:
+    if law is not None:
         noise = (u2 @ np.diag(v1) @ u2) * v2[1] ** 2
-        sigma_i = noise / limit_law(params).damping * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        sigma_i = noise / law.damping * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return SpectralData(
         a_matrix=a_matrix,
         lambda1=1.0,
@@ -99,21 +108,27 @@ def _check_times(s: float, t: float) -> None:
         raise ValueError("times must satisfy 0 < s <= t")
 
 
+def _kernel_law(params: ModelParams, regime: Regime, what: str) -> LimitLaw:
+    """limit_law(params), refused with a RegimeError unless its regime is
+    regime: the kernels parse the regime once per call."""
+    law = limit_law(params)  # RegimeError for alpha > 1/2
+    _require(params, regime, what, law.regime)
+    return law
+
+
 def theoretical_covariance_diffusive(params: ModelParams, s: float, t: float) -> float:
     """Limit covariance sigma^2 / ((1-2 alpha) t) * (t/s)^alpha, alpha < 1/2.
 
     At p = 1 the noise variance vanishes and the kernel is identically 0.
     """
     _check_times(s, t)
-    _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
-    return limit_law(params).kernel(s, t)
+    return _kernel_law(params, Regime.DIFFUSIVE, "the diffusive kernel").kernel(s, t)
 
 
 def theoretical_covariance_critical(params: ModelParams, s: float, t: float) -> float:
     """Limit covariance 4 q (1-p) s of the critical time-changed process."""
     _check_times(s, t)
-    _require(params, Regime.CRITICAL, "the critical kernel")
-    return limit_law(params).kernel(s, t)
+    return _kernel_law(params, Regime.CRITICAL, "the critical kernel").kernel(s, t)
 
 
 def matrix_exponential_kernel(params: ModelParams, s: float, t: float) -> float:
@@ -127,8 +142,7 @@ def matrix_exponential_kernel(params: ModelParams, s: float, t: float) -> float:
     transcription errors in the closed form.
     """
     _check_times(s, t)
-    _require(params, Regime.DIFFUSIVE, "the diffusive kernel")
-    sp = build_spectral(params)
+    sp = _spectral(params, _kernel_law(params, Regime.DIFFUSIVE, "the diffusive kernel"))
     ratio = t / s
     exp_at = ratio * np.outer(sp.u1, sp.v1) + ratio**sp.lambda2 * np.outer(sp.u2, sp.v2)
     cov = s * sp.sigma_i @ exp_at

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import mrwlab
+import mrwlab.core_process as cp
+import mrwlab.limit_harness as lh
+import mrwlab.urn_spectral as us
 from mrwlab import (
     ModelParams,
     Regime,
@@ -126,16 +129,47 @@ def test_matrix_exponential_route_matches_closed_form(q, p):
 def test_kernel_regime_and_time_guards():
     diffusive = ModelParams(s=0.5, q=0.5, p=0.5)
     critical = ModelParams(s=0.5, q=0.25, p=0.75)
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="the diffusive kernel requires alpha < 1/2; got alpha = 0.5 \\(critical\\)"):
         theoretical_covariance_diffusive(critical, 0.5, 1.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="the critical kernel requires alpha = 1/2"):
         theoretical_covariance_critical(diffusive, 0.5, 1.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="the diffusive kernel requires"):
         matrix_exponential_kernel(critical, 0.5, 1.0)
+    with pytest.raises(RegimeError):
+        theoretical_covariance_critical(ModelParams(s=0.5, q=0.1, p=0.9), 0.5, 1.0)
     with pytest.raises(ValueError):
         theoretical_covariance_diffusive(diffusive, 0.0, 1.0)
     with pytest.raises(ValueError):
         theoretical_covariance_diffusive(diffusive, 1.0, 0.5)
+
+
+def test_each_kernel_call_parses_the_regime_once(monkeypatch):
+    calls, classify = [], cp.classify_regime
+
+    def counting(params):
+        calls.append(params)
+        return classify(params)
+
+    for module in (cp, lh, us):
+        monkeypatch.setattr(module, "classify_regime", counting, raising=False)
+    diffusive, critical = ModelParams(s=0.5, q=0.3, p=0.6), ModelParams(s=0.5, q=0.25, p=0.75)
+    superdiffusive = ModelParams(s=0.5, q=0.1, p=0.9)
+    cases = [
+        (theoretical_covariance_diffusive, diffusive), (matrix_exponential_kernel, diffusive),
+        (theoretical_covariance_critical, critical), (theoretical_covariance_critical, diffusive),
+        (theoretical_covariance_diffusive, critical), (matrix_exponential_kernel, superdiffusive),
+    ]
+    for kernel, params in cases:
+        calls.clear()
+        try:
+            kernel(params, 0.5, 1.0)
+        except RegimeError as exc:
+            assert "kernel requires" in str(exc) or "Gaussian limit laws require" in str(exc)
+        assert len(calls) == 1, (kernel.__name__, params)
+    for params in (diffusive, critical, superdiffusive):
+        calls.clear()
+        build_spectral(params)
+        assert len(calls) == 1, params
 
 
 @pytest.mark.parametrize("q,p", [(0.5, 0.5), (0.25, 0.5), (0.3, 0.0), (0.7, 1.0), (0.25, 0.75), (0.2, 0.7), (0.5, 1.0)])
