@@ -19,7 +19,6 @@ is a test target, not an assumption.
 
 from __future__ import annotations
 
-import array
 import ctypes
 import hashlib
 import os
@@ -300,9 +299,12 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
 # Positions are accumulated in float64, so counts stay exact far beyond any
 # supported horizon.
 #
-# The draws and the steps run in one C loop (walk_kernel.c), compiled with
-# the fixed flags below on first use and cached in the package's
-# __pycache__ under the digest of source and flags.
+# The draws and the steps run in one C loop (walk_kernel.c), and the stream
+# keys of listed specs are read by one C loop (stream_keys.c). Both sources
+# are compiled together, with the fixed flags below, into one library on
+# first use, cached in the package's __pycache__ under the digest of sources,
+# flags and the CPython include directory, and named for the interpreter's
+# extension ABI.
 # ---------------------------------------------------------------------------
 
 
@@ -314,24 +316,30 @@ def _usable_cpus() -> int:
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("walk_kernel.c")
+_KEYS_SOURCE = Path(__file__).with_name("stream_keys.c")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _kernel_lock = threading.Lock()
-_kernel = None
+_kernel = None  # the library's mrw_advance, bound at the first engine call
+_read_keys = None  # the library's mrw_stream_keys, bound with it
 
 
 class _KernelBuildError(RuntimeError):
     """The walk kernel could not be compiled."""
 
 
-def _compile_kernel(target: Path) -> Path:
+def _compile_kernel(target: Path, include: str) -> Path:
+    if not Path(include, "Python.h").is_file():
+        raise _KernelBuildError(
+            f"the walk engine is compiled on first use against the CPython development headers, "
+            f"but {include} holds no Python.h; install them (e.g. the python3-dev package)")
     try:
-        done = subprocess.run(["cc", *_CFLAGS, "-o", str(target), str(_KERNEL_SOURCE)],
-                              capture_output=True, text=True)
+        done = subprocess.run(["cc", *_CFLAGS, "-I", include, "-o", str(target), str(_KERNEL_SOURCE),
+                               str(_KEYS_SOURCE)], capture_output=True, text=True)
     except OSError as exc:
         raise _KernelBuildError(f"the walk engine is compiled on first use by the C compiler `cc`: {exc}") from None
     if done.returncode:
-        raise _KernelBuildError(f"`cc` failed to compile {_KERNEL_SOURCE}: {done.stderr.strip()}")
+        raise _KernelBuildError(f"`cc` failed to compile {_KERNEL_SOURCE} and {_KEYS_SOURCE}: {done.stderr.strip()}")
     return target
 
 
@@ -345,14 +353,33 @@ def _bind_kernel(path: Path):
     return fn
 
 
+def _bind_library(path: Path):
+    """Bind the library's mrw_stream_keys to _read_keys, through PyDLL, which
+    holds the interpreter lock and raises the exception the call sets, and
+    return its mrw_advance, through CDLL, which releases the lock."""
+    global _read_keys
+    fn = ctypes.PyDLL(str(path)).mrw_stream_keys
+    fn.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t]
+    fn.restype = ctypes.c_int
+    _read_keys = fn
+    return _bind_kernel(path)
+
+
 def _load_kernel():
-    """The kernel's mrw_advance, built unless the cache holds it. A build is
-    written to a temporary name and renamed into place, so concurrent
-    processes never load a partial file."""
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-    path = _KERNEL_CACHE / f"walk_kernel-{digest}.so"
+    """The library's mrw_advance (its key reader bound on the way, see
+    _bind_library), built unless the cache holds it. The library calls into
+    the CPython ABI, so its name carries the interpreter's extension suffix
+    and no other interpreter loads it. A build is written to a temporary name
+    and renamed into place, so concurrent processes never load a partial
+    file."""
+    import sysconfig
+
+    include = sysconfig.get_path("include")
+    digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), _KEYS_SOURCE.read_bytes(),
+                                        " ".join(_CFLAGS).encode(), include.encode()])).hexdigest()
+    path = _KERNEL_CACHE / f"walk_kernel-{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
     if path.exists():
-        return _bind_kernel(path)
+        return _bind_library(path)
     try:
         _KERNEL_CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", dir=_KERNEL_CACHE)
@@ -361,33 +388,38 @@ def _load_kernel():
         # A loaded library outlives its file.
         private = tempfile.mkdtemp()
         try:
-            return _bind_kernel(_compile_kernel(Path(private, path.name)))
+            return _bind_library(_compile_kernel(Path(private, path.name), include))
         finally:
             shutil.rmtree(private)
     os.close(fd)
     try:
-        os.replace(_compile_kernel(Path(tmp)), path)
+        os.replace(_compile_kernel(Path(tmp), include), path)
     finally:
         Path(tmp).unlink(missing_ok=True)
-    return _bind_kernel(path)
+    return _bind_library(path)
+
+
+def _load_engine() -> None:
+    """Load the library at the first engine call (or after _kernel is reset)."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            _kernel = _load_kernel()
 
 
 def _stream_keys(specs: Sequence[RngStreamSpec]) -> np.ndarray:
     """The Philox keys (master_seed, replica_index) of specs, one row each.
     A ReplicaRange fills its rows from its fields; any other sequence is read
-    in one loop that appends both fields of each spec to one flat array of
-    unsigned 64-bit integers, viewed as the rows."""
+    by the library's mrw_stream_keys (stream_keys.c) in one pass over its
+    items, each converted as an unsigned 64-bit integer."""
+    keys = np.empty((len(specs), 2), np.uint64)
     if isinstance(specs, ReplicaRange):
-        keys = np.empty((len(specs), 2), np.uint64)
         r = specs.indices
         keys[:, 0], keys[:, 1] = specs.master_seed, np.arange(r.start, r.stop, r.step, dtype=np.uint64)
         return keys
-    flat = array.array("Q")
-    append = flat.append
-    for spec in specs:
-        append(spec.master_seed)
-        append(spec.replica_index)
-    return np.frombuffer(flat, np.uint64).reshape(-1, 2)
+    _load_engine()
+    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], len(keys))
+    return keys
 
 
 def _address(a: np.ndarray | None, dtype, shape: tuple[int, ...], writeable: bool = False) -> int | None:
@@ -409,7 +441,6 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
     steps k, in order, acc gains weight_k * (point^2)^r with point = scale_k *
     (S_k / k - centre), scale_k and weight_k being the entries of scale and
     weight for step k (see walk_kernel.c)."""
-    global _kernel
     R = len(S)
     scale, weight, centre, r, acc = qsl or (None, None, 0.0, 0, None)
     summed = 0 if qsl is None else len(scale)
@@ -419,9 +450,7 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
             params.s, params.q, params.alpha, _address(out, np.float64, (steps, R), True),
             _address(acc, np.float64, (R,), True), _address(scale, np.float64, (summed,)),
             _address(weight, np.float64, (summed,)), centre, r, m + steps + 1 - summed)
-    with _kernel_lock:
-        if _kernel is None:
-            _kernel = _load_kernel()
+    _load_engine()
     _kernel(*args)
 
 
@@ -528,9 +557,12 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     as one unit of 16 or within a unit of 32): at least
     min(threads, ceil(R/16)) of them, each a multiple of 16 wide but the
     last, and none wider than _TILE_VALUES // 8, so an 8-row position tile fits
-    _TILE_VALUES and one range's keys are built while another's kernel runs (a
-    list of 131072 specs of 50 steps at two workers on a 2-vCPU Xeon: 18 ms, or
-    22 ms in two uncapped ranges)."""
+    _TILE_VALUES. The cap also keeps a list's key passes short, so that one
+    range's keys are read while another's kernel runs: a list of 131072 specs
+    of 50 steps at two workers on a 2-vCPU Xeon takes 5.6-8.6 ms in 16 ranges,
+    and 0.8-1.1 ms more in two uncapped ranges, whose key passes wait on each
+    other for the interpreter lock; a ReplicaRange of as many takes 4.6-6.0 ms
+    either way (medians of 60 alternating calls, in each of five processes)."""
     sets = -(-R // 16)
     parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
     bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]

@@ -3,6 +3,7 @@ import math
 import resource
 import subprocess
 import sys
+import sysconfig
 import time
 import warnings
 from fractions import Fraction
@@ -406,6 +407,17 @@ def test_missing_compiler_exits_with_config_error(tmp_path, monkeypatch, capsys)
     assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "`cc`" in err and "Traceback" not in err
+
+
+def test_missing_python_headers_exit_with_config_error(tmp_path, monkeypatch, capsys):
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs:
+                        str(tmp_path) if name == "include" else get_path(name, *args, **kwargs))
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(cp, "_kernel", None)
+    assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Python.h" in err and "Traceback" not in err
 
 
 def test_run_beyond_memory_exits_with_config_error():

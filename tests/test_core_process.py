@@ -1,3 +1,4 @@
+import array
 import ast
 import copy
 import ctypes
@@ -6,8 +7,10 @@ import dataclasses
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import threading
 import time
@@ -308,6 +311,111 @@ def test_list_specs_are_keyed_one_range_at_a_time(monkeypatch, threads):
     S = walk_checkpoints_batch(params, [7, 20], [RngStreamSpec(3, i) for i in range(R)], threads=threads)
     assert S.tobytes() == same.tobytes()
     assert sorted(widths) == sorted(hi - lo for lo, hi in ranges) and len(ranges) > 1
+
+
+def _loop_keys(specs):
+    """The Python key loop that the library's mrw_stream_keys replaced: both
+    fields of each spec appended to one array.array("Q"), viewed as rows."""
+    flat = array.array("Q")
+    for spec in specs:
+        flat.append(spec.master_seed)
+        flat.append(spec.replica_index)
+    return np.frombuffer(flat, np.uint64).reshape(-1, 2)
+
+
+class _ReadSpec(RngStreamSpec):
+    """A subclass whose attribute reads are not its slots: replica_index reads
+    one more than the slot holds, modulo 2**64."""
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        return (int(value) + 1) % 2**64 if name == "replica_index" else value
+
+
+class _DuckSpec:
+    """Not a spec, but it has the two fields, behind a leading slot that holds
+    another number."""
+
+    __slots__ = ("a_lead", "master_seed", "replica_index")
+
+    def __init__(self, master_seed, replica_index):
+        self.a_lead, self.master_seed, self.replica_index = 12345, master_seed, replica_index
+
+
+class _DictSpec:
+    def __init__(self, master_seed, replica_index):
+        self.master_seed, self.replica_index = master_seed, replica_index
+
+
+_key_fields = st.one_of(
+    st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.booleans(),
+    st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(st.tuples(st.sampled_from([RngStreamSpec, _ReadSpec, _DuckSpec, _DictSpec]),
+                             _key_fields, _key_fields), max_size=40),
+    as_tuple=st.booleans(),
+)
+def test_compiled_keys_equal_the_python_loop(items, as_tuple):
+    # Exact specs are read at their slots, every other element by attribute;
+    # numpy and bool fields key as the ints they hold, up to 2**64 - 1.
+    specs = [kind(seed, index) for kind, seed, index in items]
+    specs = tuple(specs) if as_tuple else specs
+    keys = cp._stream_keys(specs)
+    assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
+    assert keys.tobytes() == _loop_keys(specs).tobytes()
+
+
+def _raised(call, specs):
+    with pytest.raises(Exception) as info:
+        call(specs)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("specs,error", [
+    ([RngStreamSpec(1, 2), _DictSpec(2.0, 3)], TypeError),
+    ([_DuckSpec(1, 1.5)], TypeError),
+    ([_DictSpec(4, -1)], OverflowError),
+    ([_DuckSpec(-3, 4)], OverflowError),
+    ([_DictSpec(2**64, 0)], OverflowError),
+    ([RngStreamSpec(1, 2), object()], AttributeError),
+    ((object.__new__(RngStreamSpec),), AttributeError),
+    ([object.__new__(_DuckSpec)], AttributeError),
+])
+def test_compiled_keys_raise_the_errors_of_the_python_loop(specs, error):
+    # An unset slot (a spec made without __init__) raises, never reads NULL.
+    assert _raised(cp._stream_keys, specs) == _raised(_loop_keys, specs)
+    assert _raised(cp._stream_keys, specs)[0] is error
+
+
+class _Resizing:
+    """An integer whose __index__ runs Python code on the list being keyed."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def __index__(self):
+        self.action()
+        return 7
+
+
+def test_compiled_keys_survive_index_code_that_changes_the_specs():
+    # A list that grows or shrinks while it is keyed raises, rather than
+    # leaving rows unfilled or writing past the last one.
+    for change, match in ((lambda specs: specs.extend([RngStreamSpec(1)] * 1000), "grew"),
+                          (lambda specs: specs.clear(), "shrank")):
+        specs = [RngStreamSpec(1, i) for i in range(10)]
+        specs[3] = _DictSpec(_Resizing(lambda: change(specs)), 5)
+        with pytest.raises(RuntimeError, match=match):
+            cp._stream_keys(specs)
+    # A spec whose slot is rebound while its old value converts keeps that
+    # value alive until it is read.
+    spec = RngStreamSpec(9, 0)
+    object.__setattr__(spec, "master_seed", _Resizing(lambda: object.__setattr__(spec, "master_seed", 8)))
+    assert cp._stream_keys([spec, RngStreamSpec(3, 4)]).tolist() == [[7, 0], [3, 4]]
 
 
 def test_only_core_process_names_the_engine_internals():
@@ -895,6 +1003,40 @@ def test_kernel_compiles_without_warnings(tmp_path):
                                str(cp._KERNEL_SOURCE), "-o", str(tmp_path / "walk_kernel.o")],
                               capture_output=True, text=True)
         assert done.returncode == 0, (defines, done.stderr)
+
+
+def test_key_reader_compiles_without_warnings(tmp_path):
+    # The same for stream_keys.c, against this interpreter's CPython headers.
+    done = subprocess.run(["cc", *cp._CFLAGS, "-Wall", "-Wextra", "-Werror", "-I", sysconfig.get_path("include"), "-c",
+                           str(cp._KEYS_SOURCE), "-o", str(tmp_path / "stream_keys.o")], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cached_library_names_the_interpreter_abi(tmp_path, monkeypatch):
+    # The library calls into the CPython ABI, so its file name carries this
+    # interpreter's extension suffix, and no other interpreter loads it.
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
+    monkeypatch.setattr(cp, "_kernel", None)
+    specs = [RngStreamSpec(2, i) for i in range(3)]
+    rec = walk_checkpoints_batch(ModelParams(0.5, 0.25, 0.75), [9], specs)
+    assert np.array_equal(rec, _reference_positions(ModelParams(0.5, 0.25, 0.75), 9, specs)[:, [9]])
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    assert sys.implementation.cache_tag in suffix
+    [name] = [path.name for path in tmp_path.iterdir()]
+    assert re.fullmatch("walk_kernel-[0-9a-f]{64}" + re.escape(suffix), name), name
+
+
+def test_missing_python_headers_are_named(tmp_path, monkeypatch):
+    # sysconfig's include directory is pointed at an empty folder.
+    (tmp_path / "include").mkdir()
+    get_path = sysconfig.get_path
+    monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs:
+                        str(tmp_path / "include") if name == "include" else get_path(name, *args, **kwargs))
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(cp, "_kernel", None)
+    with pytest.raises(cp._KernelBuildError, match="Python.h"):
+        walk_checkpoints_batch(ModelParams(0.5, 0.5, 0.5), [10], [RngStreamSpec(1)])
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_second_load_in_a_fresh_process_compiles_nothing():
