@@ -359,7 +359,7 @@ def _bind_library(path: Path):
     return its mrw_advance, through CDLL, which releases the lock."""
     global _read_keys
     fn = ctypes.PyDLL(str(path)).mrw_stream_keys
-    fn.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t]
+    fn.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, *[ctypes.c_ssize_t] * 3]
     fn.restype = ctypes.c_int
     _read_keys = fn
     return _bind_kernel(path)
@@ -400,25 +400,35 @@ def _load_kernel():
 
 
 def _load_engine() -> None:
-    """Load the library at the first engine call (or after _kernel is reset)."""
+    """Load the library at the first engine call (or after _kernel is reset).
+    Once it is loaded this returns without the lock: _read_keys is bound
+    before _kernel, so a thread that sees _kernel sees _read_keys too."""
     global _kernel
+    if _kernel is not None:
+        return
     with _kernel_lock:
         if _kernel is None:
             _kernel = _load_kernel()
 
 
-def _stream_keys(specs: Sequence[RngStreamSpec]) -> np.ndarray:
-    """The Philox keys (master_seed, replica_index) of specs, one row each.
-    A ReplicaRange fills its rows from its fields; any other sequence is read
-    by the library's mrw_stream_keys (stream_keys.c) in one pass over its
-    items, each converted as an unsigned 64-bit integer."""
-    keys = np.empty((len(specs), 2), np.uint64)
+def _stream_keys(specs: Sequence[RngStreamSpec], lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The Philox keys (master_seed, replica_index) of specs[lo:hi] (hi=None
+    meaning len(specs)), one row each. A ReplicaRange fills its rows from its
+    fields. Any other sequence is read by the library's mrw_stream_keys
+    (stream_keys.c) in one pass over those items, each field converted as an
+    unsigned 64-bit integer: an exact list or tuple in place, any other
+    sequence as its slice specs[lo:hi]."""
+    n = len(specs)
+    hi = n if hi is None else hi
+    keys = np.empty((hi - lo, 2), np.uint64)
     if isinstance(specs, ReplicaRange):
-        r = specs.indices
+        r = specs.indices[lo:hi]
         keys[:, 0], keys[:, 1] = specs.master_seed, np.arange(r.start, r.stop, r.step, dtype=np.uint64)
         return keys
+    if type(specs) is not list and type(specs) is not tuple:
+        specs, lo, hi, n = specs[lo:hi], 0, hi - lo, hi - lo
     _load_engine()
-    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], len(keys))
+    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], lo, hi, n)
     return keys
 
 
@@ -492,7 +502,7 @@ def walk_positions_batch(
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
-        for m, tile in _kernel_calls(params, specs[lo:hi], [n], tiles=True):
+        for m, tile in _kernel_calls(params, _stream_keys(specs, lo, hi), [n], tiles=True):
             pos[lo:hi, m + 1 : m + 1 + len(tile)] = tile.T
 
     _run_replica_blocks(R, run_block, threads)
@@ -548,7 +558,7 @@ def walk_position_chunks(
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_horizon(n)
-    return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, [rng], [n], tiles=True))
+    return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, _stream_keys([rng]), [n], tiles=True))
 
 
 def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
@@ -559,10 +569,13 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     last, and none wider than _TILE_VALUES // 8, so an 8-row position tile fits
     _TILE_VALUES. The cap also keeps a list's key passes short, so that one
     range's keys are read while another's kernel runs: a list of 131072 specs
-    of 50 steps at two workers on a 2-vCPU Xeon takes 5.6-8.6 ms in 16 ranges,
-    and 0.8-1.1 ms more in two uncapped ranges, whose key passes wait on each
-    other for the interpreter lock; a ReplicaRange of as many takes 4.6-6.0 ms
-    either way (medians of 60 alternating calls, in each of five processes)."""
+    of 50 steps at two workers on a 2-vCPU Xeon takes 5.8-6.1 ms in 16 ranges,
+    and 0.8-0.9 ms more in two uncapped ranges, whose key passes wait on each
+    other for the interpreter lock; a ReplicaRange of as many takes 5.0-5.3 ms
+    either way (medians of 60 alternating calls, in each of five processes).
+    A 16384-replica cap read 3% less CPU and 0.7% less wall time on that list,
+    and 0.8% less CPU on a replica_batch pass (10 alternating pairs each), but
+    it would break the 8-row tile bound."""
     sets = -(-R // 16)
     parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
     bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]
@@ -639,23 +652,24 @@ def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
         raise errors[0]
 
 
-def _kernel_calls(params: ModelParams, specs: Sequence[RngStreamSpec], stops: list[int], tiles=False, out=None,
+def _kernel_calls(params: ModelParams, keys: np.ndarray, stops: list[int], tiles=False, out=None,
                   sums=None) -> Iterator[tuple[int, np.ndarray | None]]:
-    """Walk the replicas of specs, keyed here, to stops[-1] in kernel calls, and
-    yield (m, tile) after the call of steps m+1 .. m+len(tile), where tile[j, i] =
-    S_{m+1+j} of specs[i] in float64 when tiles, else None. A call ends at each of
-    stops (increasing steps >= 1), where out[:, t] receives S at stops[t], and at
-    each multiple of the row cap: _TILE_VALUES, or for tiles max(8, _TILE_VALUES //
-    len(specs) // 8 * 8), so no tile starts inside a Philox block of 8 draws. Given
-    sums = (first_step, scale_weight, centre, r), out (one value per replica) gains
-    the kernel sum (see _advance) over steps first_step .. stops[-1] instead,
-    scale_weight(k) giving the scales and weights."""
-    keys, S, m, qsl = _stream_keys(specs), np.zeros(len(specs)), 0, None
-    rows = max(8, _TILE_VALUES // len(specs) // 8 * 8) if tiles else _TILE_VALUES
+    """Walk the replicas whose stream keys are the rows of keys (see _stream_keys)
+    to stops[-1] in kernel calls, and yield (m, tile) after the call of steps m+1 ..
+    m+len(tile), where tile[j, i] = S_{m+1+j} of replica i in float64 when tiles,
+    else None. A call ends at each of stops (increasing steps >= 1), where out[:, t]
+    receives S at stops[t], and at each multiple of the row cap: _TILE_VALUES, or for
+    tiles max(8, _TILE_VALUES // len(keys) // 8 * 8), so no tile starts inside a
+    Philox block of 8 draws. Given sums = (first_step, scale_weight, centre, r), out
+    (one value per replica) gains the kernel sum (see _advance) over steps
+    first_step .. stops[-1] instead, scale_weight(k) giving the scales and weights."""
+    R, m, qsl = len(keys), 0, None
+    S = np.zeros(R)
+    rows = max(8, _TILE_VALUES // R // 8 * 8) if tiles else _TILE_VALUES
     for t, stop in enumerate(stops):
         while m < stop:
             end = min(stop, m - m % rows + rows)
-            tile = np.empty((end - m, len(specs))) if tiles else None
+            tile = np.empty((end - m, R)) if tiles else None
             if sums:
                 first_step, scale_weight, centre, r = sums
                 k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
@@ -670,11 +684,11 @@ def _kernel_calls(params: ModelParams, specs: Sequence[RngStreamSpec], stops: li
 def _walk_ranges(params: ModelParams, stops: list[int], specs: Sequence[RngStreamSpec], threads: int | None, sums=None):
     """The float64 S of each replica of specs at each of stops, shape (len(specs),
     len(stops)), or given sums each replica's sum, as _kernel_calls walks each
-    replica range."""
+    replica range, keyed in the worker that walks it."""
     out = np.empty((len(specs), len(stops))) if sums is None else np.zeros(len(specs))
 
     def run_block(lo: int, hi: int) -> None:
-        for _ in _kernel_calls(params, specs[lo:hi], stops, out=out[lo:hi], sums=sums):
+        for _ in _kernel_calls(params, _stream_keys(specs, lo, hi), stops, out=out[lo:hi], sums=sums):
             pass
 
     _run_replica_blocks(len(specs), run_block, threads)

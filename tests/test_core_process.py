@@ -16,6 +16,7 @@ import threading
 import time
 import tracemalloc
 import types
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -303,9 +304,9 @@ def test_list_specs_are_keyed_one_range_at_a_time(monkeypatch, threads):
     same = walk_checkpoints_batch(params, [7, 20], RngStreamSpec(3).replicas(R), threads=threads)
     widths, stream_keys = [], cp._stream_keys
 
-    def recording(specs):
-        widths.append(len(specs))
-        return stream_keys(specs)
+    def recording(specs, lo=0, hi=None):
+        widths.append((len(specs) if hi is None else hi) - lo)
+        return stream_keys(specs, lo, hi)
 
     monkeypatch.setattr(cp, "_stream_keys", recording)
     S = walk_checkpoints_batch(params, [7, 20], [RngStreamSpec(3, i) for i in range(R)], threads=threads)
@@ -391,6 +392,22 @@ def test_compiled_keys_raise_the_errors_of_the_python_loop(specs, error):
     assert _raised(cp._stream_keys, specs)[0] is error
 
 
+@pytest.mark.parametrize("value", [0, 1, 2**30 - 1, 2**30, 2**60, 2**64 - 1, -1, -(2**30) - 1, 2**64])
+def test_exact_int_slots_key_at_every_digit_count(value):
+    # An exact spec's exact int slots are read without a reference, on 3.11
+    # from their digit when they have one: ints around the digit boundaries
+    # key, or raise, as the Python loop does, in either field.
+    for field in ("master_seed", "replica_index"):
+        spec = RngStreamSpec(5, 6)
+        object.__setattr__(spec, field, value)  # past __post_init__'s check
+        specs = [RngStreamSpec(1, 2), spec]
+        if 0 <= value < 2**64:
+            assert cp._stream_keys(specs).tobytes() == _loop_keys(specs).tobytes()
+        else:
+            assert _raised(cp._stream_keys, specs) == _raised(_loop_keys, specs)
+            assert _raised(cp._stream_keys, specs)[0] is OverflowError
+
+
 class _Resizing:
     """An integer whose __index__ runs Python code on the list being keyed."""
 
@@ -416,6 +433,79 @@ def test_compiled_keys_survive_index_code_that_changes_the_specs():
     spec = RngStreamSpec(9, 0)
     object.__setattr__(spec, "master_seed", _Resizing(lambda: object.__setattr__(spec, "master_seed", 8)))
     assert cp._stream_keys([spec, RngStreamSpec(3, 4)]).tolist() == [[7, 0], [3, 4]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    R=st.integers(1, 200), seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 1),
+    cuts=st.lists(st.integers(0, 200), min_size=1, max_size=4), as_tuple=st.booleans(),
+)
+def test_list_ranges_key_as_replica_range_slices(R, seed, start, cuts, as_tuple):
+    # A list or tuple is read in place from item lo on, so the keys of each of
+    # its ranges are those of the same slice of the equivalent ReplicaRange.
+    same = RngStreamSpec(seed, min(start, 2**64 - R)).replicas(R)
+    specs = tuple(same) if as_tuple else list(same)
+    bounds = sorted({0, R, *(cut % (R + 1) for cut in cuts)})
+    for lo, hi in [*zip(bounds, bounds[1:]), (R, R)]:
+        keys = cp._stream_keys(specs, lo, hi)
+        assert keys.shape == (hi - lo, 2)
+        assert keys.tobytes() == cp._stream_keys(same, lo, hi).tobytes() == cp._stream_keys(same[lo:hi]).tobytes()
+    with pytest.raises(ValueError, match="no item range"):
+        cp._stream_keys(specs, 0, R + 1)
+
+
+@pytest.mark.parametrize("at", [20, 31], ids=["inside", "last"])
+def test_range_reads_fail_on_index_code_that_resizes_the_list(at):
+    # The length is checked before each item of the range and after its last
+    # one, so a list resized by the item at 20 or by the range's last item
+    # raises rather than read past its end or pass unnoticed.
+    for change, match in ((lambda specs: specs.extend([RngStreamSpec(1)] * 1000), "grew"),
+                          (lambda specs: specs.clear(), "shrank"),
+                          (lambda specs: specs.pop(), "shrank")):
+        specs = [RngStreamSpec(1, i) for i in range(40)]
+        specs[at] = _DictSpec(_Resizing(lambda: change(specs)), 5)
+        with pytest.raises(RuntimeError, match=match):
+            cp._stream_keys(specs, 16, 32)
+
+
+class _EndFirstList(list):
+    """A list subclass indexed from its end: its item (or slice) i is item (or
+    slice) i of the reversed plain list, though it iterates as the plain list."""
+
+    def __getitem__(self, i):
+        return list.__getitem__(self, slice(None, None, -1))[i]
+
+
+class _SpecSequence(Sequence):
+    """A sequence that is no list or tuple; its slices are of its kind."""
+
+    def __init__(self, specs):
+        self._specs = list(specs)
+
+    def __len__(self):
+        return len(self._specs)
+
+    def __getitem__(self, i):
+        return _SpecSequence(self._specs[i]) if isinstance(i, slice) else self._specs[i]
+
+
+def _object_array(specs):
+    items = np.empty(len(specs), object)
+    items[:] = specs
+    return items
+
+
+@pytest.mark.parametrize("kind", [_EndFirstList, _SpecSequence, _object_array])
+def test_other_sequences_key_their_slices_as_the_python_loop(kind):
+    # A sequence that is no exact list or tuple is keyed as its slice, never
+    # read in place, so row i reads specs[i] even where its iteration
+    # disagrees; with every kind of element and field.
+    items = [*RngStreamSpec(3, 2**64 - 5).replicas(5), _DuckSpec(4, np.uint64(2**64 - 1)), _ReadSpec(5, 6),
+             RngStreamSpec(2**63, True), _DictSpec(np.int64(8), 9), RngStreamSpec(7, 1)]
+    specs = kind(items)
+    assert cp._stream_keys(specs).tobytes() == _loop_keys(specs[:]).tobytes()
+    for lo, hi in ((0, 10), (3, 8), (5, 5), (9, 10)):
+        assert cp._stream_keys(specs, lo, hi).tobytes() == _loop_keys(specs[lo:hi]).tobytes()
 
 
 def test_only_core_process_names_the_engine_internals():
