@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
 import subprocess
@@ -148,6 +149,15 @@ def _require(params: ModelParams, regime: Regime, what: str, actual: Regime | No
         )
 
 
+def _u64(value, name: str) -> int:
+    """value as an exact int (through operator.index, so a float raises
+    TypeError), checked to be an unsigned 64-bit integer."""
+    value = operator.index(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class RngStreamSpec:
     """Addresses one reproducible random stream.
@@ -161,20 +171,28 @@ class RngStreamSpec:
     Distinct replica indices give statistically independent streams, and the
     stream is a pure function of the two fields, so any (master seed,
     replica) pair can be reproduced in isolation on any machine. Both fields
-    are unsigned 64-bit integers. The batch engines read these same streams
-    without a Generator per replica: the compiled walk kernel computes each
-    draw from the key and its counter. The class is slotted, because callers
-    list one spec per replica: a spec holds its two fields and no __dict__.
+    are unsigned 64-bit integers, stored as exact ints: construction converts
+    each through operator.index, so numpy integers and bools become the ints
+    they hold and a float raises TypeError, and a value outside 0 .. 2**64 - 1
+    raises ValueError. The batch engines read these same streams without a
+    Generator per replica: the compiled walk kernel computes each draw from
+    the key and its counter, and the key reader of listed specs reads both
+    slots of each spec (a subclass's too) as they were stored. The class is
+    slotted, because callers list one spec per replica: a spec holds its two
+    fields and no __dict__.
     """
 
     master_seed: int
     replica_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if not (0 <= self.replica_index < 2**64):
-            raise ValueError("replica_index must be an unsigned 64-bit integer")
+        # Exact ints in range, what callers list, are already stored as _u64
+        # would store them; rebinding them anyway makes construction 1.6 times
+        # as slow.
+        seed, index = self.master_seed, self.replica_index
+        if not (type(seed) is int and type(index) is int and 0 <= seed < 2**64 and 0 <= index < 2**64):
+            object.__setattr__(self, "master_seed", _u64(seed, "master_seed"))
+            object.__setattr__(self, "replica_index", _u64(index, "replica_index"))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.replica_index], dtype=np.uint64)
@@ -185,19 +203,28 @@ class RngStreamSpec:
         under this master seed."""
         if count < 0:
             raise ValueError("the replica count must be nonnegative")
-        if self.replica_index + count > 2**64:
-            raise ValueError(f"replicas from {self.replica_index} on reach past replica_index 2**64 - 1")
         return ReplicaRange(self.master_seed, range(self.replica_index, self.replica_index + count))
 
 
 @dataclass(frozen=True)
 class ReplicaRange(Sequence[RngStreamSpec]):
     """The specs RngStreamSpec(master_seed, i) for i in indices, as built by
-    RngStreamSpec.replicas. Its slices are ReplicaRanges, and the engines key
-    its streams from the two fields without a spec object per replica."""
+    RngStreamSpec.replicas. Construction checks the fields as RngStreamSpec
+    does, for every index of the range: master_seed is stored as an exact
+    int, and a range that reaches outside 0 .. 2**64 - 1 raises ValueError.
+    Its slices are ReplicaRanges, and the engines key its streams from the
+    two fields without a spec object per replica."""
 
     master_seed: int
     indices: range
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "master_seed", _u64(self.master_seed, "master_seed"))
+        r = self.indices
+        if not isinstance(r, range):
+            raise TypeError(f"indices must be a range, not {type(r).__name__}")
+        if r and not (0 <= r[0] < 2**64 and 0 <= r[-1] < 2**64):
+            raise ValueError(f"the replica indices {r} reach outside 0 .. 2**64 - 1")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -396,6 +423,17 @@ def _load_kernel():
         os.replace(_compile_kernel(Path(tmp), include), path)
     finally:
         Path(tmp).unlink(missing_ok=True)
+    # A build older than both sources is of earlier sources, so it goes; one
+    # that another interpreter made from these sources is newer, so it stays.
+    # The new build stays whatever its mtime: a source saved during the build,
+    # or dated ahead of this clock, is newer than it.
+    stale = max(_KERNEL_SOURCE.stat().st_mtime, _KEYS_SOURCE.stat().st_mtime)
+    for old in _KERNEL_CACHE.glob("walk_kernel-*"):
+        try:
+            if old != path and old.stat().st_mtime < stale:
+                old.unlink()
+        except OSError:
+            pass  # removed by a concurrent build
     return _bind_library(path)
 
 
@@ -415,20 +453,21 @@ def _stream_keys(specs: Sequence[RngStreamSpec], lo: int = 0, hi: int | None = N
     """The Philox keys (master_seed, replica_index) of specs[lo:hi] (hi=None
     meaning len(specs)), one row each. A ReplicaRange fills its rows from its
     fields. Any other sequence is read by the library's mrw_stream_keys
-    (stream_keys.c) in one pass over those items, each field converted as an
-    unsigned 64-bit integer: an exact list or tuple in place, any other
-    sequence as its slice specs[lo:hi]."""
-    n = len(specs)
-    hi = n if hi is None else hi
+    (stream_keys.c) in one pass over those items, an exact list or tuple in
+    place and any other sequence as its slice specs[lo:hi]. Each item must be
+    an RngStreamSpec (or a subclass), keyed from its two slots as construction
+    stored them; any other item raises TypeError naming its index in specs."""
+    hi = len(specs) if hi is None else hi
     keys = np.empty((hi - lo, 2), np.uint64)
     if isinstance(specs, ReplicaRange):
         r = specs.indices[lo:hi]
         keys[:, 0], keys[:, 1] = specs.master_seed, np.arange(r.start, r.stop, r.step, dtype=np.uint64)
         return keys
+    base = 0
     if type(specs) is not list and type(specs) is not tuple:
-        specs, lo, hi, n = specs[lo:hi], 0, hi - lo, hi - lo
+        specs, lo, hi, base = specs[lo:hi], 0, hi - lo, lo
     _load_engine()
-    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], lo, hi, n)
+    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], lo, hi, base)
     return keys
 
 
@@ -572,8 +611,9 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     of 50 steps at two workers on a 2-vCPU Xeon takes 5.8-6.1 ms in 16 ranges,
     and 0.8-0.9 ms more in two uncapped ranges, whose key passes wait on each
     other for the interpreter lock; a ReplicaRange of as many takes 5.0-5.3 ms
-    either way (medians of 60 alternating calls, in each of five processes).
-    A 16384-replica cap read 3% less CPU and 0.7% less wall time on that list,
+    either way (medians of 60 alternating calls, in each of five processes,
+    measured for BENCH_32.json with the key reader of that time). A
+    16384-replica cap read 3% less CPU and 0.7% less wall time on that list,
     and 0.8% less CPU on a replica_batch pass (10 alternating pairs each), but
     it would break the 8-row tile bound."""
     sets = -(-R // 16)

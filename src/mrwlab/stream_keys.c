@@ -1,69 +1,43 @@
 /* The Philox keys of replica specs, for core_process._stream_keys.
  *
  * mrw_stream_keys writes the (master_seed, replica_index) row of each of the
- * items lo .. hi-1 of a sequence of specs. An exact list or tuple is read in
- * place, by index; any other sequence is first gathered into a list by its
- * iterator (PySequence_Fast), so the caller hands it only the items it wants.
- * An item of exactly the spec type has both fields read from their slots, at
- * the offsets that the type's member descriptors give; any other item (a
- * subclass, or any object with the two attributes) is read by a generic
- * attribute lookup, as is a slot that is unset, which so raises the
- * AttributeError of that lookup. Each value converts as array.array("Q")
- * converts it: an int as it is, anything else through __index__ first, so a
- * float raises TypeError and a negative or too large value OverflowError.
- *
- * The interpreter lock is held throughout (the library is bound through
- * ctypes.PyDLL for this function). An item of exactly the spec type whose two
- * slots hold exact ints is read by borrowed reference, the item and its
- * values alike: reading two slots and converting an exact int calls no
- * Python code and frees nothing, so the lock is never released and nothing
- * can change the sequence, the item or its fields while they are read. The
- * one exception is an int out of range, whose OverflowError may start the
- * garbage collector and so run finalizers; the pass then stops without
- * touching an item again. Every other item is held by a strong reference
- * while it is read, and so is each field value while it converts, since an
- * attribute lookup or __index__ can run any Python code. That code may change
- * the sequence, so its length is checked against the n items the caller saw
- * before each item and after the last, and a change raises rather than read
- * past its end or fill rows from items that have moved.
- *
- * This source needs the CPython headers; walk_kernel.c does not, and both
- * are built into one library. */
+ * items lo .. hi-1 of a sequence of specs: an exact list or tuple in place,
+ * any other sequence as the list that its iterator gives (PySequence_Fast).
+ * Each item must be an RngStreamSpec or a subclass, which stores both fields
+ * as exact ints in 0 .. 2**64 - 1 at construction; they are read from their
+ * slots. Any other item raises TypeError naming its type and its index in
+ * the caller's sequence, and an unset slot (a spec made without __init__) its
+ * descriptor's AttributeError.
+ * The interpreter lock is held (the library binds this through ctypes.PyDLL)
+ * and all is read by borrowed reference: a type check, two slot reads and an
+ * int's conversion run no Python code, so nothing changes the specs during
+ * the pass. Raising may run finalizers, so the pass ends at its first error. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 #include <stdint.h>
 
-/* The offset of the object slot that the member descriptor name of type
- * reads, or -1 with an exception set. */
-static Py_ssize_t slot_offset(PyObject *type, PyObject *name)
+/* The member of the object slot name of type, or NULL with an exception set. */
+static PyMemberDef *slot_member(PyObject *type, const char *name)
 {
-    PyObject *descr = PyObject_GetAttr(type, name);
-    Py_ssize_t offset = -1;
-    if (descr == NULL)
-        return -1;
-    if (Py_IS_TYPE(descr, &PyMemberDescr_Type) && ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX)
-        offset = ((PyMemberDescrObject *)descr)->d_member->offset;
-    else
-        PyErr_Format(PyExc_TypeError, "%R is no object slot of %R", name, type);
-    Py_DECREF(descr);
-    return offset;
+    PyObject *descr = PyObject_GetAttrString(type, name);
+    PyMemberDef *member = NULL;
+    if (descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type) &&
+        ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX)
+        member = ((PyMemberDescrObject *)descr)->d_member;
+    else if (descr != NULL)
+        PyErr_Format(PyExc_TypeError, "%s is no object slot of %R", name, type);
+    Py_XDECREF(descr);
+    return member;
 }
 
-/* The value in the slot of spec at offset, borrowed; NULL when unset. */
-static PyObject *slot_value(PyObject *spec, Py_ssize_t offset)
-{
-    return *(PyObject **)((char *)spec + offset);
-}
-
-/* Store the int value in *key. 0, or -1 with an exception set. On CPython
- * 3.11 an int of at most one digit (below 2**30) is read from that digit,
- * which halves a key pass over such ints; any other int goes through the
- * call, as does every int on other versions, whose layout differs. */
+/* Store the int value in *key: 0, or -1 with an exception set. On 3.11 an
+ * exact int below 2**30 is read from its one digit; any other value goes
+ * through the call (OverflowError if negative or wider than 64 bits). */
 static int to_key(PyObject *value, uint64_t *key)
 {
 #if PY_VERSION_HEX >= 0x030B0000 && PY_VERSION_HEX < 0x030C0000
-    Py_ssize_t size = Py_SIZE(value);
+    Py_ssize_t size = PyLong_CheckExact(value) ? Py_SIZE(value) : -1;
     if (size == 0 || size == 1) {
         *key = size ? ((PyLongObject *)value)->ob_digit[0] : 0;
         return 0;
@@ -73,96 +47,44 @@ static int to_key(PyObject *value, uint64_t *key)
     return *key == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Store field name of spec in *key: from the slot at offset when offset is
- * not -1 and the slot is set, else by attribute lookup, holding the value by
- * a strong reference while it converts. 0, or -1 with an exception set. */
-static int read_field(PyObject *spec, Py_ssize_t offset, PyObject *name, uint64_t *key)
-{
-    PyObject *value = offset < 0 ? NULL : slot_value(spec, offset);
-    int status;
-    if (value != NULL)
-        Py_INCREF(value);
-    else if ((value = PyObject_GetAttr(spec, name)) == NULL)
-        return -1;
-    if (!PyLong_Check(value)) {
-        Py_SETREF(value, PyNumber_Index(value));
-        if (value == NULL)
-            return -1;
-    }
-    status = to_key(value, key);
-    Py_DECREF(value);
-    return status;
-}
-
-/* Whether spec is of exactly spec_type with an exact int in both slots, and
- * so is read by borrowed reference. */
-static int plain_spec(PyObject *spec, PyObject *spec_type, const Py_ssize_t slots[2])
-{
-    if (!Py_IS_TYPE(spec, (PyTypeObject *)spec_type))
-        return 0;
-    for (int f = 0; f < 2; f++) {
-        PyObject *value = slot_value(spec, slots[f]);
-        if (value == NULL || !PyLong_CheckExact(value))
-            return 0;
-    }
-    return 1;
-}
-
-/* Fill keys[i - lo] with the (master_seed, replica_index) of item i of specs
- * for i = lo .. hi-1, specs having the n items the caller found, 0 <= lo <=
- * hi <= n; spec_type is the slotted spec class. Returns 0, or -1 with an
- * exception set, also when specs has other than n items at any point of the
- * pass. */
+/* Fill keys[i - lo] with the keys of item i of specs for i = lo .. hi-1;
+ * spec_type is the slotted spec class, and base the caller's index of item 0
+ * (specs may be a slice), which errors name. 0, or -1 with an exception set. */
 int mrw_stream_keys(PyObject *specs, PyObject *spec_type, uint64_t (*keys)[2], Py_ssize_t lo, Py_ssize_t hi,
-                    Py_ssize_t n)
+                    Py_ssize_t base)
 {
-    PyObject *names[2] = {PyUnicode_InternFromString("master_seed"), PyUnicode_InternFromString("replica_index")};
-    PyObject *items = NULL;
-    Py_ssize_t slots[2] = {-1, -1};
+    PyMemberDef *fields[2] = {slot_member(spec_type, "master_seed"), NULL};
+    PyObject *items;
+    Py_ssize_t n;
     int status = -1;
-    if (names[0] == NULL || names[1] == NULL)
-        goto done;
+    if (fields[0] == NULL || (fields[1] = slot_member(spec_type, "replica_index")) == NULL ||
+        (items = PySequence_Fast(specs, "the specs are not iterable")) == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(items);
     if (lo < 0 || lo > hi || hi > n) {
         PyErr_Format(PyExc_ValueError, "no item range %zd .. %zd of %zd items", lo, hi, n);
         goto done;
     }
-    for (int f = 0; f < 2; f++)
-        if ((slots[f] = slot_offset(spec_type, names[f])) < 0)
-            goto done;
-    if ((items = PySequence_Fast(specs, "the specs are not iterable")) == NULL)
-        goto done;
-    for (Py_ssize_t i = lo;; i++) {
-        Py_ssize_t size = PySequence_Fast_GET_SIZE(items);
-        PyObject *spec;
-        int failed = 0;
-        if (size != n) {
-            if (size > n)
-                PyErr_Format(PyExc_RuntimeError, "the specs grew past %zd items while their keys were read", n);
-            else
-                PyErr_Format(PyExc_RuntimeError, "the specs shrank to %zd of %zd items while their keys were read",
-                             size, n);
+    Py_ssize_t offsets[2] = {fields[0]->offset, fields[1]->offset};
+    for (Py_ssize_t i = lo; i < hi; i++) {
+        PyObject *spec = PySequence_Fast_GET_ITEM(items, i);
+        if (!PyObject_TypeCheck(spec, (PyTypeObject *)spec_type)) {
+            PyErr_Format(PyExc_TypeError, "item %zd of the specs is of type %.200s, not %.200s", base + i,
+                         Py_TYPE(spec)->tp_name, ((PyTypeObject *)spec_type)->tp_name);
             goto done;
         }
-        if (i == hi)
-            break;
-        spec = PySequence_Fast_GET_ITEM(items, i);
-        if (plain_spec(spec, spec_type, slots)) {
-            for (int f = 0; f < 2 && !failed; f++)
-                failed = to_key(slot_value(spec, slots[f]), &keys[i - lo][f]);
-        } else {
-            int exact = Py_IS_TYPE(spec, (PyTypeObject *)spec_type);
-            Py_INCREF(spec);
-            for (int f = 0; f < 2 && !failed; f++)
-                failed = read_field(spec, exact ? slots[f] : -1, names[f], &keys[i - lo][f]);
-            Py_DECREF(spec);
+        for (int f = 0; f < 2; f++) {
+            PyObject *value = *(PyObject **)((char *)spec + offsets[f]);
+            if (value == NULL) {
+                Py_XDECREF(PyMember_GetOne((const char *)spec, fields[f]));  /* raises AttributeError */
+                goto done;
+            }
+            if (to_key(value, &keys[i - lo][f]) < 0)
+                goto done;
         }
-        if (failed)
-            goto done;
     }
     status = 0;
 done:
-    Py_XDECREF(items);
-    Py_XDECREF(names[0]);
-    Py_XDECREF(names[1]);
+    Py_DECREF(items);
     return status;
 }

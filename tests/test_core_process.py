@@ -348,6 +348,14 @@ class _DictSpec:
         self.master_seed, self.replica_index = master_seed, replica_index
 
 
+def _rebound(spec, **fields):
+    """spec with its slots set to fields past __post_init__'s check (or left
+    unset when spec was made without __init__)."""
+    for name, value in fields.items():
+        object.__setattr__(spec, name, value)
+    return spec
+
+
 _key_fields = st.one_of(
     st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.booleans(),
     st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
@@ -355,19 +363,32 @@ _key_fields = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    items=st.lists(st.tuples(st.sampled_from([RngStreamSpec, _ReadSpec, _DuckSpec, _DictSpec]),
-                             _key_fields, _key_fields), max_size=40),
-    as_tuple=st.booleans(),
-)
+@given(items=st.lists(st.tuples(_key_fields, _key_fields), max_size=40), as_tuple=st.booleans())
 def test_compiled_keys_equal_the_python_loop(items, as_tuple):
-    # Exact specs are read at their slots, every other element by attribute;
-    # numpy and bool fields key as the ints they hold, up to 2**64 - 1.
-    specs = [kind(seed, index) for kind, seed, index in items]
+    # Numpy and bool fields key as the ints they hold, up to 2**64 - 1.
+    specs = [RngStreamSpec(seed, index) for seed, index in items]
     specs = tuple(specs) if as_tuple else specs
     keys = cp._stream_keys(specs)
     assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
     assert keys.tobytes() == _loop_keys(specs).tobytes()
+
+
+def test_spec_fields_are_fixed_at_construction():
+    # Both classes store exact ints in 0 .. 2**64 - 1 and refuse anything else
+    # when they are made, so a float is never truncated to the seed it holds.
+    spec = RngStreamSpec(np.uint64(7), True)
+    assert type(spec.master_seed) is int and type(spec.replica_index) is int
+    assert repr(spec) == "RngStreamSpec(master_seed=7, replica_index=1)"
+    assert type(ReplicaRange(np.int64(3), range(2)).master_seed) is int
+    for make in (lambda: RngStreamSpec(1.5), lambda: RngStreamSpec(1, 2.0), lambda: ReplicaRange(1.5, range(2)),
+                 lambda: RngStreamSpec(2).replicas(2.0), lambda: ReplicaRange(1, [0, 1])):
+        with pytest.raises(TypeError):
+            make()
+    for indices in (range(2**64 - 1, 2**64 + 1), range(2**64 + 1, 2**64 - 2, -1), range(-1, 3), range(3, -2, -4)):
+        with pytest.raises(ValueError, match="2\\*\\*64 - 1"):
+            ReplicaRange(5, indices)
+    for indices in (range(2**64 - 2, 2**64), range(2**64 - 1, -1, -2**62), range(2**64, 2**64)):
+        assert len(ReplicaRange(5, indices)[::-1]) == len(indices)
 
 
 def _raised(call, specs):
@@ -377,30 +398,38 @@ def _raised(call, specs):
 
 
 @pytest.mark.parametrize("specs,error", [
-    ([RngStreamSpec(1, 2), _DictSpec(2.0, 3)], TypeError),
-    ([_DuckSpec(1, 1.5)], TypeError),
-    ([_DictSpec(4, -1)], OverflowError),
-    ([_DuckSpec(-3, 4)], OverflowError),
-    ([_DictSpec(2**64, 0)], OverflowError),
-    ([RngStreamSpec(1, 2), object()], AttributeError),
+    ([RngStreamSpec(1, 2), _DictSpec(2, 3)], TypeError),
+    ([_DuckSpec(1, 1)], TypeError),
+    ([_rebound(RngStreamSpec(4, 0), replica_index=-1)], OverflowError),
+    ([RngStreamSpec(1, 2), _rebound(RngStreamSpec(0, 4), master_seed=-3)], OverflowError),
+    ([_rebound(_ReadSpec(0, 0), master_seed=2**64)], OverflowError),
     ((object.__new__(RngStreamSpec),), AttributeError),
-    ([object.__new__(_DuckSpec)], AttributeError),
+    ([RngStreamSpec(1, 2), _rebound(object.__new__(RngStreamSpec), master_seed=3)], AttributeError),
+    ([object.__new__(_ReadSpec)], AttributeError),
 ])
 def test_compiled_keys_raise_the_errors_of_the_python_loop(specs, error):
-    # An unset slot (a spec made without __init__) raises, never reads NULL.
-    assert _raised(cp._stream_keys, specs) == _raised(_loop_keys, specs)
-    assert _raised(cp._stream_keys, specs)[0] is error
+    # A spec's unset slot (a spec made without __init__) raises as the Python
+    # loop does, never reads NULL, and so does an int that a bypassed
+    # __post_init__ left out of range; an item that is no spec raises
+    # TypeError, though the Python loop would key it by attribute.
+    kind, message = _raised(cp._stream_keys, specs)
+    assert kind is error
+    if all(isinstance(spec, RngStreamSpec) for spec in specs):
+        assert (kind, message) == _raised(_loop_keys, specs)
+    else:
+        [i] = [i for i, spec in enumerate(specs) if not isinstance(spec, RngStreamSpec)]
+        assert message == f"item {i} of the specs is of type {type(specs[i]).__name__}, not RngStreamSpec"
 
 
-@pytest.mark.parametrize("value", [0, 1, 2**30 - 1, 2**30, 2**60, 2**64 - 1, -1, -(2**30) - 1, 2**64])
+@pytest.mark.parametrize("value", [0, 1, 2**30 - 1, 2**30, 2**60 - 1, 2**60, 2**63, 2**64 - 2**30, 2**64 - 1,
+                                   -1, -(2**30) - 1, 2**64, 2**90])
 def test_exact_int_slots_key_at_every_digit_count(value):
-    # An exact spec's exact int slots are read without a reference, on 3.11
-    # from their digit when they have one: ints around the digit boundaries
-    # key, or raise, as the Python loop does, in either field.
+    # A spec's int slots are read without a reference, on 3.11 from their one
+    # digit when below 2**30 and through the C API call otherwise: ints around
+    # the digit boundaries key, or raise, as the Python loop does, in either
+    # field.
     for field in ("master_seed", "replica_index"):
-        spec = RngStreamSpec(5, 6)
-        object.__setattr__(spec, field, value)  # past __post_init__'s check
-        specs = [RngStreamSpec(1, 2), spec]
+        specs = [RngStreamSpec(1, 2), _rebound(RngStreamSpec(5, 6), **{field: value})]
         if 0 <= value < 2**64:
             assert cp._stream_keys(specs).tobytes() == _loop_keys(specs).tobytes()
         else:
@@ -408,31 +437,36 @@ def test_exact_int_slots_key_at_every_digit_count(value):
             assert _raised(cp._stream_keys, specs)[0] is OverflowError
 
 
-class _Resizing:
-    """An integer whose __index__ runs Python code on the list being keyed."""
-
-    def __init__(self, action):
-        self.action = action
-
-    def __index__(self):
-        self.action()
-        return 7
-
-
-def test_compiled_keys_survive_index_code_that_changes_the_specs():
-    # A list that grows or shrinks while it is keyed raises, rather than
-    # leaving rows unfilled or writing past the last one.
-    for change, match in ((lambda specs: specs.extend([RngStreamSpec(1)] * 1000), "grew"),
-                          (lambda specs: specs.clear(), "shrank")):
-        specs = [RngStreamSpec(1, i) for i in range(10)]
-        specs[3] = _DictSpec(_Resizing(lambda: change(specs)), 5)
-        with pytest.raises(RuntimeError, match=match):
+def test_a_slot_that_holds_no_int_raises_type_error():
+    # Only a bypassed __post_init__ can store one; its bytes are never read as
+    # an int's digits (np.uint64(1), 5e-324 and "1" hold a 1 where an int's
+    # size would be).
+    for value in (np.uint64(1), 5e-324, 1.5, "1"):
+        specs = [RngStreamSpec(1, 2), _rebound(RngStreamSpec(5, 6), master_seed=value)]
+        with pytest.raises(TypeError):
             cp._stream_keys(specs)
-    # A spec whose slot is rebound while its old value converts keeps that
-    # value alive until it is read.
-    spec = RngStreamSpec(9, 0)
-    object.__setattr__(spec, "master_seed", _Resizing(lambda: object.__setattr__(spec, "master_seed", 8)))
-    assert cp._stream_keys([spec, RngStreamSpec(3, 4)]).tolist() == [[7, 0], [3, 4]]
+
+
+def test_subclasses_are_keyed_from_their_slots():
+    # _ReadSpec's attribute reads disagree with its slots, which the key
+    # reader reads through the base class's descriptors.
+    specs = [_ReadSpec(5, 6), RngStreamSpec(1, 2), _ReadSpec(2**64 - 1, 2**64 - 2)]
+    slots = [[RngStreamSpec.master_seed.__get__(s), RngStreamSpec.replica_index.__get__(s)] for s in specs]
+    assert slots != [[s.master_seed, s.replica_index] for s in specs]
+    assert cp._stream_keys(specs).tolist() == slots
+
+
+def test_an_item_that_is_no_spec_raises_type_error_naming_its_index():
+    # Within the range read, such an item raises TypeError naming its index
+    # in the caller's sequence, whether a list or tuple is read in place or a
+    # numpy object array as its slice; outside the range it is not read.
+    items = [*RngStreamSpec(1).replicas(20), _DictSpec(1, 20), *RngStreamSpec(1, 21).replicas(19)]
+    objects = np.empty(len(items), object)
+    objects[:] = items
+    for specs in (items, tuple(items), objects):
+        with pytest.raises(TypeError, match="^item 20 of the specs is of type _DictSpec, not RngStreamSpec$"):
+            cp._stream_keys(specs, 16, 32)
+        assert cp._stream_keys(specs, 21, 40).tobytes() == cp._stream_keys(RngStreamSpec(1, 21).replicas(19)).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -452,20 +486,6 @@ def test_list_ranges_key_as_replica_range_slices(R, seed, start, cuts, as_tuple)
         assert keys.tobytes() == cp._stream_keys(same, lo, hi).tobytes() == cp._stream_keys(same[lo:hi]).tobytes()
     with pytest.raises(ValueError, match="no item range"):
         cp._stream_keys(specs, 0, R + 1)
-
-
-@pytest.mark.parametrize("at", [20, 31], ids=["inside", "last"])
-def test_range_reads_fail_on_index_code_that_resizes_the_list(at):
-    # The length is checked before each item of the range and after its last
-    # one, so a list resized by the item at 20 or by the range's last item
-    # raises rather than read past its end or pass unnoticed.
-    for change, match in ((lambda specs: specs.extend([RngStreamSpec(1)] * 1000), "grew"),
-                          (lambda specs: specs.clear(), "shrank"),
-                          (lambda specs: specs.pop(), "shrank")):
-        specs = [RngStreamSpec(1, i) for i in range(40)]
-        specs[at] = _DictSpec(_Resizing(lambda: change(specs)), 5)
-        with pytest.raises(RuntimeError, match=match):
-            cp._stream_keys(specs, 16, 32)
 
 
 class _EndFirstList(list):
@@ -499,9 +519,9 @@ def _object_array(specs):
 def test_other_sequences_key_their_slices_as_the_python_loop(kind):
     # A sequence that is no exact list or tuple is keyed as its slice, never
     # read in place, so row i reads specs[i] even where its iteration
-    # disagrees; with every kind of element and field.
-    items = [*RngStreamSpec(3, 2**64 - 5).replicas(5), _DuckSpec(4, np.uint64(2**64 - 1)), _ReadSpec(5, 6),
-             RngStreamSpec(2**63, True), _DictSpec(np.int64(8), 9), RngStreamSpec(7, 1)]
+    # disagrees; with every kind of field.
+    items = [*RngStreamSpec(3, 2**64 - 5).replicas(5), RngStreamSpec(4, np.uint64(2**64 - 1)), RngStreamSpec(5, 6),
+             RngStreamSpec(2**63, True), RngStreamSpec(np.int64(8), 9), RngStreamSpec(7, 1)]
     specs = kind(items)
     assert cp._stream_keys(specs).tobytes() == _loop_keys(specs[:]).tobytes()
     for lo, hi in ((0, 10), (3, 8), (5, 5), (9, 10)):
@@ -1114,6 +1134,36 @@ def test_cached_library_names_the_interpreter_abi(tmp_path, monkeypatch):
     assert sys.implementation.cache_tag in suffix
     [name] = [path.name for path in tmp_path.iterdir()]
     assert re.fullmatch("walk_kernel-[0-9a-f]{64}" + re.escape(suffix), name), name
+
+
+def test_a_build_removes_the_builds_of_older_sources(tmp_path, monkeypatch):
+    # A build older than both sources goes; one newer than them (another
+    # interpreter's build of these sources) and files of other names stay. A
+    # load that finds its library builds nothing and so removes nothing.
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
+    newest = max(cp._KERNEL_SOURCE.stat().st_mtime, cp._KEYS_SOURCE.stat().st_mtime)
+    old, new, other = tmp_path / "walk_kernel-0.so", tmp_path / "walk_kernel-1.cpython-399.so", tmp_path / "a.so"
+    for path, mtime in ((old, newest - 60), (new, newest + 60), (other, newest - 60)):
+        path.write_bytes(b"")
+        os.utime(path, (mtime, mtime))
+    cp._load_kernel()
+    assert not old.exists() and new.exists() and other.exists() and len(list(tmp_path.iterdir())) == 3
+    old.write_bytes(b"")
+    os.utime(old, (newest - 60, newest - 60))
+    cp._load_kernel()
+    assert old.exists()
+    # A source dated ahead of the build (clock skew, or saved during the
+    # build) leaves the new build in place, and it binds.
+    ahead = tmp_path / "ahead"
+    ahead.mkdir()
+    source = ahead / cp._KERNEL_SOURCE.name
+    source.write_bytes(cp._KERNEL_SOURCE.read_bytes())
+    os.utime(source, (time.time() + 3600, time.time() + 3600))
+    monkeypatch.setattr(cp, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(cp, "_KERNEL_CACHE", ahead / "cache")
+    cp._load_kernel()
+    assert len(list((ahead / "cache").iterdir())) == 1
+    assert cp._stream_keys([RngStreamSpec(3, 4)]).tolist() == [[3, 4]]
 
 
 def test_missing_python_headers_are_named(tmp_path, monkeypatch):
