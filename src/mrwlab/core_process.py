@@ -347,8 +347,7 @@ _KEYS_SOURCE = Path(__file__).with_name("stream_keys.c")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _kernel_lock = threading.Lock()
-_kernel = None  # the library's mrw_advance, bound at the first engine call
-_read_keys = None  # the library's mrw_stream_keys, bound with it
+_engine = None  # the library's (mrw_advance, mrw_stream_keys), bound at the first engine call
 
 
 class _KernelBuildError(RuntimeError):
@@ -370,35 +369,27 @@ def _compile_kernel(target: Path, include: str) -> Path:
     return target
 
 
-def _bind_kernel(path: Path):
-    fn = ctypes.CDLL(str(path)).mrw_advance
+def _bind(path: Path):
+    """The library's (mrw_advance, mrw_stream_keys): the kernel through CDLL,
+    which releases the interpreter lock, and the key reader through PyDLL,
+    which holds it and raises the exception the call sets."""
+    advance, read_keys = ctypes.CDLL(str(path)).mrw_advance, ctypes.PyDLL(str(path)).mrw_stream_keys
     # Arrays go as raw addresses, checked by _advance: numpy's ndpointer
     # conversion leaves cyclic garbage on every call.
-    fn.argtypes = [*[ctypes.c_void_p] * 2, *[ctypes.c_int64] * 3, *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 4,
-                   ctypes.c_double, *[ctypes.c_int64] * 2]
-    fn.restype = None
-    return fn
-
-
-def _bind_library(path: Path):
-    """Bind the library's mrw_stream_keys to _read_keys, through PyDLL, which
-    holds the interpreter lock and raises the exception the call sets, and
-    return its mrw_advance, through CDLL, which releases the lock."""
-    global _read_keys
-    fn = ctypes.PyDLL(str(path)).mrw_stream_keys
-    fn.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, *[ctypes.c_ssize_t] * 3]
-    fn.restype = ctypes.c_int
-    _read_keys = fn
-    return _bind_kernel(path)
+    advance.argtypes = [*[ctypes.c_void_p] * 2, *[ctypes.c_int64] * 3, *[ctypes.c_double] * 3, ctypes.c_int64,
+                        *[ctypes.c_void_p] * 3, ctypes.c_double, *[ctypes.c_int64] * 2]
+    advance.restype = None
+    read_keys.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, *[ctypes.c_ssize_t] * 3]
+    read_keys.restype = ctypes.c_int
+    return advance, read_keys
 
 
 def _load_kernel():
-    """The library's mrw_advance (its key reader bound on the way, see
-    _bind_library), built unless the cache holds it. The library calls into
-    the CPython ABI, so its name carries the interpreter's extension suffix
-    and no other interpreter loads it. A build is written to a temporary name
-    and renamed into place, so concurrent processes never load a partial
-    file."""
+    """The library's (mrw_advance, mrw_stream_keys) (see _bind), built unless
+    the cache holds it. The library calls into the CPython ABI, so its name
+    carries the interpreter's extension suffix and no other interpreter loads
+    it. A build is written to a temporary name and renamed into place, so
+    concurrent processes never load a partial file."""
     import sysconfig
 
     include = sysconfig.get_path("include")
@@ -406,7 +397,7 @@ def _load_kernel():
                                         " ".join(_CFLAGS).encode(), include.encode()])).hexdigest()
     path = _KERNEL_CACHE / f"walk_kernel-{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
     if path.exists():
-        return _bind_library(path)
+        return _bind(path)
     try:
         _KERNEL_CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", dir=_KERNEL_CACHE)
@@ -415,7 +406,7 @@ def _load_kernel():
         # A loaded library outlives its file.
         private = tempfile.mkdtemp()
         try:
-            return _bind_library(_compile_kernel(Path(private, path.name), include))
+            return _bind(_compile_kernel(Path(private, path.name), include))
         finally:
             shutil.rmtree(private)
     os.close(fd)
@@ -434,19 +425,19 @@ def _load_kernel():
                 old.unlink()
         except OSError:
             pass  # removed by a concurrent build
-    return _bind_library(path)
+    return _bind(path)
 
 
-def _load_engine() -> None:
-    """Load the library at the first engine call (or after _kernel is reset).
-    Once it is loaded this returns without the lock: _read_keys is bound
-    before _kernel, so a thread that sees _kernel sees _read_keys too."""
-    global _kernel
-    if _kernel is not None:
-        return
-    with _kernel_lock:
-        if _kernel is None:
-            _kernel = _load_kernel()
+def _load_engine():
+    """The library's (mrw_advance, mrw_stream_keys), loaded at the first
+    engine call (or after _engine is reset) and published as one tuple, so
+    once it is loaded this returns it without the lock."""
+    global _engine
+    if _engine is None:
+        with _kernel_lock:
+            if _engine is None:
+                _engine = _load_kernel()
+    return _engine
 
 
 def _stream_keys(specs: Sequence[RngStreamSpec], lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -466,8 +457,7 @@ def _stream_keys(specs: Sequence[RngStreamSpec], lo: int = 0, hi: int | None = N
     base = 0
     if type(specs) is not list and type(specs) is not tuple:
         specs, lo, hi, base = specs[lo:hi], 0, hi - lo, lo
-    _load_engine()
-    _read_keys(specs, RngStreamSpec, keys.__array_interface__["data"][0], lo, hi, base)
+    _load_engine()[1](specs, RngStreamSpec, keys.__array_interface__["data"][0], lo, hi, base)
     return keys
 
 
@@ -485,22 +475,26 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
     """Advance the replicas whose stream keys are the rows of keys through
     steps m+1 .. m+steps. S holds S_m per replica and is updated in place; it
     must be 0 at m = 0, since the kernel adds step 1 to it as it adds every
-    other step. out, when given, receives S_{m+1+j} in row j. qsl, when
-    given, is (scale, weight, centre, r, acc): at each of the last len(scale)
-    steps k, in order, acc gains weight_k * (point^2)^r with point = scale_k *
-    (S_k / k - centre), scale_k and weight_k being the entries of scale and
-    weight for step k (see walk_kernel.c)."""
+    other step. A call keeps at most one other output, the kernel's reducer,
+    so given both out and qsl it raises a ValueError. out receives S_{m+1+j}
+    in row j; qsl is (scale, weight, centre, r, acc), and at each of the last
+    len(scale) steps k, in order, acc gains weight_k * (point^2)^r with point
+    = scale_k * (S_k / k - centre), scale_k and weight_k being the entries of
+    scale and weight for step k (see walk_kernel.c)."""
+    # The kinds KEEP_NONE (0), KEEP_TILE (1) and KEEP_QSL (2) of walk_kernel.c.
+    kind = (out is not None) + 2 * (qsl is not None)
+    if kind == 3:
+        raise ValueError("a walk kernel call keeps a position tile or QSL sums, not both")
     R = len(S)
     scale, weight, centre, r, acc = qsl or (None, None, 0.0, 0, None)
     summed = 0 if qsl is None else len(scale)
     if summed > steps:
         raise ValueError("walk kernel arguments disagree in type, shape or layout")
+    dst = _address(acc, np.float64, (R,), True) if qsl else _address(out, np.float64, (steps, R), True)
     args = (_address(keys, np.uint64, (R, 2)), _address(S, np.float64, (R,), True), R, m, steps,
-            params.s, params.q, params.alpha, _address(out, np.float64, (steps, R), True),
-            _address(acc, np.float64, (R,), True), _address(scale, np.float64, (summed,)),
+            params.s, params.q, params.alpha, kind, dst, _address(scale, np.float64, (summed,)),
             _address(weight, np.float64, (summed,)), centre, r, m + steps + 1 - summed)
-    _load_engine()
-    _kernel(*args)
+    _load_engine()[0](*args)
 
 
 def _check_horizon(n: int) -> None:
@@ -541,7 +535,7 @@ def walk_positions_batch(
     pos = np.zeros((R, n + 1), dtype=np.int32)
 
     def run_block(lo: int, hi: int) -> None:
-        for m, tile in _kernel_calls(params, _stream_keys(specs, lo, hi), [n], tiles=True):
+        for m, tile in _kernel_calls(params, _stream_keys(specs, lo, hi), [n]):
             pos[lo:hi, m + 1 : m + 1 + len(tile)] = tile.T
 
     _run_replica_blocks(R, run_block, threads)
@@ -578,7 +572,6 @@ def walk_checkpoints_batch(
     """
     cps = _checkpoint_array(checkpoints).tolist()
     _check_horizon(cps[-1])
-    _refuse_beyond_memory(len(specs) * (24 + 8 * len(cps)), f"{len(specs)} replicas x {len(cps)} checkpoints")
     return _walk_ranges(params, cps, specs, threads)
 
 
@@ -597,7 +590,7 @@ def walk_position_chunks(
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_horizon(n)
-    return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, _stream_keys([rng]), [n], tiles=True))
+    return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, _stream_keys([rng]), [n]))
 
 
 def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
@@ -692,24 +685,24 @@ def _run_replica_blocks(R: int, run_block, threads: int | None) -> None:
         raise errors[0]
 
 
-def _kernel_calls(params: ModelParams, keys: np.ndarray, stops: list[int], tiles=False, out=None,
+def _kernel_calls(params: ModelParams, keys: np.ndarray, stops: list[int], out=None,
                   sums=None) -> Iterator[tuple[int, np.ndarray | None]]:
     """Walk the replicas whose stream keys are the rows of keys (see _stream_keys)
     to stops[-1] in kernel calls, and yield (m, tile) after the call of steps m+1 ..
-    m+len(tile), where tile[j, i] = S_{m+1+j} of replica i in float64 when tiles,
-    else None. A call ends at each of stops (increasing steps >= 1), where out[:, t]
-    receives S at stops[t], and at each multiple of the row cap: _TILE_VALUES, or for
-    tiles max(8, _TILE_VALUES // len(keys) // 8 * 8), so no tile starts inside a
-    Philox block of 8 draws. Given sums = (first_step, scale_weight, centre, r), out
+    m+len(tile), where tile[j, i] = S_{m+1+j} of replica i in float64 when no out is
+    given, else None. A call ends at each of stops (increasing steps >= 1), where
+    out[:, t] receives S at stops[t], and at each multiple of the row cap: _TILE_VALUES,
+    or for tiles max(8, _TILE_VALUES // len(keys) // 8 * 8), so no tile starts inside
+    a Philox block of 8 draws. Given sums = (first_step, scale_weight, centre, r), out
     (one value per replica) gains the kernel sum (see _advance) over steps
     first_step .. stops[-1] instead, scale_weight(k) giving the scales and weights."""
     R, m, qsl = len(keys), 0, None
     S = np.zeros(R)
-    rows = max(8, _TILE_VALUES // R // 8 * 8) if tiles else _TILE_VALUES
+    rows = max(8, _TILE_VALUES // R // 8 * 8) if out is None else _TILE_VALUES
     for t, stop in enumerate(stops):
         while m < stop:
             end = min(stop, m - m % rows + rows)
-            tile = np.empty((end - m, R)) if tiles else None
+            tile = np.empty((end - m, R)) if out is None else None
             if sums:
                 first_step, scale_weight, centre, r = sums
                 k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
@@ -724,12 +717,16 @@ def _kernel_calls(params: ModelParams, keys: np.ndarray, stops: list[int], tiles
 def _walk_ranges(params: ModelParams, stops: list[int], specs: Sequence[RngStreamSpec], threads: int | None, sums=None):
     """The float64 S of each replica of specs at each of stops, shape (len(specs),
     len(stops)), or given sums each replica's sum, as _kernel_calls walks each
-    replica range, keyed in the worker that walks it."""
-    out = np.empty((len(specs), len(stops))) if sums is None else np.zeros(len(specs))
+    replica range, keyed in the worker that walks it. A walk whose keys, positions and
+    results need more than physical memory is refused with a ValueError first."""
+    R = len(specs)
+    what = f"{R} replicas x {len(stops)} checkpoints" if sums is None else f"{R} replicas' QSL sums"
+    _refuse_beyond_memory(R * (24 + 8 * len(stops)), what)
+    out = np.empty((R, len(stops))) if sums is None else np.zeros(R)
 
     def run_block(lo: int, hi: int) -> None:
         for _ in _kernel_calls(params, _stream_keys(specs, lo, hi), stops, out=out[lo:hi], sums=sums):
             pass
 
-    _run_replica_blocks(len(specs), run_block, threads)
+    _run_replica_blocks(R, run_block, threads)
     return out

@@ -346,7 +346,8 @@ def qsl_functional_batch(
     kernel adds each replica's terms in step order as it steps, so a value
     depends only on its stream, never on kernel calls, replica ranges or
     threads. Returns one value per spec, in spec order; a horizon beyond
-    MAX_HORIZON (10^8) is refused with a ValueError.
+    MAX_HORIZON (10^8), or replicas beyond the machine's physical memory (32
+    bytes each), is refused with a ValueError before anything is allocated.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")

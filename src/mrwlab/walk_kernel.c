@@ -40,9 +40,9 @@
  * An AVX2 path (four lanes per register) for CPUs without AVX-512 is not
  * written; they run the scalar path.
  *
- * A call may also reduce the positions it steps through, in place of (or
- * besides) writing them out: the QSL reducer adds, per replica and step k
- * from its first step k0 on,
+ * Besides S, a call keeps at most one output, the kind of its reducer: the
+ * position tile, or the QSL sums. The QSL reducer adds, per replica and step
+ * k from its first step k0 on,
  *     point = scale_k * (S_k / k - centre),  p2 = point * point,
  *     term = weight_k * p2,  then term *= p2 r - 1 times,  acc += term,
  * the IEEE operations of the numpy reducer it replaces, in its order, with
@@ -68,8 +68,11 @@
 
 typedef unsigned __int128 u128;
 
-/* The QSL reducer of a call; see mrw_advance. */
-struct qsl {
+/* The one output of a call besides S, picked by kind; see mrw_advance. */
+enum { KEEP_NONE, KEEP_TILE, KEEP_QSL };
+struct reducer {
+    int64_t kind;
+    double *dst;
     const double *scale, *weight;
     double centre;
     int64_t r, k0;
@@ -129,27 +132,35 @@ step_coefficients(int64_t block, double alpha, double c[8])
 /* Add the QSL terms of step k at the positions x of `lanes` replicas to
  * their sums acc. */
 static inline __attribute__((always_inline)) void
-qsl_terms(int lanes, const struct qsl *sum, int64_t k, const double *x, double *acc)
+qsl_terms(int lanes, const struct reducer *red, int64_t k, const double *x, double *acc)
 {
-    if (k < sum->k0)
+    if (k < red->k0)
         return;
-    double scale = sum->scale[k - sum->k0], weight = sum->weight[k - sum->k0];
+    double scale = red->scale[k - red->k0], weight = red->weight[k - red->k0];
     for (int l = 0; l < lanes; l++) {
-        double point = scale * (x[l] / (double)k - sum->centre);
+        double point = scale * (x[l] / (double)k - red->centre);
         double p2 = point * point, term = weight * p2;
-        for (int64_t i = 1; i < sum->r; i++)
+        for (int64_t i = 1; i < red->r; i++)
             term *= p2;
         acc[l] += term;
     }
 }
 
-/* Advance `lanes` replicas, whose keys are k0, k1, positions x and QSL sums
- * acc, from step m through step m + steps; see mrw_advance. */
+/* Advance replicas i0 .. i0 + lanes - 1 of a call of mrw_advance, whose
+ * arguments follow i0, in local copies of their keys, positions and sums. */
 static inline __attribute__((always_inline)) void
-advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int64_t m, int64_t steps,
-              double s, double q, double alpha, double *out, int64_t stride, const struct qsl *sum, double *acc)
+advance_group(int lanes, int64_t i0, const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
+              double s, double q, double alpha, const struct reducer *red)
 {
-    double u[8][LANES], c[8];
+    double *out = red->kind == KEEP_TILE ? red->dst + i0 : NULL, *sums = red->kind == KEEP_QSL ? red->dst + i0 : NULL;
+    uint64_t k0[LANES], k1[LANES];
+    double x[LANES], acc[LANES], u[8][LANES], c[8];
+    for (int l = 0; l < lanes; l++) {
+        k0[l] = keys[2 * (i0 + l)];
+        k1[l] = keys[2 * (i0 + l) + 1];
+        x[l] = S[i0 + l];
+        acc[l] = sums ? sums[l] : 0.0;
+    }
     for (int64_t t = m, end = m + steps; t < end;) {
         step_coefficients(t / 8, alpha, c);
         philox_draws(lanes, (uint64_t)(t / 8) + 1, k0, k1, u);
@@ -160,10 +171,15 @@ advance_group(int lanes, const uint64_t *k0, const uint64_t *k1, double *x, int6
                 x[l] += (double)(ut[l] < qt + ct * x[l]);
             if (out)
                 for (int l = 0; l < lanes; l++)
-                    out[(t - m) * stride + l] = x[l];
-            if (sum)
-                qsl_terms(lanes, sum, t + 1, x, acc);
+                    out[(t - m) * R + l] = x[l];
+            if (sums)
+                qsl_terms(lanes, red, t + 1, x, acc);
         }
+    }
+    for (int l = 0; l < lanes; l++) {
+        S[i0 + l] = x[l];
+        if (sums)
+            sums[l] = acc[l];
     }
 }
 
@@ -271,19 +287,19 @@ quotient_x8(__m512d x, double k)
 
 /* qsl_terms for `groups` groups of eight lanes. */
 static inline __attribute__((always_inline)) AVX512 void
-qsl_terms_x8(int groups, const struct qsl *sum, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
+qsl_terms_x8(int groups, const struct reducer *red, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
 {
-    if (k < sum->k0)
+    if (k < red->k0)
         return;
-    const __m512d centre = _mm512_set1_pd(sum->centre);
-    const __m512d scale = _mm512_set1_pd(sum->scale[k - sum->k0]), weight = _mm512_set1_pd(sum->weight[k - sum->k0]);
+    const __m512d centre = _mm512_set1_pd(red->centre);
+    const __m512d scale = _mm512_set1_pd(red->scale[k - red->k0]), weight = _mm512_set1_pd(red->weight[k - red->k0]);
     __m512d p2[GROUPS], term[GROUPS];
     for (int g = 0; g < groups; g++) {
         __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(quotient_x8(xv[g], (double)k), centre));
         p2[g] = _mm512_mul_pd(point, point);
         term[g] = _mm512_mul_pd(weight, p2[g]);
     }
-    for (int64_t i = 1; i < sum->r; i++)
+    for (int64_t i = 1; i < red->r; i++)
         for (int g = 0; g < groups; g++)
             term[g] = _mm512_mul_pd(term[g], p2[g]);
     for (int g = 0; g < groups; g++)
@@ -294,12 +310,11 @@ qsl_terms_x8(int groups, const struct qsl *sum, int64_t k, const __m512d xv[GROU
  * mrw_advance, whose arguments follow i0. */
 static inline __attribute__((always_inline)) AVX512 void
 advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
-                  double s, double q, double alpha, double *out, const struct qsl *sum, double *acc)
+                  double s, double q, double alpha, const struct reducer *red)
 {
-    double *x = S + i0;
+    double *x = S + i0, *out = red->kind == KEEP_TILE ? red->dst + i0 : NULL;
+    double *acc = red->kind == KEEP_QSL ? red->dst + i0 : NULL;
     keys += 2 * i0;
-    out = out ? out + i0 : NULL;
-    acc = acc ? acc + i0 : NULL;
     const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
     const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
     const __m512d one = _mm512_set1_pd(1.0), sv = _mm512_set1_pd(s), qv = _mm512_set1_pd(q);
@@ -317,7 +332,7 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
             k1[g][round] = _mm512_add_epi64(k1[g][round - 1], _mm512_set1_epi64((long long)PHILOX_W1));
         }
         xv[g] = _mm512_loadu_pd(x + LANES * g);
-        av[g] = sum ? _mm512_loadu_pd(acc + LANES * g) : _mm512_setzero_pd();
+        av[g] = acc ? _mm512_loadu_pd(acc + LANES * g) : _mm512_setzero_pd();
     }
     for (int64_t t = m, end = m + steps; t < end;) {
         /* step_coefficients in one divide, computed ahead of the Philox rounds. */
@@ -333,13 +348,13 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
                 if (out)
                     _mm512_storeu_pd(out + (t - m) * R + LANES * g, xv[g]);
             }
-            if (sum)
-                qsl_terms_x8(groups, sum, t + 1, xv, av);
+            if (acc)
+                qsl_terms_x8(groups, red, t + 1, xv, av);
         }
     }
     for (int g = 0; g < groups; g++) {
         _mm512_storeu_pd(x + LANES * g, xv[g]);
-        if (sum)
+        if (acc)
             _mm512_storeu_pd(acc + LANES * g, av[g]);
     }
 }
@@ -351,17 +366,17 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
  * loops over the groups unroll. Returns the number of replicas run. */
 static AVX512 int64_t
 advance_sets_x8(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps, double s, double q,
-                double alpha, double *out, const struct qsl *sum, double *acc)
+                double alpha, const struct reducer *red)
 {
     int64_t i0 = 0;
     for (; i0 + GROUPS * LANES <= R; i0 += GROUPS * LANES)
-        advance_groups_x8(GROUPS, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        advance_groups_x8(GROUPS, i0, keys, S, R, m, steps, s, q, alpha, red);
     if (i0 + GROUPS / 2 * LANES <= R) {
-        advance_groups_x8(GROUPS / 2, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        advance_groups_x8(GROUPS / 2, i0, keys, S, R, m, steps, s, q, alpha, red);
         i0 += GROUPS / 2 * LANES;
     }
     if (i0 + LANES <= R) {
-        advance_groups_x8(1, i0, keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        advance_groups_x8(1, i0, keys, S, R, m, steps, s, q, alpha, red);
         i0 += LANES;
     }
     return i0;
@@ -381,42 +396,26 @@ __attribute__((constructor)) static void pick_path(void)
  *
  * keys holds (seed, replica) per replica, R x 2; S holds S_m per replica and
  * is updated in place. Step 1 adds to S like every other step, so S must be
- * 0 at m = 0. When out is not NULL, out[j * R + i] receives S_{m+1+j} of
- * replica i, a steps x R row-major tile. When acc is
- * not NULL, acc[i] gains the QSL term of replica i at each step k from k0 to
- * m + steps, in step order, with scale[k - k0] and weight[k - k0] as scale_k
- * and weight_k (see the top of this file). On a CPU with AVX-512 F and DQ
- * the AVX-512 path runs every whole set of 8 replicas and advance_group a
- * remainder under 8; elsewhere advance_group runs them all. */
-void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps,
-                 double s, double q, double alpha, double *out,
-                 double *acc, const double *scale, const double *weight, double centre, int64_t r, int64_t k0)
+ * 0 at m = 0. kind picks the one other output, dst: none (KEEP_NONE), a
+ * steps x R row-major tile whose dst[j * R + i] receives S_{m+1+j} of
+ * replica i (KEEP_TILE), or sums whose dst[i] gains the QSL term of replica i
+ * at each step k from k0 to m + steps, in step order, with scale[k - k0] and
+ * weight[k - k0] as scale_k and weight_k (KEEP_QSL, the one kind that reads
+ * them; see the top of this file). On a CPU with AVX-512 F and DQ the AVX-512
+ * path runs every whole set of 8 replicas and advance_group a remainder
+ * under 8; elsewhere advance_group runs them all. */
+void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps, double s, double q,
+                 double alpha, int64_t kind, double *dst, const double *scale, const double *weight, double centre,
+                 int64_t r, int64_t k0)
 {
-    const struct qsl terms = {scale, weight, centre, r, k0}, *sum = acc ? &terms : NULL;
+    const struct reducer red = {kind, dst, scale, weight, centre, r, k0};
     int64_t i0 = 0;
 #if defined(__x86_64__) && !defined(MRW_SCALAR_ONLY)
     if (use_avx512)
-        i0 = advance_sets_x8(keys, S, R, m, steps, s, q, alpha, out, sum, acc);
+        i0 = advance_sets_x8(keys, S, R, m, steps, s, q, alpha, &red);
 #endif
-    for (; i0 < R; i0 += LANES) {
-        int width = R - i0 < LANES ? (int)(R - i0) : LANES;
-        uint64_t key0[LANES], key1[LANES];
-        double x[LANES], a[LANES];
-        for (int l = 0; l < width; l++) {
-            key0[l] = keys[2 * (i0 + l)];
-            key1[l] = keys[2 * (i0 + l) + 1];
-            x[l] = S[i0 + l];
-            a[l] = acc ? acc[i0 + l] : 0.0;
-        }
-        double *o = out ? out + i0 : NULL;
-        if (width == LANES)
-            advance_group(LANES, key0, key1, x, m, steps, s, q, alpha, o, R, sum, a);
-        else
-            advance_group(width, key0, key1, x, m, steps, s, q, alpha, o, R, sum, a);
-        for (int l = 0; l < width; l++) {
-            S[i0 + l] = x[l];
-            if (acc)
-                acc[i0 + l] = a[l];
-        }
-    }
+    for (; i0 + LANES <= R; i0 += LANES)
+        advance_group(LANES, i0, keys, S, R, m, steps, s, q, alpha, &red);
+    if (i0 < R)
+        advance_group((int)(R - i0), i0, keys, S, R, m, steps, s, q, alpha, &red);
 }

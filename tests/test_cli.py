@@ -402,7 +402,7 @@ def test_simulate_exact_mean_does_not_materialize_the_sequences(tmp_path):
 
 def test_missing_compiler_exits_with_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     monkeypatch.setenv("PATH", str(tmp_path))
     assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -414,7 +414,7 @@ def test_missing_python_headers_exit_with_config_error(tmp_path, monkeypatch, ca
     monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs:
                         str(tmp_path) if name == "include" else get_path(name, *args, **kwargs))
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "cache")
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     assert main(["simulate", "--n", "10", "--replicas", "3"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Python.h" in err and "Traceback" not in err

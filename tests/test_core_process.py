@@ -955,11 +955,11 @@ def test_checkpoints_beyond_physical_memory_are_refused():
     width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 63, 64, 65, 97]),
     m=st.one_of(st.sampled_from([0, 1, 7, 8, 9, 1023]), st.integers(0, 1100)),
     steps=st.integers(1, 40),
-    tile=st.booleans(),
-    r=st.sampled_from([None, 1, 2, 3]),
+    kind=st.sampled_from(["none", "tile", "qsl"]),
+    r=st.sampled_from([1, 2, 3]),
     data=st.data(),
 )
-def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, tile, r, data):
+def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps, kind, r, data):
     # On a CPU with AVX-512 the kernel runs units of 32 replicas while 32
     # remain, then a unit of 16 and a unit of 8 while whole sets of 8
     # remain, and only a remainder under 8 on its scalar groups. The widths
@@ -967,17 +967,18 @@ def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps,
     # 40 = 32 + 8, 48 = 32 + 16 and 63 = 32 + 16 + 8 + 7, a scalar tail
     # behind each unit class (9, 15, 17, 31, 33, 65, 97), and the scalar
     # group alone (1, 7). Elsewhere every width runs the scalar groups.
-    # Either way each byte must equal numpy's stream, and each QSL sum
-    # (r not None) the step-order sum of the same doubles.
+    # Either way each byte must equal numpy's stream, and each QSL sum the
+    # step-order sum of the same doubles. A call keeps no other output, its
+    # position tile or its QSL sums.
     first = data.draw(st.one_of(st.integers(2**63 - 40, 2**63 + 40), st.just(2**64 - width),
                                 st.integers(0, 2**64 - width)))
     specs = RngStreamSpec(seed, first).replicas(width)
     params = ModelParams(s=s, q=qp[0], p=qp[1])
     ref = _reference_positions(params, m + steps, list(specs))
     S = ref[:, m].copy()
-    out = np.full((steps, width), np.nan) if tile else None
+    out = np.full((steps, width), np.nan) if kind == "tile" else None
     qsl = None
-    if r is not None:
+    if kind == "qsl":
         # The sums start at any step of the call, on or off a Philox block
         # edge. NaNs sit just before scale and weight, so a read of a step
         # before the first summed one shows.
@@ -989,9 +990,9 @@ def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps,
         qsl = (scale[1:], weight[1:], centre, r, acc.copy())
     cp._advance(params, cp._stream_keys(specs), S, m, steps, out, qsl)
     assert S.tobytes() == ref[:, m + steps].tobytes()
-    if tile:
+    if kind == "tile":
         assert out.tobytes() == np.ascontiguousarray(ref[:, m + 1 : m + steps + 1].T).tobytes()
-    if r is not None:
+    if kind == "qsl":
         for i in range(width):
             for kk, scale_k, weight_k in zip(k.tolist(), qsl[0].tolist(), qsl[1].tolist()):
                 point = scale_k * (float(ref[i, int(kk)]) / kk - centre)
@@ -1033,21 +1034,32 @@ def test_kernel_raises_no_divide_by_zero_or_invalid_flag():
         assert libm.fetestexcept(fe_invalid | fe_divbyzero) == 0, params
 
 
+def test_a_kernel_call_keeps_one_output():
+    # The kernel's one reducer slot holds a position tile or QSL sums, never
+    # both; nothing is walked when both are asked for.
+    keys, S, one = cp._stream_keys(RngStreamSpec(3).replicas(9)), np.zeros(9), np.ones(4)
+    acc = np.zeros(9)
+    with pytest.raises(ValueError, match="not both"):
+        cp._advance(ModelParams(0.5, 0.3, 0.6), keys, S, 0, 4, np.empty((4, 9)), (one, one, 0.5, 1, acc))
+    assert not S.any() and not acc.any()
+
+
 # ---------------------------------------------------------------- kernel build
 
 
 def test_forced_scalar_build_matches_default_build(tmp_path):
     # Built with -DMRW_SCALAR_ONLY the kernel runs advance_group, its scalar
     # reference, on every replica; on an AVX-512 machine the default build
-    # runs it only on a remainder under 8. Positions, out tiles and QSL sums
-    # must agree byte for byte at every width from 1 to 100 (each unit of
-    # 32, 16 and 8, and each tail), for calls that start at step 0, off a
-    # Philox block edge and on one.
+    # runs it only on a remainder under 8. Positions and out tiles, and
+    # positions and QSL sums, each kept by a call of their own, must agree
+    # byte for byte at every width from 1 to 100 (each unit of 32, 16 and 8,
+    # and each tail), for calls that start at step 0, off a Philox block edge
+    # and on one.
     lib = tmp_path / "walk_kernel_scalar.so"
-    done = subprocess.run(["cc", *cp._CFLAGS, "-DMRW_SCALAR_ONLY", "-o", str(lib), str(cp._KERNEL_SOURCE)],
-                          capture_output=True, text=True)
+    done = subprocess.run(["cc", *cp._CFLAGS, "-DMRW_SCALAR_ONLY", "-I", sysconfig.get_path("include"), "-o",
+                           str(lib), str(cp._KERNEL_SOURCE), str(cp._KEYS_SOURCE)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    builds = {"scalar": cp._bind_kernel(lib), "default": cp._load_kernel()}
+    builds = {"scalar": cp._bind(lib), "default": cp._load_kernel()}
     params, steps, r = ModelParams(s=0.5, q=0.3, p=0.65), 29, 2
     keys = cp._stream_keys(RngStreamSpec(5, 2**63 - 50).replicas(100))
     for m in (0, 13, 1024):
@@ -1058,12 +1070,14 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
         scale, weight = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
         for width in range(1, 101):
             results = {}
-            for name, kernel in builds.items():
-                S, out, acc = start[:width].copy(), np.empty((steps, width)), np.linspace(0.0, 1.0, width)
+            for name, engine in builds.items():
+                S, out = start[:width].copy(), np.empty((steps, width))
+                T, acc = start[:width].copy(), np.linspace(0.0, 1.0, width)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(cp, "_kernel", kernel)
-                    cp._advance(params, keys[:width], S, m, steps, out, (scale, weight, 0.6, r, acc))
-                results[name] = S.tobytes() + out.tobytes() + acc.tobytes()
+                    mp.setattr(cp, "_engine", engine)
+                    cp._advance(params, keys[:width], S, m, steps, out)
+                    cp._advance(params, keys[:width], T, m, steps, qsl=(scale, weight, 0.6, r, acc))
+                results[name] = (S.tobytes() + out.tobytes(), T.tobytes() + acc.tobytes())
             assert results["scalar"] == results["default"], (m, width)
 
 
@@ -1126,7 +1140,7 @@ def test_cached_library_names_the_interpreter_abi(tmp_path, monkeypatch):
     # The library calls into the CPython ABI, so its file name carries this
     # interpreter's extension suffix, and no other interpreter loads it.
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     specs = [RngStreamSpec(2, i) for i in range(3)]
     rec = walk_checkpoints_batch(ModelParams(0.5, 0.25, 0.75), [9], specs)
     assert np.array_equal(rec, _reference_positions(ModelParams(0.5, 0.25, 0.75), 9, specs)[:, [9]])
@@ -1173,7 +1187,7 @@ def test_missing_python_headers_are_named(tmp_path, monkeypatch):
     monkeypatch.setattr(sysconfig, "get_path", lambda name, *args, **kwargs:
                         str(tmp_path / "include") if name == "include" else get_path(name, *args, **kwargs))
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "cache")
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     with pytest.raises(cp._KernelBuildError, match="Python.h"):
         walk_checkpoints_batch(ModelParams(0.5, 0.5, 0.5), [10], [RngStreamSpec(1)])
     assert list((tmp_path / "cache").iterdir()) == []
@@ -1200,7 +1214,7 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     (tmp_path / "file").write_text("")
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path / "file" / "__pycache__")
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     params, specs = ModelParams(0.5, 0.4, 0.7), [RngStreamSpec(8, i) for i in range(3)]
     rec = walk_checkpoints_batch(params, [5, 40], specs)
@@ -1210,7 +1224,7 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
 
 def test_missing_compiler_is_named(tmp_path, monkeypatch):
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     monkeypatch.setenv("PATH", str(tmp_path))
     with pytest.raises(RuntimeError, match="`cc`"):
         walk_checkpoints_batch(ModelParams(0.5, 0.5, 0.5), [10], [RngStreamSpec(1)])
@@ -1219,7 +1233,7 @@ def test_missing_compiler_is_named(tmp_path, monkeypatch):
 
 def test_concurrent_first_calls_build_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cp, "_KERNEL_CACHE", tmp_path)
-    monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(cp, "_engine", None)
     builds, run = [], subprocess.run
 
     def slow_run(*args, **kwargs):

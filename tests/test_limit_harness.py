@@ -235,6 +235,14 @@ def test_qsl_single_path_matches_batch():
             assert single.value == batch[i]
 
 
+def test_qsl_replicas_beyond_physical_memory_are_refused():
+    # 10^12 replicas x 32 bytes (keys, position and sum per replica) is 32
+    # TB: a ValueError naming the size, raised before anything is allocated,
+    # as the checkpoint engine raises one, not numpy's MemoryError.
+    with pytest.raises(ValueError, match="1000000000000 replicas' QSL sums need 32000000000000 bytes"):
+        qsl_functional_batch(DIFFUSIVE, 10, 1, RngStreamSpec(0).replicas(10**12))
+
+
 def test_qsl_batch_peak_memory_does_not_grow_with_n():
     # A kernel call takes at most _TILE_VALUES steps whatever the replica
     # count, and the reducer holds one call's scales and weights at a time,
