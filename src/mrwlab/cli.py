@@ -238,8 +238,7 @@ class _Emitter:
 
 
 def _run_simulate(args, params, threads, emitter) -> None:
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
+    _check_horizon(args.n)
     if args.trajectory:
         if args.replicas != 1:
             raise ValueError("--trajectory emits the path of replica 0 alone; it needs --replicas 1")
@@ -253,7 +252,6 @@ def _run_simulate(args, params, threads, emitter) -> None:
         return
     if args.mechanism != "direct":
         raise ValueError(f"--mechanism {args.mechanism} needs --trajectory; final positions read the direct engine stream")
-    _check_horizon(args.n)
     exact_mean = float(exact_mean_checkpoints(params, [args.n])[0])  # an undefined mean exits before simulating
     specs = RngStreamSpec(args.seed).replicas(args.replicas)
     finals = walk_checkpoints_batch(params, [args.n], specs, threads=threads)[:, 0]
@@ -350,7 +348,7 @@ def _run_superdiffusive(args, params, threads, emitter) -> None:
 
 
 def _run_sequences(args, params, threads, emitter) -> None:
-    _check_horizon(args.n)
+    _check_horizon(args.n, 2)
     diag = sequence_asymptotics(params, args.n, args.points)
     table = {
         "n": diag.grid, "a_n": diag.a, "A_n": diag.A, "v_n": diag.v, "f_n": diag.f,

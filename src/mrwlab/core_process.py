@@ -299,8 +299,6 @@ def simulate_urn(params: ModelParams, n: int, rng: RngStreamSpec) -> UrnPath:
     the color response (add blue with probability p after blue, q after red).
     A horizon beyond MAX_HORIZON (10^8) is refused with a ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     _check_horizon(n)
     gen = rng.generator()
     blue = np.zeros(n + 1, dtype=np.int64)
@@ -377,7 +375,7 @@ def _bind(path: Path):
     # Arrays go as raw addresses, checked by _advance: numpy's ndpointer
     # conversion leaves cyclic garbage on every call.
     advance.argtypes = [*[ctypes.c_void_p] * 2, *[ctypes.c_int64] * 3, *[ctypes.c_double] * 3, ctypes.c_int64,
-                        *[ctypes.c_void_p] * 3, ctypes.c_double, *[ctypes.c_int64] * 2]
+                        *[ctypes.c_void_p] * 3, ctypes.c_double, ctypes.c_int64]
     advance.restype = None
     read_keys.argtypes = [ctypes.py_object, ctypes.py_object, ctypes.c_void_p, *[ctypes.c_ssize_t] * 3]
     read_keys.restype = ctypes.c_int
@@ -477,28 +475,27 @@ def _advance(params: ModelParams, keys: np.ndarray, S: np.ndarray, m: int, steps
     must be 0 at m = 0, since the kernel adds step 1 to it as it adds every
     other step. A call keeps at most one other output, the kernel's reducer,
     so given both out and qsl it raises a ValueError. out receives S_{m+1+j}
-    in row j; qsl is (scale, weight, centre, r, acc), and at each of the last
-    len(scale) steps k, in order, acc gains weight_k * (point^2)^r with point
-    = scale_k * (S_k / k - centre), scale_k and weight_k being the entries of
-    scale and weight for step k (see walk_kernel.c)."""
+    in row j; qsl is (scale, weight, centre, r, acc), and at each step
+    k = m+1+j of the call, in order, acc gains weight[j] * (point^2)^r with
+    point = scale[j] * (S_k / k - centre) (see walk_kernel.c), so scale and
+    weight hold steps entries each."""
     # The kinds KEEP_NONE (0), KEEP_TILE (1) and KEEP_QSL (2) of walk_kernel.c.
     kind = (out is not None) + 2 * (qsl is not None)
     if kind == 3:
         raise ValueError("a walk kernel call keeps a position tile or QSL sums, not both")
     R = len(S)
     scale, weight, centre, r, acc = qsl or (None, None, 0.0, 0, None)
-    summed = 0 if qsl is None else len(scale)
-    if summed > steps:
-        raise ValueError("walk kernel arguments disagree in type, shape or layout")
     dst = _address(acc, np.float64, (R,), True) if qsl else _address(out, np.float64, (steps, R), True)
     args = (_address(keys, np.uint64, (R, 2)), _address(S, np.float64, (R,), True), R, m, steps,
-            params.s, params.q, params.alpha, kind, dst, _address(scale, np.float64, (summed,)),
-            _address(weight, np.float64, (summed,)), centre, r, m + steps + 1 - summed)
+            params.s, params.q, params.alpha, kind, dst, _address(scale, np.float64, (steps,)),
+            _address(weight, np.float64, (steps,)), centre, r)
     _load_engine()[0](*args)
 
 
-def _check_horizon(n: int) -> None:
-    """Refuse with a ValueError a horizon n beyond MAX_HORIZON."""
+def _check_horizon(n: int, least: int = 1) -> None:
+    """Refuse with a ValueError a horizon n below least or beyond MAX_HORIZON."""
+    if n < least:
+        raise ValueError(f"the horizon must be at least {least}, got {n}")
     if n > MAX_HORIZON:
         raise ValueError(f"the horizon must be at most MAX_HORIZON = {MAX_HORIZON}, got {n}")
 
@@ -527,8 +524,6 @@ def walk_positions_batch(
     walk_checkpoints_batch when only selected steps are needed. threads=None
     runs on one worker per usable CPU; results are the same at any count.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     _check_horizon(n)
     R = len(specs)
     _refuse_beyond_memory(R * (n + 1) * 4, f"{R} replicas x {n + 1} positions", "; use walk_checkpoints_batch")
@@ -587,8 +582,6 @@ def walk_position_chunks(
     below 1 or beyond MAX_HORIZON (10^8) is refused with a ValueError at the
     call.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     _check_horizon(n)
     return ((m + 1, tile[:, 0]) for m, tile in _kernel_calls(params, _stream_keys([rng]), [n]))
 
@@ -605,10 +598,7 @@ def _replica_ranges(R: int, threads: int) -> list[tuple[int, int]]:
     and 0.8-0.9 ms more in two uncapped ranges, whose key passes wait on each
     other for the interpreter lock; a ReplicaRange of as many takes 5.0-5.3 ms
     either way (medians of 60 alternating calls, in each of five processes,
-    measured for BENCH_32.json with the key reader of that time). A
-    16384-replica cap read 3% less CPU and 0.7% less wall time on that list,
-    and 0.8% less CPU on a replica_batch pass (10 alternating pairs each), but
-    it would break the 8-row tile bound."""
+    measured for BENCH_32.json)."""
     sets = -(-R // 16)
     parts = max(min(threads, sets), -(-sets // (_TILE_VALUES // 128)))
     bounds = [0] + [min(16 * (i * sets // parts), R) for i in range(1, parts + 1)]
@@ -694,19 +684,20 @@ def _kernel_calls(params: ModelParams, keys: np.ndarray, stops: list[int], out=N
     out[:, t] receives S at stops[t], and at each multiple of the row cap: _TILE_VALUES,
     or for tiles max(8, _TILE_VALUES // len(keys) // 8 * 8), so no tile starts inside
     a Philox block of 8 draws. Given sums = (first_step, scale_weight, centre, r), out
-    (one value per replica) gains the kernel sum (see _advance) over steps
-    first_step .. stops[-1] instead, scale_weight(k) giving the scales and weights."""
-    R, m, qsl = len(keys), 0, None
+    (one value per replica) gains instead the kernel sum (see _advance) over every step
+    of each call that starts at first_step or later, scale_weight(k) giving the scales
+    and weights of its steps k; so first_step - 1 is one of stops when first_step > 1."""
+    R, m = len(keys), 0
     S = np.zeros(R)
     rows = max(8, _TILE_VALUES // R // 8 * 8) if out is None else _TILE_VALUES
     for t, stop in enumerate(stops):
         while m < stop:
             end = min(stop, m - m % rows + rows)
             tile = np.empty((end - m, R)) if out is None else None
-            if sums:
-                first_step, scale_weight, centre, r = sums
-                k = np.arange(max(m + 1, first_step), end + 1, dtype=np.float64)
-                qsl = (*scale_weight(k), centre, r, out)
+            qsl = None
+            if sums and m + 1 >= sums[0]:
+                _, scale_weight, centre, r = sums
+                qsl = (*scale_weight(np.arange(m + 1, end + 1, dtype=np.float64)), centre, r, out)
             _advance(params, keys, S, m, end - m, tile, qsl)
             yield m, tile
             m = end
@@ -721,7 +712,7 @@ def _walk_ranges(params: ModelParams, stops: list[int], specs: Sequence[RngStrea
     results need more than physical memory is refused with a ValueError first."""
     R = len(specs)
     what = f"{R} replicas x {len(stops)} checkpoints" if sums is None else f"{R} replicas' QSL sums"
-    _refuse_beyond_memory(R * (24 + 8 * len(stops)), what)
+    _refuse_beyond_memory(R * (24 + 8 * (len(stops) if sums is None else 1)), what)
     out = np.empty((R, len(stops))) if sums is None else np.zeros(R)
 
     def run_block(lo: int, hi: int) -> None:

@@ -7,8 +7,9 @@ log log n. limit_law resolves the regime once into a LimitLaw that holds
 that measure's ingredients, its Gaussian limit and the skeletons' grid, scale
 and kernel, and every harness reads it. The ASCLT harness maps the chunks of
 walk_position_chunks through LimitLaw.measure; the QSL harness has the walk
-kernel sum its moments in walk_checkpoints_batch's kernel calls. Neither holds
-a trajectory matrix. Four families of checks:
+kernel sum its moments in the kernel calls of walk_checkpoints_batch to n (to
+1 and n when critical, where the sum starts at step 2). Neither holds a
+trajectory matrix. Four families of checks:
 
 * Log-averaged weighted empirical measures of the rescaled position along a
   single path, compared to their Gaussian targets by weighted KS distance.
@@ -254,8 +255,7 @@ def asclt_measure(params: ModelParams, n: int, rng: RngStreamSpec) -> WeightedSa
     Its weak limit along almost every path is N(0, variance).
     """
     law = limit_law(params)
-    if n < law.min_horizon:
-        raise ValueError(f"n must be at least {law.min_horizon}")
+    _check_horizon(n, law.min_horizon)
     if n <= RAW_POINT_LIMIT:
         points, weights = (np.concatenate(x) for x in zip(*_measure_tiles(law, params, n, rng)))
         return WeightedSample(points, weights, law.normalizer(n), law.variance, n, histogram=False)
@@ -343,20 +343,21 @@ def qsl_functional_batch(
     It is the 2r-th moment of the LimitLaw's weighted measure: each step k
     adds weight * (point^2)^r, that is k^(r-1) L(k)^-(r+1) (S_k/k -
     centre)^(2r), and the sum is divided by the law's normalizer. The walk
-    kernel adds each replica's terms in step order as it steps, so a value
-    depends only on its stream, never on kernel calls, replica ranges or
-    threads. Returns one value per spec, in spec order; a horizon beyond
-    MAX_HORIZON (10^8), or replicas beyond the machine's physical memory (32
-    bytes each), is refused with a ValueError before anything is allocated.
+    kernel adds each replica's terms in step order as it steps, in the kernel
+    calls of walk_checkpoints_batch to [n] (diffusive) or [1, n] (critical,
+    whose call to step 1 adds none), so a value depends only on its stream,
+    never on kernel calls, replica ranges or threads. Returns one value per
+    spec, in spec order; a horizon below 3 or beyond MAX_HORIZON (10^8), or
+    replicas beyond the machine's physical memory (32 bytes each), is refused
+    with a ValueError before anything is allocated.
     """
     if r < 1:
         raise ValueError("moment order r must be at least 1")
     law = limit_law(params)
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    _check_horizon(n)
+    _check_horizon(n, 3)
+    stops = [n] if law.first_step == 1 else [law.first_step - 1, n]
     sums = (law.first_step, law.scale_weight, law.centre, r)
-    return _walk_ranges(params, [n], specs, threads, sums) / law.normalizer(n)
+    return _walk_ranges(params, stops, specs, threads, sums) / law.normalizer(n)
 
 
 @dataclass

@@ -42,7 +42,7 @@
  *
  * Besides S, a call keeps at most one output, the kind of its reducer: the
  * position tile, or the QSL sums. The QSL reducer adds, per replica and step
- * k from its first step k0 on,
+ * k of the call,
  *     point = scale_k * (S_k / k - centre),  p2 = point * point,
  *     term = weight_k * p2,  then term *= p2 r - 1 times,  acc += term,
  * the IEEE operations of the numpy reducer it replaces, in its order, with
@@ -75,7 +75,7 @@ struct reducer {
     double *dst;
     const double *scale, *weight;
     double centre;
-    int64_t r, k0;
+    int64_t r;
 };
 
 /* Philox4x64-10 at counter (ctr, 0, 0, 0) for each of the first `lanes`
@@ -129,14 +129,12 @@ step_coefficients(int64_t block, double alpha, double c[8])
     }
 }
 
-/* Add the QSL terms of step k at the positions x of `lanes` replicas to
- * their sums acc. */
+/* Add the QSL terms of step k, step j of its call, at the positions x of
+ * `lanes` replicas to their sums acc. */
 static inline __attribute__((always_inline)) void
-qsl_terms(int lanes, const struct reducer *red, int64_t k, const double *x, double *acc)
+qsl_terms(int lanes, const struct reducer *red, int64_t j, int64_t k, const double *x, double *acc)
 {
-    if (k < red->k0)
-        return;
-    double scale = red->scale[k - red->k0], weight = red->weight[k - red->k0];
+    double scale = red->scale[j], weight = red->weight[j];
     for (int l = 0; l < lanes; l++) {
         double point = scale * (x[l] / (double)k - red->centre);
         double p2 = point * point, term = weight * p2;
@@ -173,7 +171,7 @@ advance_group(int lanes, int64_t i0, const uint64_t *keys, double *S, int64_t R,
                 for (int l = 0; l < lanes; l++)
                     out[(t - m) * R + l] = x[l];
             if (sums)
-                qsl_terms(lanes, red, t + 1, x, acc);
+                qsl_terms(lanes, red, t - m, t + 1, x, acc);
         }
     }
     for (int l = 0; l < lanes; l++) {
@@ -287,12 +285,10 @@ quotient_x8(__m512d x, double k)
 
 /* qsl_terms for `groups` groups of eight lanes. */
 static inline __attribute__((always_inline)) AVX512 void
-qsl_terms_x8(int groups, const struct reducer *red, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
+qsl_terms_x8(int groups, const struct reducer *red, int64_t j, int64_t k, const __m512d xv[GROUPS], __m512d acc[GROUPS])
 {
-    if (k < red->k0)
-        return;
     const __m512d centre = _mm512_set1_pd(red->centre);
-    const __m512d scale = _mm512_set1_pd(red->scale[k - red->k0]), weight = _mm512_set1_pd(red->weight[k - red->k0]);
+    const __m512d scale = _mm512_set1_pd(red->scale[j]), weight = _mm512_set1_pd(red->weight[j]);
     __m512d p2[GROUPS], term[GROUPS];
     for (int g = 0; g < groups; g++) {
         __m512d point = _mm512_mul_pd(scale, _mm512_sub_pd(quotient_x8(xv[g], (double)k), centre));
@@ -349,7 +345,7 @@ advance_groups_x8(int groups, int64_t i0, const uint64_t *keys, double *S, int64
                     _mm512_storeu_pd(out + (t - m) * R + LANES * g, xv[g]);
             }
             if (acc)
-                qsl_terms_x8(groups, red, t + 1, xv, av);
+                qsl_terms_x8(groups, red, t - m, t + 1, xv, av);
         }
     }
     for (int g = 0; g < groups; g++) {
@@ -399,16 +395,17 @@ __attribute__((constructor)) static void pick_path(void)
  * 0 at m = 0. kind picks the one other output, dst: none (KEEP_NONE), a
  * steps x R row-major tile whose dst[j * R + i] receives S_{m+1+j} of
  * replica i (KEEP_TILE), or sums whose dst[i] gains the QSL term of replica i
- * at each step k from k0 to m + steps, in step order, with scale[k - k0] and
- * weight[k - k0] as scale_k and weight_k (KEEP_QSL, the one kind that reads
- * them; see the top of this file). On a CPU with AVX-512 F and DQ the AVX-512
- * path runs every whole set of 8 replicas and advance_group a remainder
- * under 8; elsewhere advance_group runs them all. */
+ * at each step k = m + 1 + j of the call, in step order, with scale[j] and
+ * weight[j] as scale_k and weight_k (KEEP_QSL, the one kind that reads them;
+ * see the top of this file), so a sum that starts after step 1 starts a call.
+ * On a CPU with AVX-512 F and DQ the AVX-512 path runs every whole set of 8
+ * replicas and advance_group a remainder under 8; elsewhere advance_group runs
+ * them all. */
 void mrw_advance(const uint64_t *keys, double *S, int64_t R, int64_t m, int64_t steps, double s, double q,
                  double alpha, int64_t kind, double *dst, const double *scale, const double *weight, double centre,
-                 int64_t r, int64_t k0)
+                 int64_t r)
 {
-    const struct reducer red = {kind, dst, scale, weight, centre, r, k0};
+    const struct reducer red = {kind, dst, scale, weight, centre, r};
     int64_t i0 = 0;
 #if defined(__x86_64__) && !defined(MRW_SCALAR_ONLY)
     if (use_avx512)

@@ -975,20 +975,24 @@ def test_kernel_paths_match_per_replica_generators(s, qp, seed, width, m, steps,
     specs = RngStreamSpec(seed, first).replicas(width)
     params = ModelParams(s=s, q=qp[0], p=qp[1])
     ref = _reference_positions(params, m + steps, list(specs))
-    S = ref[:, m].copy()
+    keys, S, start = cp._stream_keys(specs), ref[:, m].copy(), m
     out = np.full((steps, width), np.nan) if kind == "tile" else None
     qsl = None
     if kind == "qsl":
-        # The sums start at any step of the call, on or off a Philox block
-        # edge. NaNs sit just before scale and weight, so a read of a step
-        # before the first summed one shows.
-        k = np.arange(m + 1 + data.draw(st.integers(0, steps)), m + steps + 1, dtype=np.float64)
+        # The sums start at any step of the walk, on or off a Philox block
+        # edge: a call that keeps no output walks the steps before it, and the
+        # QSL call sums every step of its own. NaNs sit on both sides of scale
+        # and weight, so a read before the call's first step or past its last
+        # shows.
+        start = m + data.draw(st.integers(0, steps))
+        k = np.arange(start + 1, m + steps + 1, dtype=np.float64)
         centre = data.draw(st.floats(0.0, 2.0))
         acc = np.linspace(0.0, 1.0, width)
-        scale, weight = np.full((2, len(k) + 1), np.nan)
-        scale[1:], weight[1:] = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
-        qsl = (scale[1:], weight[1:], centre, r, acc.copy())
-    cp._advance(params, cp._stream_keys(specs), S, m, steps, out, qsl)
+        scale, weight = np.full((2, len(k) + 2), np.nan)
+        scale[1:-1], weight[1:-1] = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
+        qsl = (scale[1:-1], weight[1:-1], centre, r, acc.copy())
+        cp._advance(params, keys, S, m, start - m)
+    cp._advance(params, keys, S, start, m + steps - start, out, qsl)
     assert S.tobytes() == ref[:, m + steps].tobytes()
     if kind == "tile":
         assert out.tobytes() == np.ascontiguousarray(ref[:, m + 1 : m + steps + 1].T).tobytes()
@@ -1054,7 +1058,8 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
     # positions and QSL sums, each kept by a call of their own, must agree
     # byte for byte at every width from 1 to 100 (each unit of 32, 16 and 8,
     # and each tail), for calls that start at step 0, off a Philox block edge
-    # and on one.
+    # and on one. The QSL sums start a third of the way in, after a call that
+    # keeps no output.
     lib = tmp_path / "walk_kernel_scalar.so"
     done = subprocess.run(["cc", *cp._CFLAGS, "-DMRW_SCALAR_ONLY", "-I", sysconfig.get_path("include"), "-o",
                            str(lib), str(cp._KERNEL_SOURCE), str(cp._KEYS_SOURCE)], capture_output=True, text=True)
@@ -1062,11 +1067,12 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
     builds = {"scalar": cp._bind(lib), "default": cp._load_kernel()}
     params, steps, r = ModelParams(s=0.5, q=0.3, p=0.65), 29, 2
     keys = cp._stream_keys(RngStreamSpec(5, 2**63 - 50).replicas(100))
+    skip = steps // 3
     for m in (0, 13, 1024):
         start = np.zeros(100)
         if m:
             cp._advance(params, keys, start, 0, m)
-        k = np.arange(m + 1 + steps // 3, m + steps + 1, dtype=np.float64)
+        k = np.arange(m + 1 + skip, m + steps + 1, dtype=np.float64)
         scale, weight = np.sqrt(k / np.log1p(k)), 1.0 / (k * np.log1p(k))
         for width in range(1, 101):
             results = {}
@@ -1076,7 +1082,8 @@ def test_forced_scalar_build_matches_default_build(tmp_path):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(cp, "_engine", engine)
                     cp._advance(params, keys[:width], S, m, steps, out)
-                    cp._advance(params, keys[:width], T, m, steps, qsl=(scale, weight, 0.6, r, acc))
+                    cp._advance(params, keys[:width], T, m, skip)
+                    cp._advance(params, keys[:width], T, m + skip, steps - skip, qsl=(scale, weight, 0.6, r, acc))
                 results[name] = (S.tobytes() + out.tobytes(), T.tobytes() + acc.tobytes())
             assert results["scalar"] == results["default"], (m, width)
 

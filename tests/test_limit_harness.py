@@ -235,12 +235,14 @@ def test_qsl_single_path_matches_batch():
             assert single.value == batch[i]
 
 
-def test_qsl_replicas_beyond_physical_memory_are_refused():
+@pytest.mark.parametrize("params", [DIFFUSIVE, CRITICAL], ids=["diffusive", "critical"])
+def test_qsl_replicas_beyond_physical_memory_are_refused(params):
     # 10^12 replicas x 32 bytes (keys, position and sum per replica) is 32
     # TB: a ValueError naming the size, raised before anything is allocated,
-    # as the checkpoint engine raises one, not numpy's MemoryError.
+    # as the checkpoint engine raises one, not numpy's MemoryError. The
+    # critical walk's extra stop at step 1 holds no result, so it costs none.
     with pytest.raises(ValueError, match="1000000000000 replicas' QSL sums need 32000000000000 bytes"):
-        qsl_functional_batch(DIFFUSIVE, 10, 1, RngStreamSpec(0).replicas(10**12))
+        qsl_functional_batch(params, 10, 1, RngStreamSpec(0).replicas(10**12))
 
 
 def test_qsl_batch_peak_memory_does_not_grow_with_n():
@@ -274,8 +276,17 @@ def test_walker_calls_depend_on_the_stops_alone(monkeypatch, width, threads):
             out.fill(0.0)
 
     monkeypatch.setattr(cp, "_advance", record)
-    qsl_functional_batch(CRITICAL, 2 * T + 77, 2, specs, threads=threads)
+    qsl_functional_batch(DIFFUSIVE, 2 * T + 77, 2, specs, threads=threads)
     assert calls and all(c == [(0, T), (T, T), (2 * T, 77)] for c in calls.values())
+    # The critical sum starts at step 2, so its walk stops at step 1 as well:
+    # it makes the calls of the checkpoint walk to [1, n].
+    calls.clear()
+    qsl_functional_batch(CRITICAL, 2 * T + 77, 2, specs, threads=threads)
+    critical = [(0, 1), (1, T - 1), (T, T), (2 * T, 77)]
+    assert calls and all(c == critical for c in calls.values())
+    calls.clear()
+    walk_checkpoints_batch(CRITICAL, [1, 2 * T + 77], specs, threads=threads)
+    assert calls and all(c == critical for c in calls.values())
     calls.clear()
     walk_checkpoints_batch(CRITICAL, [5, T + 3, T + 4, 3 * T + 1], specs, threads=threads)
     expected = [(0, 5), (5, T - 5), (T, 3), (T + 3, 1), (T + 4, T - 4), (2 * T, T), (3 * T, 1)]
